@@ -16,8 +16,6 @@ from .spectral import (
     pointwise_map,
     sobolev_norm,
     solve_shifted,
-    transform_forward,
-    transform_inverse,
 )
 from .problems import (
     ExactSolution,
@@ -31,6 +29,7 @@ from .problems import (
 )
 from .stepper import (
     DivergenceError,
+    EnergyPositivityError,
     MonotonicityError,
     RunReport,
     SavState,
@@ -58,12 +57,12 @@ __all__ = [
     "BdfTableau", "UnsupportedOrderError", "combine_history", "tableau",
     "Basis", "Field", "Grid", "GridMismatchError", "IndefiniteOperatorError",
     "dealias", "inner", "integrate", "laplacian_symbol", "pointwise_map",
-    "sobolev_norm", "solve_shifted", "transform_forward", "transform_inverse",
+    "sobolev_norm", "solve_shifted",
     "ExactSolution", "ProblemDefinition", "allen_cahn", "burgers",
     "cahn_hilliard", "exp_sine_product_solution", "scalar_decay",
     "with_manufactured_forcing",
-    "DivergenceError", "MonotonicityError", "RunReport", "SavState",
-    "StepMode", "StepRecord", "initialize", "run", "step",
+    "DivergenceError", "EnergyPositivityError", "MonotonicityError",
+    "RunReport", "SavState", "StepMode", "StepRecord", "initialize", "run", "step",
     "BurgersComparison", "ConvergenceReport", "StabilityResult",
     "burgers_compare", "convergence_study", "default_dt_ladder", "fit_rate",
     "random_smooth_field", "stability_probe",

@@ -5,8 +5,10 @@ supply any setting; command-line flags override it.  All artifacts are plain
 CSV/JSON with '.'-decimal floats printed to 17 significant digits, no
 timestamps, and fixed row order, so a repeated invocation is byte-identical.
 
-Exit codes: 0 success, 1 usage or I/O failure, 2 invariant-check failure,
-3 divergence in an experiment that does not tolerate it.
+Exit codes: 0 success, 1 usage or I/O failure (including a ValueError the
+library raises on a bad setting), 2 invariant-check failure (also
+EnergyPositivityError and MonotonicityError), 3 divergence in an experiment
+that does not tolerate it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from .harness import (
 )
 from .problems import allen_cahn, burgers, cahn_hilliard, with_manufactured_forcing
 from .spectral import Field, Grid
-from .stepper import DivergenceError, RunReport, StepMode, run
+from .stepper import (DivergenceError, EnergyPositivityError, MonotonicityError,
+                      RunReport, StepMode, run)
 from .tableau import MAX_ORDER, tableau
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "execute", "main", "console_main"]
@@ -154,7 +157,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     if cfg.dt_list is None and cfg.experiment == "converge":
         cfg.dt_list = default_dt_ladder(cfg.order)
 
-    for key in ("alpha", "m0", "nu", "T", "dt"):
+    positive = ("alpha", "m0", "nu", "T", "dt") + (("c_shift",) if cfg.c_shift is not None else ())
+    for key in positive:
         value = getattr(cfg, key)
         if not value > 0:
             raise ConfigError(f"key '{key}': must be positive, got {value!r}")
@@ -355,6 +359,12 @@ def execute(cfg: RunConfig) -> int:
     except DivergenceError as exc:
         print(f"{exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except (EnergyPositivityError, MonotonicityError) as exc:
+        print(f"invariant failure: {exc}", file=sys.stderr)
+        return EXIT_ASSERTION
+    except ValueError as exc:
+        print(f"invalid setting: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,17 +6,11 @@ A stability probe hammers an unforced problem with large steps from seeded
 random smooth data and checks the scalar-variable invariants.  The Burgers
 comparison pits the corrected scheme against its plain implicit-explicit
 baseline on an under-resolved shock layer.
-
-Independent (dt, order) cases can run concurrently; the SAV_THREADS
-environment variable caps the worker count and reports are always assembled
-in configuration order, so output is deterministic either way.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,7 +18,7 @@ import numpy as np
 
 from .problems import ProblemDefinition, burgers
 from .spectral import Basis, Field, Grid
-from .stepper import DivergenceError, RunReport, StepMode, run
+from .stepper import MONOTONE_RTOL, DivergenceError, RunReport, StepMode, run
 from .tableau import tableau
 
 __all__ = [
@@ -46,15 +40,6 @@ ERROR_FLOOR = 1e-11
 
 #: largest band-limited mode index of the random probe data
 RANDOM_FIELD_MAX_MODE = 8
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("SAV_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"SAV_THREADS must be an integer, got {raw!r}") from exc
-    return max(n, 1)
 
 
 def fit_rate(points) -> float:
@@ -148,12 +133,7 @@ def convergence_study(problem: ProblemDefinition, order: int, dt_list=None,
         err = report.final_errors
         return ConvergenceEntry(dt, err[0], err[1], err[2])
 
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(one_case, dts))
-    else:
-        entries = [one_case(dt) for dt in dts]
+    entries = [one_case(dt) for dt in dts]
 
     report = ConvergenceReport(problem=problem.name, order=order, T=T, entries=entries)
     report.slopes = {
@@ -231,7 +211,7 @@ def stability_probe(problem: ProblemDefinition, order: int, dt: float, n_steps: 
 
     violations: list[str] = []
     for prev, cur in zip(report.records, report.records[1:]):
-        if cur.r > prev.r * (1.0 + 1e-14):
+        if cur.r > prev.r * (1.0 + MONOTONE_RTOL):
             violations.append(f"step {cur.step}: r increased {prev.r!r} -> {cur.r!r}")
     for rec in report.records:
         if rec.r < 0.0:

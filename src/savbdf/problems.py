@@ -73,18 +73,16 @@ class ExactSolution:
 class ProblemDefinition:
     """One dissipative system, immutable after construction.
 
-    `nonlinear(u, t)` is the full explicit term of the normalized equation:
-    g(u) when unforced, g(u) - f(t) when a manufactured forcing is attached.
-    `g_unforced` always evaluates plain g(u).  `energy_gradient` is the
-    unforced variational derivative dE/du (for Cahn-Hilliard: the chemical
-    potential, whose gradient drives the flux).
+    `g_unforced` evaluates plain g(u); `nonlinear(u, t)` subtracts the
+    forcing when one is attached.  `energy_gradient` is the unforced
+    variational derivative dE/du (for Cahn-Hilliard: the chemical potential,
+    whose gradient drives the flux).
     """
 
     name: str
     grid: Grid
     linear_symbol: np.ndarray
     principal_symbol: np.ndarray
-    nonlinear: Callable[[Field, float], Field]
     g_unforced: Callable[[Field], Field]
     energy_gradient: Callable[[Field], Field]
     dissipation_fn: Callable[[Field], float]
@@ -96,6 +94,11 @@ class ProblemDefinition:
     @property
     def is_forced(self) -> bool:
         return self.forcing is not None
+
+    def nonlinear(self, u: Field, t: float) -> Field:
+        """The full explicit term of the normalized equation: g(u) - f(t)."""
+        g = self.g_unforced(u)
+        return g if self.forcing is None else g - self.forcing(t)
 
     def energy(self, u: Field) -> float:
         """E(u) = 1/2 (L u, u) + integral G(u) + c_shift * |Omega|."""
@@ -158,7 +161,6 @@ def allen_cahn(grid: Grid, alpha: float = 1e-4, stabilization: float = 0.0,
         grid=grid,
         linear_symbol=a_sym,
         principal_symbol=a_sym,
-        nonlinear=lambda u, t: g_unforced(u),
         g_unforced=g_unforced,
         energy_gradient=grad_e,
         dissipation_fn=diss,
@@ -205,7 +207,6 @@ def cahn_hilliard(grid: Grid, alpha: float = 0.04, mobility: float = 0.005,
         grid=grid,
         linear_symbol=a_sym,
         principal_symbol=l_sym,
-        nonlinear=lambda u, t: g_unforced(u),
         g_unforced=g_unforced,
         energy_gradient=chem_potential,
         dissipation_fn=diss,
@@ -240,7 +241,6 @@ def burgers(grid: Grid, nu: float, c_shift: float | None = None) -> ProblemDefin
         grid=grid,
         linear_symbol=a_sym,
         principal_symbol=identity,
-        nonlinear=lambda u, t: g_unforced(u),
         g_unforced=g_unforced,
         energy_gradient=lambda u: u,
         dissipation_fn=diss,
@@ -276,7 +276,6 @@ def scalar_decay(rate: float = 1.0, amplitude: float = 1.0) -> ProblemDefinition
         grid=grid,
         linear_symbol=symbol,
         principal_symbol=identity,
-        nonlinear=lambda u, t: zero,
         g_unforced=lambda u: zero,
         energy_gradient=lambda u: u,
         dissipation_fn=lambda u: rate * quadratic_form(identity, u),
@@ -331,10 +330,4 @@ def with_manufactured_forcing(problem: ProblemDefinition,
         cache[t] = f
         return f
 
-    g = problem.g_unforced
-    return replace(
-        problem,
-        nonlinear=lambda u, t: g(u) - forcing(t),
-        forcing=forcing,
-        exact=exact,
-    )
+    return replace(problem, forcing=forcing, exact=exact)

@@ -36,8 +36,6 @@ __all__ = [
     "Field",
     "GridMismatchError",
     "IndefiniteOperatorError",
-    "transform_forward",
-    "transform_inverse",
     "laplacian_symbol",
     "apply_symbol",
     "solve_shifted",
@@ -298,21 +296,6 @@ class Field:
     def __repr__(self) -> str:
         reps = "".join(r for r, v in (("P", self._phys), ("S", self._spec)) if v is not None)
         return f"Field({self.grid!r}, reps={reps})"
-
-
-# -- transforms -----------------------------------------------------------------
-
-
-def transform_forward(f: Field) -> Field:
-    """Populate the spectral representation (no-op if already valid)."""
-    f.coeffs
-    return f
-
-
-def transform_inverse(f: Field) -> Field:
-    """Populate the physical representation (no-op if already valid)."""
-    f.values
-    return f
 
 
 # -- diagonal operator algebra ----------------------------------------------------

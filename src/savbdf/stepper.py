@@ -18,7 +18,7 @@ of the two interchangeable variants (feeding g with ubar- or with u-history,
 identical order and identical scalar stability), only the corrected one keeps
 the uncorrected iterate representable in floating point at very large steps,
 because the solution correction then bounds what enters the cubic term.  The
-uncorrected history is still carried in the state for diagnostics.
+state keeps the last uncorrected iterate ubar for diagnostics only.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -83,15 +83,39 @@ class MonotonicityError(RuntimeError):
 
 @dataclass(frozen=True)
 class SavState:
-    """State after step n: histories (most recent first), scalar r, diagnostics."""
+    """State after step n: corrected history (most recent first), last ubar, r.
+
+    `u_history` keeps the newest MAX_ORDER levels whatever the order; a step
+    of order k reads only the first k.  At a startup level `ubar` is that
+    level's u.
+    """
 
     step_index: int
     time: float
     u_history: tuple[Field, ...]
-    ubar_history: tuple[Field, ...]
+    ubar: Field
     r: float
     last_xi: float = 1.0
     last_eta: float = 1.0
+
+
+def _sav_update(problem: ProblemDefinition, tab: BdfTableau, r: float, ubar: Field,
+                t: float, dt: float, index: int) -> tuple[float, float, float]:
+    """The closed-form scalar update along ubar at time t; returns (r, xi, eta)."""
+    energy = problem.energy(ubar)
+    if not energy > 0.0:
+        raise EnergyPositivityError(
+            f"E(ubar) = {energy!r} <= 0 at step {index}; check c_shift/potential"
+        )
+    kappa = problem.dissipation(ubar)
+    work = problem.forcing_power(ubar, t)
+    r_new = (r + dt * work) / (1.0 + dt * kappa / energy)
+    if not math.isfinite(r_new):
+        raise DivergenceError(index, "scalar variable")
+    if not problem.is_forced and not 0.0 <= r_new <= r * (1.0 + MONOTONE_RTOL):
+        raise MonotonicityError(index, r, r_new)
+    xi = r_new / energy
+    return r_new, xi, 1.0 - (1.0 - xi) ** tab.eta_exponent
 
 
 def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float,
@@ -100,7 +124,7 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
     if dt <= 0:
         raise ValueError("dt must be positive")
     k = tab.order
-    if len(state.u_history) < k or len(state.ubar_history) < k:
+    if len(state.u_history) < k:
         raise ValueError(
             f"order-{k} step needs {k} history levels, have {len(state.u_history)}"
         )
@@ -120,45 +144,13 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
         if mode is StepMode.IMEX:
             u_new, r_new, xi, eta = ubar, state.r, 1.0, 1.0
         else:
-            energy = problem.energy(ubar)
-            if not energy > 0.0:
-                raise EnergyPositivityError(
-                    f"E(ubar) = {energy!r} <= 0 at step {next_index}; check c_shift/potential"
-                )
-            kappa = problem.dissipation(ubar)
-            work = problem.forcing_power(ubar, t_next)
-            r_new = (state.r + dt * work) / (1.0 + dt * kappa / energy)
-            if not math.isfinite(r_new):
-                raise DivergenceError(next_index, "scalar variable")
-            if not problem.is_forced:
-                if r_new > state.r * (1.0 + MONOTONE_RTOL):
-                    raise MonotonicityError(next_index, state.r, r_new)
-                if r_new < 0.0:
-                    raise MonotonicityError(next_index, state.r, r_new)
-            xi = r_new / energy
-            eta = 1.0 - (1.0 - xi) ** tab.eta_exponent
+            r_new, xi, eta = _sav_update(problem, tab, state.r, ubar, t_next, dt, next_index)
             u_new = eta * ubar
             if not u_new.all_finite():
                 raise DivergenceError(next_index, "corrected solution")
 
-    return SavState(
-        step_index=next_index,
-        time=t_next,
-        u_history=(u_new,) + state.u_history[: k - 1],
-        ubar_history=(ubar,) + state.ubar_history[: k - 1],
-        r=r_new,
-        last_xi=xi,
-        last_eta=eta,
-    )
-
-
-def _scalar_update(problem: ProblemDefinition, r: float, u: Field, t: float, dt: float) -> tuple[float, float]:
-    """One application of the r-update along a known field; returns (r, xi)."""
-    energy = problem.energy(u)
-    kappa = problem.dissipation(u)
-    work = problem.forcing_power(u, t)
-    r_new = (r + dt * work) / (1.0 + dt * kappa / energy)
-    return r_new, r_new / energy
+    return SavState(next_index, t_next, (u_new,) + state.u_history[: MAX_ORDER - 1],
+                    ubar, r_new, xi, eta)
 
 
 def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
@@ -180,78 +172,25 @@ def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
             raise ValueError("u0 is required for problems without an exact solution")
         u0 = problem.exact.field(0.0)
     r = problem.energy(u0) if r_init is None else float(r_init)
-    state = SavState(0, 0.0, (u0,), (u0,), r)
+    state = fine = SavState(0, 0.0, (u0,), u0, r)
     if record_sink is not None:
-        record_sink.append(_make_record(problem, state, u0))
-    if tab.order == 1:
-        return state
-
-    if problem.exact is not None:
-        xi = state.last_xi
-        for i in range(1, tab.order):
-            t_i = i * dt
-            u_i = problem.exact.field(t_i)
-            if mode is StepMode.SAV:
-                r, xi = _scalar_update(problem, r, u_i, t_i, dt)
-            eta = 1.0 - (1.0 - xi) ** tab.eta_exponent if mode is StepMode.SAV else 1.0
-            state = SavState(
-                step_index=i,
-                time=t_i,
-                u_history=(u_i,) + state.u_history[: tab.order - 1],
-                ubar_history=(u_i,) + state.ubar_history[: tab.order - 1],
-                r=r,
-                last_xi=xi if mode is StepMode.SAV else 1.0,
-                last_eta=eta,
-            )
-            if record_sink is not None:
-                record_sink.append(_make_record(problem, state, u_i))
-        return state
-
-    # cascade start: one fine trajectory with the order ramping per coarse
-    # level; deep fine histories are kept here because step() itself only
-    # retains the current order's depth
-    m = CASCADE_SUBSTEPS
-    deep_u: list[Field] = [u0]
-    deep_ub: list[Field] = [u0]
-    fine = state
-    levels = [u0]
+        record_sink.append(_make_record(problem, state))
     for level in range(1, tab.order):
-        sub_tab = tableau(level)
-        for _ in range(m):
-            view = SavState(
-                step_index=fine.step_index,
-                time=fine.time,
-                u_history=tuple(deep_u[:level]),
-                ubar_history=tuple(deep_ub[:level]),
-                r=fine.r,
-                last_xi=fine.last_xi,
-                last_eta=fine.last_eta,
-            )
-            fine = step(view, problem, sub_tab, dt / m, mode)
-            deep_u.insert(0, fine.u_history[0])
-            deep_ub.insert(0, fine.ubar_history[0])
-            del deep_u[MAX_ORDER:], deep_ub[MAX_ORDER:]
-        levels.insert(0, fine.u_history[0])
-        coarse = SavState(
-            step_index=level,
-            time=level * dt,
-            u_history=tuple(levels),
-            ubar_history=tuple(levels),
-            r=fine.r,
-            last_xi=fine.last_xi,
-            last_eta=fine.last_eta,
-        )
+        t = level * dt
+        if problem.exact is not None:
+            u = problem.exact.field(t)
+            r, xi, eta = state.r, 1.0, 1.0
+            if mode is StepMode.SAV:
+                r, xi, eta = _sav_update(problem, tab, r, u, t, dt, level)
+        else:
+            sub_tab = tableau(level)
+            for _ in range(CASCADE_SUBSTEPS):
+                fine = step(fine, problem, sub_tab, dt / CASCADE_SUBSTEPS, mode)
+            u, r, xi, eta = fine.u_history[0], fine.r, fine.last_xi, fine.last_eta
+        state = SavState(level, t, (u,) + state.u_history, u, r, xi, eta)
         if record_sink is not None:
-            record_sink.append(_make_record(problem, coarse, levels[0]))
-    return SavState(
-        step_index=tab.order - 1,
-        time=(tab.order - 1) * dt,
-        u_history=tuple(levels),
-        ubar_history=tuple(levels),
-        r=fine.r,
-        last_xi=fine.last_xi,
-        last_eta=fine.last_eta,
-    )
+            record_sink.append(_make_record(problem, state))
+    return state
 
 
 @dataclass(frozen=True)
@@ -269,21 +208,19 @@ class StepRecord:
     err_l2: Optional[float] = None
     err_h1: Optional[float] = None
     err_h2: Optional[float] = None
-    s_gap: Optional[float] = None
 
 
-def _make_record(problem: ProblemDefinition, state: SavState, u: Field) -> StepRecord:
+def _make_record(problem: ProblemDefinition, state: SavState) -> StepRecord:
+    u = state.u_history[0]
     # near an impending divergence the diagnostics may overflow to inf;
     # they are trace data, not control flow
     with np.errstate(over="ignore", invalid="ignore"):
-        err_l2 = err_h1 = err_h2 = s_gap = None
+        err_l2 = err_h1 = err_h2 = None
         if problem.exact is not None:
-            reference = problem.exact.field(state.time)
-            diff = u - reference
+            diff = u - problem.exact.field(state.time)
             err_l2 = sobolev_norm(diff, 0.0)
             err_h1 = sobolev_norm(diff, 1.0)
             err_h2 = sobolev_norm(diff, 2.0)
-            s_gap = state.r - problem.energy(reference)
         return StepRecord(
             step=state.step_index,
             t=state.time,
@@ -296,7 +233,6 @@ def _make_record(problem: ProblemDefinition, state: SavState, u: Field) -> StepR
             err_l2=err_l2,
             err_h1=err_h1,
             err_h2=err_h2,
-            s_gap=s_gap,
         )
 
 
@@ -369,8 +305,7 @@ class RunReport:
 
 def run(problem: ProblemDefinition, tab: BdfTableau, dt: float, T: float,
         mode: StepMode = StepMode.SAV, u0: Field | None = None,
-        r_init: float | None = None, raise_on_divergence: bool = True,
-        monitors: Optional[Callable[[SavState], None]] = None) -> RunReport:
+        r_init: float | None = None, raise_on_divergence: bool = True) -> RunReport:
     """Integrate to t = T, recording per-step diagnostics.
 
     T must be an integer multiple of dt covering at least the startup levels.
@@ -394,13 +329,9 @@ def run(problem: ProblemDefinition, tab: BdfTableau, dt: float, T: float,
     try:
         state = initialize(problem, tab, dt, u0=u0, r_init=r_init, mode=mode,
                            record_sink=records)
-        if monitors is not None:
-            monitors(state)
         while state.step_index < n_steps:
             state = step(state, problem, tab, dt, mode)
-            records.append(_make_record(problem, state, state.u_history[0]))
-            if monitors is not None:
-                monitors(state)
+            records.append(_make_record(problem, state))
     except DivergenceError as exc:
         report.diverged = True
         report.diverged_step = exc.step_index

@@ -90,7 +90,7 @@ def test_c2_scalar_oracle():
 
     # hand-derived first step, frozen from exact rational arithmetic
     state = step(initialize(problem, tableau(1), 0.1), problem, tableau(1), 0.1)
-    ubar = state.ubar_history[0].coeffs[0]
+    ubar = state.ubar.coeffs[0]
     first_step_err = max(
         abs(ubar - float(Fraction(10, 11))),
         abs(state.r - float(Fraction(513, 362))),

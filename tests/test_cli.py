@@ -1,10 +1,15 @@
 """Config parsing, artifact schemas, exit codes, byte-level determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from savbdf import EnergyPositivityError, IndefiniteOperatorError, MonotonicityError
+from savbdf import cli
 from savbdf.cli import (
     EXIT_ASSERTION,
     EXIT_DIVERGENCE,
@@ -209,3 +214,38 @@ def test_byte_identical_reruns(tmp_path):
     assert run_cli(args + ["--out", str(out2)]) == EXIT_OK
     for name in ("convergence.csv", "summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# -- error model --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["stability", "--c-shift", "-10"],
+    ["run", "--dt", "0.3", "--T", "1"],
+    ["stability", "--grid", "63"],
+    ["run", "--order", "5", "--dt", "0.25", "--T", "1"],
+    ["converge", "--dt-list", "0.1,0.2,0.05"],
+])
+def test_bad_settings_exit_without_traceback(tmp_path, argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "savbdf.cli", *argv, "--out", str(tmp_path / "o")],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("error, code", [
+    (EnergyPositivityError("E(ubar) = -1.0 <= 0 at step 1"), EXIT_ASSERTION),
+    (MonotonicityError(3, 1.0, 2.0), EXIT_ASSERTION),
+    (IndefiniteOperatorError("shifted operator is not positive"), EXIT_USAGE),
+])
+def test_library_errors_map_to_exit_codes(tmp_path, monkeypatch, capsys, error, code):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "stability_probe", fail)
+    assert main(["stability", "--grid", "16", "--out", str(tmp_path)]) == code
+    assert str(error) in capsys.readouterr().err

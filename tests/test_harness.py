@@ -90,20 +90,6 @@ def test_convergence_study_deterministic():
     assert a.slopes == b.slopes
 
 
-def test_convergence_study_parallel_matches_serial(monkeypatch):
-    p = scalar_decay()
-    serial = convergence_study(p, 2, (0.1, 0.05, 0.025), T=1.0)
-    monkeypatch.setenv("SAV_THREADS", "3")
-    parallel = convergence_study(p, 2, (0.1, 0.05, 0.025), T=1.0)
-    assert [repr(e) for e in serial.entries] == [repr(e) for e in parallel.entries]
-
-
-def test_sav_threads_must_be_integer(monkeypatch):
-    monkeypatch.setenv("SAV_THREADS", "many")
-    with pytest.raises(ValueError, match="SAV_THREADS"):
-        convergence_study(scalar_decay(), 2, (0.1, 0.05, 0.025), T=1.0)
-
-
 # -- random probe data ---------------------------------------------------------------
 
 

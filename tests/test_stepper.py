@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import savbdf
 from savbdf import (
     DivergenceError,
     Field,
@@ -50,7 +51,7 @@ def test_scalar_oracle_first_step():
     state = initialize(p, tab, 0.1)
     assert state.r == pytest.approx(1.5, abs=1e-15)
     new = step(state, p, tab, 0.1)
-    ubar = new.ubar_history[0]
+    ubar = new.ubar
     assert ubar.coeffs[0] == pytest.approx(float(ORACLE["ubar1"]), abs=1e-12)
     assert p.energy(ubar) == pytest.approx(float(ORACLE["E1"]), abs=1e-12)
     assert p.dissipation(ubar) == pytest.approx(float(ORACLE["K1"]), abs=1e-12)
@@ -255,6 +256,11 @@ def test_ch_mass_extrapolation_identity():
     for _ in range(5):
         new = step(state, p, tab, 0.1)
         expected = combine_history(tab.a_floats(), state.u_history).coeffs[0, 0] / float(tab.alpha)
-        got = new.ubar_history[0].coeffs[0, 0]
+        got = new.ubar.coeffs[0, 0]
         assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
         state = new
+
+
+def test_energy_positivity_error_is_exported():
+    assert savbdf.EnergyPositivityError is savbdf.stepper.EnergyPositivityError
+    assert "EnergyPositivityError" in savbdf.__all__
