@@ -18,7 +18,7 @@ import numpy as np
 
 from .problems import ProblemDefinition, burgers
 from .spectral import Basis, Field, Grid
-from .stepper import MONOTONE_RTOL, DivergenceError, RunReport, StepMode, run
+from .stepper import RunReport, StepMode, run
 from .tableau import tableau
 
 __all__ = [
@@ -124,10 +124,7 @@ def convergence_study(problem: ProblemDefinition, order: int, dt_list=None,
     tab = tableau(order, eta_exponent)
 
     def one_case(dt: float) -> ConvergenceEntry:
-        try:
-            report = run(problem, tab, dt, T, mode=mode, raise_on_divergence=False)
-        except DivergenceError:
-            return ConvergenceEntry(dt, None, None, None, diverged=True)
+        report = run(problem, tab, dt, T, mode=mode, raise_on_divergence=False)
         if report.diverged:
             return ConvergenceEntry(dt, None, None, None, diverged=True)
         err = report.final_errors
@@ -196,9 +193,11 @@ def stability_probe(problem: ProblemDefinition, order: int, dt: float, n_steps: 
                     eta_exponent: int | None = None) -> StabilityResult:
     """Run n_steps at a deliberately large dt and check the scheme invariants.
 
-    Checks: r monotone nonincreasing (to floating-point slack), r and xi
-    nonnegative, and the principal quadratic (L u, u) staying within 10x the
-    largest value seen over the first ten steps.
+    The scalar invariants are enforced by the step itself: on an unforced
+    problem `step()` raises MonotonicityError whenever r would grow or turn
+    negative, and xi = r / E with E > 0.  The probe checks what the step does
+    not: the principal quadratic (L u, u) staying within 10x the largest
+    value seen over the first ten steps.
     """
     if problem.is_forced:
         raise ValueError("stability_probe requires an unforced problem")
@@ -210,14 +209,6 @@ def stability_probe(problem: ProblemDefinition, order: int, dt: float, n_steps: 
     report = run(problem, tab, dt, n_steps * dt, mode=StepMode.SAV, u0=u0)
 
     violations: list[str] = []
-    for prev, cur in zip(report.records, report.records[1:]):
-        if cur.r > prev.r * (1.0 + MONOTONE_RTOL):
-            violations.append(f"step {cur.step}: r increased {prev.r!r} -> {cur.r!r}")
-    for rec in report.records:
-        if rec.r < 0.0:
-            violations.append(f"step {rec.step}: r = {rec.r!r} < 0")
-        if rec.xi < 0.0:
-            violations.append(f"step {rec.step}: xi = {rec.xi!r} < 0")
     sup_all = report.sup_principal
     sup_head = report.sup_principal_first(10)
     if sup_head == 0.0:
@@ -252,7 +243,7 @@ class BurgersComparison:
     imex_diverged: bool
     eta_trace: list[tuple[float, float]]
     sav_report: RunReport
-    imex_report: Optional[RunReport]
+    imex_report: RunReport
 
 
 def burgers_compare(nu: float = 1.0 / 314.0, n_modes: int = 320, dt: float = 8.5e-3,
@@ -279,14 +270,9 @@ def burgers_compare(nu: float = 1.0 / 314.0, n_modes: int = 320, dt: float = 8.5
     ref = run(problem, tab, dt_ref_eff, t_end, mode=StepMode.SAV, u0=u0)
     sav = run(problem, tab, dt, t_end, mode=StepMode.SAV, u0=u0)
 
-    imex_diverged = False
-    imex_report: Optional[RunReport] = None
-    try:
-        imex_report = run(problem, tab, dt, t_end, mode=StepMode.IMEX, u0=u0,
-                          raise_on_divergence=False)
-        imex_diverged = imex_report.diverged
-    except DivergenceError:
-        imex_diverged = True
+    imex_report = run(problem, tab, dt, t_end, mode=StepMode.IMEX, u0=u0,
+                      raise_on_divergence=False)
+    imex_diverged = imex_report.diverged
 
     u_ref = _final_values(ref)
     u_sav = _final_values(sav)
@@ -294,7 +280,7 @@ def burgers_compare(nu: float = 1.0 / 314.0, n_modes: int = 320, dt: float = 8.5
     dev_sav = float(np.max(np.abs(u_sav - u_ref)))
     over_sav = float(np.max(np.abs(u_sav))) / ref_peak
 
-    if imex_report is not None and not imex_diverged:
+    if not imex_diverged:
         u_imex = _final_values(imex_report)
         if np.all(np.isfinite(u_imex)):
             dev_imex = float(np.max(np.abs(u_imex - u_ref)))

@@ -1,25 +1,32 @@
-"""Dissipative model problems in the normalized form  u_t + A u + g(u) = f(t).
+"""Dissipative model problems in one general form.
 
-Each problem supplies the diagonal symbol of the positive linear operator A,
-the nonlinear term g, the energy
+Every problem is
 
-    E(u) = 1/2 (L u, u) + integral G(u) dx + c_shift * |Omega|  > 0,
+    u_t + G (L u + F'(u)) + T(u) = f(t),
 
-the dissipation rate K(u) >= 0 of the unforced energy law dE/dt = -K(u),
-and the variational derivative dE/du used both inside K and for the power
-injected by a forcing term.  The double well F(u) = (u^2 - 1)^2 / 4 with
-g = F' is used throughout, so G = F >= 0 and E is strictly positive.
+given by a few diagonal symbols and pointwise maps: the principal symbol
+L >= 0, the mobility symbol G >= 0, the potential F (the double well
+F(u) = (u^2 - 1)^2 / 4, or none) and an optional transport term T that is
+energy-neutral, (dE/du, T(u)) = 0.  From these the class derives
 
-A `stabilization` parameter lam moves a multiple of the identity (Allen-Cahn)
-or of -Laplacian (Cahn-Hilliard) from the explicit nonlinear term into the
-implicit solve; the two contributions cancel in the PDE, so it only changes
-the splitting, not the dynamics.
+    E(u)   = 1/2 (L u, u) + integral F(u) dx + c_shift * |Omega|  > 0,
+    dE/du  = L u + F'(u),
+    K(u)   = (G dE/du, dE/du) >= 0,
+
+so the unforced energy law is dE/dt = -K(u), and a forcing feeds the
+energy at the rate (dE/du, f).
+
+The scheme uses the normalized splitting u_t + A u + g(u) = f with the
+implicit A = G (L + lam) and the explicit g(u) = G (F'(u) - lam u) + T(u),
+nonlinear terms dealiased.  The stabilization lam >= 0 appears in both and
+cancels in their sum: it changes only the splitting, never E, dE/du or K.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -73,27 +80,46 @@ class ExactSolution:
 class ProblemDefinition:
     """One dissipative system, immutable after construction.
 
-    `g_unforced` evaluates plain g(u); `nonlinear(u, t)` subtracts the
-    forcing when one is attached.  `energy_gradient` is the unforced
-    variational derivative dE/du (for Cahn-Hilliard: the chemical potential,
-    whose gradient drives the flux).
+    The fields are the data of the general form (module docstring); the
+    splitting and the energy law are derived from them here, so the two
+    cannot drift apart.  `has_double_well` selects F = `double_well`.
     """
 
     name: str
     grid: Grid
-    linear_symbol: np.ndarray
     principal_symbol: np.ndarray
-    g_unforced: Callable[[Field], Field]
-    energy_gradient: Callable[[Field], Field]
-    dissipation_fn: Callable[[Field], float]
-    potential: Optional[Callable[[np.ndarray], np.ndarray]]
+    mobility_symbol: np.ndarray
     c_shift: float
+    stabilization: float = 0.0
+    has_double_well: bool = False
+    transport: Optional[Callable[[Field], Field]] = None
     forcing: Optional[Callable[[float], Field]] = None
     exact: Optional[ExactSolution] = None
+
+    @cached_property
+    def linear_symbol(self) -> np.ndarray:
+        """The implicit operator A = G (L + lam)."""
+        return self.mobility_symbol * (self.principal_symbol + self.stabilization)
+
+    @cached_property
+    def _dealiased_mobility(self) -> np.ndarray:
+        # G after the dealiasing projection, applied to F'(u) - lam u in one pass
+        return self.mobility_symbol * self.grid.dealias_mask
 
     @property
     def is_forced(self) -> bool:
         return self.forcing is not None
+
+    def g_unforced(self, u: Field) -> Field:
+        """The explicit term g(u) = G dealias(F'(u) - lam u) + T(u)."""
+        if self.has_double_well or self.stabilization:
+            v = u.values
+            well = double_well_prime(v) if self.has_double_well else 0.0
+            g = apply_symbol(self._dealiased_mobility,
+                             Field.from_physical(self.grid, well - self.stabilization * v))
+        else:
+            g = Field.from_spectral(self.grid, np.zeros(self.grid.spectral_shape))
+        return g if self.transport is None else g + self.transport(u)
 
     def nonlinear(self, u: Field, t: float) -> Field:
         """The full explicit term of the normalized equation: g(u) - f(t)."""
@@ -101,15 +127,22 @@ class ProblemDefinition:
         return g if self.forcing is None else g - self.forcing(t)
 
     def energy(self, u: Field) -> float:
-        """E(u) = 1/2 (L u, u) + integral G(u) + c_shift * |Omega|."""
+        """E(u) = 1/2 (L u, u) + integral F(u) + c_shift * |Omega|."""
         e = 0.5 * quadratic_form(self.principal_symbol, u) + self.c_shift * self.grid.volume
-        if self.potential is not None:
-            e += integrate(pointwise_map(u, self.potential))
+        if self.has_double_well:
+            e += integrate(pointwise_map(u, double_well))
         return e
 
+    def energy_gradient(self, u: Field) -> Field:
+        """dE/du = L u + dealias(F'(u)); for Cahn-Hilliard the chemical potential."""
+        lu = apply_symbol(self.principal_symbol, u)
+        if not self.has_double_well:
+            return lu
+        return lu + dealias(pointwise_map(u, double_well_prime))
+
     def dissipation(self, u: Field) -> float:
-        """K(u) >= 0, the decay rate of the unforced energy law."""
-        return self.dissipation_fn(u)
+        """K(u) = (G dE/du, dE/du) >= 0, the decay rate of the unforced energy law."""
+        return quadratic_form(self.mobility_symbol, self.energy_gradient(u))
 
     def principal_norm_sq(self, u: Field) -> float:
         """(L u, u), the quadratic energy part controlled by the integrator."""
@@ -127,141 +160,85 @@ def _default_shift(grid: Grid, c_shift: float | None) -> float:
     return 1.0 / grid.volume if c_shift is None else float(c_shift)
 
 
+def _phase_field(name: str, grid: Grid, alpha: float, stabilization: float,
+                 c_shift: float | None, mobility: float | None = None) -> ProblemDefinition:
+    """L = alpha |k|^2 with the double well; G = 1, or mobility |k|^2 when given."""
+    if grid.basis is not Basis.FOURIER2D:
+        raise ValueError(f"{name} requires a FOURIER2D grid")
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    if mobility is not None and mobility <= 0:
+        raise ValueError("mobility must be positive")
+    if stabilization < 0:
+        raise ValueError("stabilization must be non-negative")
+    k2 = grid.k2
+    return ProblemDefinition(
+        name=name,
+        grid=grid,
+        principal_symbol=alpha * k2,
+        mobility_symbol=np.ones_like(k2) if mobility is None else float(mobility) * k2,
+        c_shift=_default_shift(grid, c_shift),
+        stabilization=float(stabilization),
+        has_double_well=True,
+    )
+
+
 def allen_cahn(grid: Grid, alpha: float = 1e-4, stabilization: float = 0.0,
                c_shift: float | None = None) -> ProblemDefinition:
     """Allen-Cahn:  u_t - alpha*Lap(u) + F'(u) = 0  on a periodic rectangle.
 
-    Normalized splitting: A = -alpha*Lap + lam, g(u) = F'(u) - lam*u,
-    L = A, K(u) = ||dE/du||^2 with dE/du = -alpha*Lap(u) + F'(u).
+    L = -alpha*Lap, G = 1; K(u) = ||mu||^2 with mu = -alpha*Lap(u) + F'(u).
     """
-    if grid.basis is not Basis.FOURIER2D:
-        raise ValueError("allen_cahn requires a FOURIER2D grid")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if stabilization < 0:
-        raise ValueError("stabilization must be non-negative")
-    lam = float(stabilization)
-    k2 = grid.k2
-    a_sym = alpha * k2 + lam
-    diff_sym = alpha * k2  # -alpha*Lap, the lam-independent part
-
-    def g_unforced(u: Field) -> Field:
-        v = u.values
-        return dealias(Field.from_physical(grid, double_well_prime(v) - lam * v))
-
-    def grad_e(u: Field) -> Field:
-        return apply_symbol(diff_sym, u) + dealias(pointwise_map(u, double_well_prime))
-
-    def diss(u: Field) -> float:
-        mu = grad_e(u)
-        return inner(mu, mu)
-
-    return ProblemDefinition(
-        name="allen_cahn",
-        grid=grid,
-        linear_symbol=a_sym,
-        principal_symbol=a_sym,
-        g_unforced=g_unforced,
-        energy_gradient=grad_e,
-        dissipation_fn=diss,
-        potential=double_well,
-        c_shift=_default_shift(grid, c_shift),
-    )
+    return _phase_field("allen_cahn", grid, alpha, stabilization, c_shift)
 
 
 def cahn_hilliard(grid: Grid, alpha: float = 0.04, mobility: float = 0.005,
                   stabilization: float = 0.0, c_shift: float | None = None) -> ProblemDefinition:
     """Cahn-Hilliard:  u_t = -m0*Lap(alpha*Lap(u) - F'(u))  on a periodic rectangle.
 
-    Normalized splitting: A = m0*(alpha*Lap^2 - lam*Lap),
-    g(u) = -m0*Lap(F'(u) - lam*u) applied spectrally, L = -alpha*Lap + lam
-    (the H1-type principal energy), K(u) = m0*||grad mu||^2 with the chemical
-    potential mu = -alpha*Lap(u) + F'(u).
+    L = -alpha*Lap, G = -m0*Lap; K(u) = m0*||grad mu||^2 with the chemical
+    potential mu = -alpha*Lap(u) + F'(u).  G annihilates constants, so the
+    mean is conserved.
     """
-    if grid.basis is not Basis.FOURIER2D:
-        raise ValueError("cahn_hilliard requires a FOURIER2D grid")
-    if alpha <= 0 or mobility <= 0:
-        raise ValueError("alpha and mobility must be positive")
-    if stabilization < 0:
-        raise ValueError("stabilization must be non-negative")
-    lam = float(stabilization)
-    m0 = float(mobility)
-    k2 = grid.k2
-    a_sym = m0 * (alpha * k2 ** 2 + lam * k2)
-    l_sym = alpha * k2 + lam
-    diff_sym = alpha * k2
+    return _phase_field("cahn_hilliard", grid, alpha, stabilization, c_shift, mobility)
 
-    def g_unforced(u: Field) -> Field:
-        v = u.values
-        core = dealias(Field.from_physical(grid, double_well_prime(v) - lam * v))
-        return apply_symbol(m0 * k2, core)  # -m0*Lap acting on the core term
 
-    def chem_potential(u: Field) -> Field:
-        return apply_symbol(diff_sym, u) + dealias(pointwise_map(u, double_well_prime))
-
-    def diss(u: Field) -> float:
-        return m0 * quadratic_form(k2, chem_potential(u))  # m0*||grad mu||^2
-
-    return ProblemDefinition(
-        name="cahn_hilliard",
-        grid=grid,
-        linear_symbol=a_sym,
-        principal_symbol=l_sym,
-        g_unforced=g_unforced,
-        energy_gradient=chem_potential,
-        dissipation_fn=diss,
-        potential=double_well,
-        c_shift=_default_shift(grid, c_shift),
-    )
+def _burgers_transport(u: Field) -> Field:
+    # u*u_x, pseudospectral and dealiased; (u, u*u_x) = 0 with the walls
+    return dealias(Field.from_physical(u.grid, u.values * sine_derivative_values(u)))
 
 
 def burgers(grid: Grid, nu: float, c_shift: float | None = None) -> ProblemDefinition:
     """Viscous Burgers:  u_t - nu*u_xx + u*u_x = 0  with Dirichlet walls.
 
-    A = -nu*d_xx, g(u) = u*u_x (pseudospectral, dealiased), L = identity so
-    E(u) = ||u||^2/2 + const and K(u) = nu*||u_x||^2.
+    L = identity, G = -nu*d_xx, T(u) = u*u_x; E(u) = ||u||^2/2 + const and
+    K(u) = nu*||u_x||^2.
     """
     if grid.basis is not Basis.SINE1D:
         raise ValueError("burgers requires a SINE1D grid")
     if nu <= 0:
         raise ValueError("nu must be positive")
-    k2 = grid.k2
-    a_sym = nu * k2
-    identity = np.ones_like(k2)
-
-    def g_unforced(u: Field) -> Field:
-        ux = sine_derivative_values(u)
-        return dealias(Field.from_physical(grid, u.values * ux))
-
-    def diss(u: Field) -> float:
-        return nu * quadratic_form(k2, u)  # nu*||u_x||^2
-
     return ProblemDefinition(
         name="burgers",
         grid=grid,
-        linear_symbol=a_sym,
-        principal_symbol=identity,
-        g_unforced=g_unforced,
-        energy_gradient=lambda u: u,
-        dissipation_fn=diss,
-        potential=None,
+        principal_symbol=np.ones_like(grid.k2),
+        mobility_symbol=nu * grid.k2,
         c_shift=_default_shift(grid, c_shift),
+        transport=_burgers_transport,
     )
 
 
 def scalar_decay(rate: float = 1.0, amplitude: float = 1.0) -> ProblemDefinition:
     """The one-unknown system u' + rate*u = 0 with E = u^2/2 + 1, K = rate*u^2.
 
-    Realized on a single-mode sine grid whose basis function has unit L2
-    norm, so the field is its coefficient.  Carries the exact solution
-    amplitude * exp(-rate*t), which makes it the reference oracle for
-    integrator order checks.
+    L = 1 and G = rate on a single-mode sine grid whose basis function has
+    unit L2 norm, so the field is its coefficient.  Carries the exact
+    solution amplitude * exp(-rate*t), which makes it the reference oracle
+    for integrator order checks.
     """
     if rate < 0:
         raise ValueError("rate must be non-negative")
     grid = Grid.sine1d(1)
-    symbol = np.array([float(rate)])
-    identity = np.ones(1)
 
     def sample(t: float) -> Field:
         return Field.from_spectral(grid, np.array([amplitude * math.exp(-rate * t)]))
@@ -269,17 +246,11 @@ def scalar_decay(rate: float = 1.0, amplitude: float = 1.0) -> ProblemDefinition
     def sample_dt(t: float) -> Field:
         return Field.from_spectral(grid, np.array([-rate * amplitude * math.exp(-rate * t)]))
 
-    zero = Field.from_spectral(grid, np.zeros(1))
-
     return ProblemDefinition(
         name="scalar_decay",
         grid=grid,
-        linear_symbol=symbol,
-        principal_symbol=identity,
-        g_unforced=lambda u: zero,
-        energy_gradient=lambda u: u,
-        dissipation_fn=lambda u: rate * quadratic_form(identity, u),
-        potential=None,
+        principal_symbol=np.ones(1),
+        mobility_symbol=np.array([float(rate)]),
         c_shift=_default_shift(grid, None),
         exact=ExactSolution(field=sample, time_derivative=sample_dt),
     )

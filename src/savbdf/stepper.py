@@ -335,7 +335,7 @@ def run(problem: ProblemDefinition, tab: BdfTableau, dt: float, T: float,
     except DivergenceError as exc:
         report.diverged = True
         report.diverged_step = exc.step_index
-        if raise_on_divergence or not records:
+        if raise_on_divergence:
             raise
     report.final_state = state
     return report

@@ -95,7 +95,8 @@ def test_ch_symbol_values(grid):
     assert p.linear_symbol[0, 0] == 0.0
     k2 = np.pi ** 2
     assert p.linear_symbol[1, 0] == pytest.approx(0.005 * (0.04 * k2 ** 2 + 0.3 * k2), rel=1e-13)
-    assert p.principal_symbol[1, 0] == pytest.approx(0.04 * k2 + 0.3, rel=1e-13)
+    # the stabilization lives in the splitting only, not in the energy's L
+    assert p.principal_symbol[1, 0] == pytest.approx(0.04 * k2, rel=1e-13)
 
 
 def test_ch_constant_state_has_zero_dissipation(ch, grid):
@@ -187,6 +188,28 @@ def test_manufactured_residual_vanishes(grid, maker):
         residual = exact.time_derivative(t) + apply_symbol(forced.linear_symbol, u) \
             + forced.nonlinear(u, t)
         assert sobolev_norm(residual) <= 1e-8
+
+
+@pytest.mark.parametrize("lam", [0.0, 2.0])
+@pytest.mark.parametrize("maker", [allen_cahn, cahn_hilliard])
+def test_energy_law_along_manufactured_solution(maker, lam):
+    # dE/dt of the sampled exact trajectory is -K + (dE/du, f) whatever the
+    # stabilization, which moves terms between A and g only
+    forced = with_manufactured_forcing(maker(Grid.fourier2d(32), stabilization=lam))
+    exact, h = forced.exact.field, 1e-4
+    for t in (0.3, 0.8):
+        rate = (forced.energy(exact(t + h)) - forced.energy(exact(t - h))) / (2.0 * h)
+        u = exact(t)
+        law = -forced.dissipation(u) + forced.forcing_power(u, t)
+        assert rate == pytest.approx(law, rel=1e-6)
+
+
+def test_energy_law_along_scalar_decay():
+    p = scalar_decay()
+    exact, h = p.exact.field, 1e-4
+    for t in (0.3, 0.8):
+        rate = (p.energy(exact(t + h)) - p.energy(exact(t - h))) / (2.0 * h)
+        assert rate == pytest.approx(-p.dissipation(exact(t)), rel=1e-6)
 
 
 def test_manufactured_requires_exact_for_sine():

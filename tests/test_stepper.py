@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import savbdf
 from savbdf import (
@@ -15,6 +16,7 @@ from savbdf import (
     StepMode,
     allen_cahn,
     burgers,
+    cahn_hilliard,
     fit_rate,
     initialize,
     run,
@@ -264,3 +266,30 @@ def test_ch_mass_extrapolation_identity():
 def test_energy_positivity_error_is_exported():
     assert savbdf.EnergyPositivityError is savbdf.stepper.EnergyPositivityError
     assert "EnergyPositivityError" in savbdf.__all__
+
+
+# -- property: the scalar invariants hold for any dt -----------------------------------
+
+
+PROPERTY_PROBLEMS = {
+    "allen_cahn": lambda: allen_cahn(Grid.fourier2d(16)),
+    "allen_cahn_stab1": lambda: allen_cahn(Grid.fourier2d(16), stabilization=1.0),
+    "cahn_hilliard": lambda: cahn_hilliard(Grid.fourier2d(16)),
+    "cahn_hilliard_stab1": lambda: cahn_hilliard(Grid.fourier2d(16), stabilization=1.0),
+    "burgers": lambda: burgers(Grid.sine1d(32), nu=1.0 / 314.0),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(PROPERTY_PROBLEMS)),
+       order=st.integers(min_value=1, max_value=5),
+       log10_dt=st.floats(min_value=-4.0, max_value=2.0),
+       seed=st.integers(min_value=0, max_value=10_000))
+def test_unforced_invariants_hold_for_any_dt(name, order, log10_dt, seed):
+    p = PROPERTY_PROBLEMS[name]()
+    dt = 10.0 ** log10_dt
+    rep = run(p, tableau(order), dt, 12 * dt, u0=random_smooth_field(p.grid, seed=seed))
+    assert rep.monotone_violations == 0
+    assert all(rec.r >= 0.0 and rec.xi >= 0.0 for rec in rep.records)
+    if p.name == "cahn_hilliard":
+        assert rep.mean_drift <= 1e-12
