@@ -32,7 +32,7 @@ from .harness import (
 from .problems import allen_cahn, burgers, cahn_hilliard, with_manufactured_forcing
 from .spectral import Field, Grid
 from .stepper import (DivergenceError, EnergyPositivityError, MonotonicityError,
-                      RunReport, StepMode, run)
+                      RunReport, StepMode, run, step_count)
 from .tableau import MAX_ORDER, tableau
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "execute", "main", "console_main"]
@@ -170,6 +170,11 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
         raise ConfigError(f"key 'eta_exponent': must be a positive integer, got {cfg.eta_exponent!r}")
     if cfg.dt_list is not None and any(d <= 0 for d in cfg.dt_list):
         raise ConfigError("key 'dt_list': all entries must be positive")
+    if cfg.experiment == "run":
+        try:
+            step_count(cfg.dt, cfg.T, cfg.order)
+        except ValueError as exc:
+            raise ConfigError(f"key 'dt': {exc}") from None
     return cfg
 
 

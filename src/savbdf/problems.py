@@ -64,8 +64,8 @@ def double_well(v: np.ndarray) -> np.ndarray:
 
 
 def double_well_prime(v: np.ndarray) -> np.ndarray:
-    """F'(v) = v^3 - v."""
-    return v ** 3 - v
+    """F'(v) = v^3 - v, as v (v^2 - 1): two multiplies, no call to pow."""
+    return v * (v * v - 1.0)
 
 
 @dataclass(frozen=True)
@@ -76,13 +76,14 @@ class ExactSolution:
     time_derivative: Callable[[float], Field]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemDefinition:
     """One dissipative system, immutable after construction.
 
     The fields are the data of the general form (module docstring); the
     splitting and the energy law are derived from them here, so the two
     cannot drift apart.  `has_double_well` selects F = `double_well`.
+    Problems compare and hash by identity: the symbols are arrays.
     """
 
     name: str
@@ -118,7 +119,7 @@ class ProblemDefinition:
             g = apply_symbol(self._dealiased_mobility,
                              Field.from_physical(self.grid, well - self.stabilization * v))
         else:
-            g = Field.from_spectral(self.grid, np.zeros(self.grid.spectral_shape))
+            g = Field(self.grid, spectral=np.zeros(self.grid.spectral_shape))
         return g if self.transport is None else g + self.transport(u)
 
     def nonlinear(self, u: Field, t: float) -> Field:
@@ -259,18 +260,21 @@ def scalar_decay(rate: float = 1.0, amplitude: float = 1.0) -> ProblemDefinition
 def exp_sine_product_solution(grid: Grid) -> ExactSolution:
     """The separable analytic family  exp(sin(pi x) sin(pi y)) * sin(t).
 
-    Periodic on the default (0,2)^2 rectangle; zero at t = 0.
+    Periodic on the default (0,2)^2 rectangle; zero at t = 0.  The profile's
+    coefficients are computed once, so every sample carries both its values
+    and its coefficients and costs no transform.
     """
     if grid.basis is not Basis.FOURIER2D:
         raise ValueError("this solution family lives on a FOURIER2D grid")
     x, y = grid.points
-    profile = np.exp(np.sin(np.pi * x) * np.sin(np.pi * y))
+    profile = Field.from_physical(grid, np.exp(np.sin(np.pi * x) * np.sin(np.pi * y)))
+    profile.coeffs  # the one transform; scalar multiples keep both representations
 
     def field(t: float) -> Field:
-        return Field.from_physical(grid, profile * math.sin(t))
+        return math.sin(t) * profile
 
     def time_derivative(t: float) -> Field:
-        return Field.from_physical(grid, profile * math.cos(t))
+        return math.cos(t) * profile
 
     return ExactSolution(field=field, time_derivative=time_derivative)
 
@@ -281,7 +285,10 @@ def with_manufactured_forcing(problem: ProblemDefinition,
 
     The forcing is assembled on the grid through the same discrete operators
     as the scheme, f(t) = u_t(t) + A u(t) + g(u(t)), so the sampled exact
-    trajectory satisfies the semidiscrete equation to rounding.
+    trajectory satisfies the semidiscrete equation to rounding.  With exact
+    samples that carry their coefficients (as `exp_sine_product_solution`'s
+    do) the sum is formed in coefficient space, and a rebuild costs the one
+    forward transform of g.
     """
     if exact is None:
         if problem.grid.basis is Basis.FOURIER2D:

@@ -3,8 +3,7 @@
 Two bases are supported:
 
 * ``FOURIER2D`` -- doubly periodic rectangle, real-to-complex FFT storage
-  (``scipy.fft.rfft2`` layout, Hermitian symmetry enforced on the
-  self-conjugate columns).  Wavenumbers k = 2*pi*n/L per direction.
+  (``scipy.fft.rfft2`` layout).  Wavenumbers k = 2*pi*n/L per direction.
 * ``SINE1D`` -- Dirichlet interval, DST-I basis phi_j(x) = sin(j*pi*(x-a)/L)
   sampled at the N interior points of a uniform grid with spacing
   h = L/(N+1).  Wavenumbers k_j = j*pi/L.
@@ -17,7 +16,17 @@ at mode j.  With the uniform-grid quadrature
     (f, g) = cell_volume * sum_i f_i * g_i
 
 discrete Parseval holds exactly for both bases, so physical and spectral
-inner products agree to rounding.
+inner products agree to rounding; :func:`inner` and the norms are computed
+from the coefficients.
+
+In the rfft2 layout the self-conjugate columns (ky = 0 and Nyquist) store
+both modes kx and -kx, which for a real field must be complex conjugates.
+That Hermitian symmetry is enforced in one place, :meth:`Field.from_spectral`,
+the entry point for caller-supplied coefficients.  Coefficients produced
+here need no repair: ``rfft2`` of real data is Hermitian, and every diagonal
+operator (``k2``, the dealias mask, the symbols built from them) is real
+and even in kx, so multiplying or dividing by it keeps the symmetry; and
+``irfft2`` reads only the Hermitian part in any case.
 
 Grids precompute wavenumber tables, quadrature weights and dealiasing masks
 at construction and are immutable afterwards, hence safe for concurrent use.
@@ -307,8 +316,12 @@ def laplacian_symbol(grid: Grid) -> np.ndarray:
 
 
 def apply_symbol(symbol, f: Field) -> Field:
-    """Apply a diagonal (Fourier/sine multiplier) operator to a field."""
-    return Field.from_spectral(f.grid, symbol * f.coeffs)
+    """Apply a diagonal (Fourier/sine multiplier) operator to a field.
+
+    The symbol must be real and even in kx, like every symbol built from
+    the grid's tables, so the result stays Hermitian.
+    """
+    return Field(f.grid, spectral=symbol * f.coeffs)
 
 
 def solve_shifted(shift: float, op_symbol, rhs: Field) -> Field:
@@ -321,12 +334,12 @@ def solve_shifted(shift: float, op_symbol, rhs: Field) -> Field:
         raise IndefiniteOperatorError(
             f"indefinite operator: min(shift + symbol) = {np.min(denom):g} <= 0"
         )
-    return Field.from_spectral(rhs.grid, rhs.coeffs / denom)
+    return Field(rhs.grid, spectral=rhs.coeffs / denom)
 
 
 def apply_shifted(shift: float, op_symbol, f: Field) -> Field:
     """Apply (shift + A); the exact inverse of :func:`solve_shifted`."""
-    return Field.from_spectral(f.grid, (shift + np.asarray(op_symbol)) * f.coeffs)
+    return Field(f.grid, spectral=(shift + np.asarray(op_symbol)) * f.coeffs)
 
 
 # -- norms and inner products ------------------------------------------------------
@@ -358,10 +371,15 @@ def quadratic_form(symbol, f: Field) -> float:
 
 
 def inner(f: Field, g: Field) -> float:
-    """L2 inner product by uniform-grid quadrature (matches Parseval exactly)."""
+    """L2 inner product, computed from the coefficients by Parseval.
+
+    Equals the uniform-grid quadrature cell_volume * sum(f_i * g_i) to
+    rounding, without transforming a field that is held in spectral form.
+    """
     if f.grid != g.grid:
         raise GridMismatchError("inner product of fields on different grids")
-    return float(np.sum(f.values * g.values) * f.grid.cell_volume)
+    mult, factor = _spectral_weights(f.grid)
+    return float(factor * np.sum(mult * (np.conj(f.coeffs) * g.coeffs).real))
 
 
 def integrate(f: Field) -> float:
@@ -374,7 +392,7 @@ def integrate(f: Field) -> float:
 
 def dealias(f: Field) -> Field:
     """Zero all modes above 2/3 of the Nyquist index (idempotent)."""
-    return Field.from_spectral(f.grid, f.coeffs * f.grid.dealias_mask)
+    return Field(f.grid, spectral=f.coeffs * f.grid.dealias_mask)
 
 
 def pointwise_map(f: Field, fn) -> Field:

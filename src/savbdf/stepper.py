@@ -45,6 +45,7 @@ __all__ = [
     "step",
     "initialize",
     "run",
+    "step_count",
 ]
 
 #: relative slack for the floating-point monotonicity check of r
@@ -303,6 +304,21 @@ class RunReport:
         return (rec.err_l2, rec.err_h1, rec.err_h2)
 
 
+def step_count(dt: float, T: float, order: int) -> int:
+    """Steps of size dt to reach T; T must be a whole number of steps of dt,
+    enough to host the order-`order` startup."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if T <= 0:
+        raise ValueError("T must be positive")
+    n_steps = round(T / dt)
+    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(abs(T), 1.0):
+        raise ValueError(f"T = {T} is not an integral number of steps of dt = {dt}")
+    if n_steps < order:
+        raise ValueError(f"run of {n_steps} steps cannot host an order-{order} startup")
+    return n_steps
+
+
 def run(problem: ProblemDefinition, tab: BdfTableau, dt: float, T: float,
         mode: StepMode = StepMode.SAV, u0: Field | None = None,
         r_init: float | None = None, raise_on_divergence: bool = True) -> RunReport:
@@ -313,16 +329,7 @@ def run(problem: ProblemDefinition, tab: BdfTableau, dt: float, T: float,
     trace is returned with the report flagged (used where instability is the
     observation itself, not a failure).
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    n_steps = round(T / dt)
-    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(abs(T), 1.0):
-        raise ValueError(f"T = {T} is not an integral number of steps of dt = {dt}")
-    if n_steps < tab.order:
-        raise ValueError(
-            f"run of {n_steps} steps cannot host an order-{tab.order} startup"
-        )
-
+    n_steps = step_count(dt, T, tab.order)
     records: list[StepRecord] = []
     report = RunReport(problem=problem.name, order=tab.order, dt=dt, mode=mode, records=records)
     state = None

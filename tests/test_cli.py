@@ -237,6 +237,22 @@ def test_bad_settings_exit_without_traceback(tmp_path, argv):
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
+def test_run_horizon_is_checked_before_output_exists(tmp_path):
+    with pytest.raises(ConfigError, match="key 'dt'"):
+        parse_config(None, {"experiment": "run", "dt": 0.3, "T": 1.0})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "o"
+    proc = subprocess.run([sys.executable, "-m", "savbdf.cli", "run", "--dt", "0.3", "--T", "1",
+                           "--out", str(out)],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_USAGE
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "key 'dt'" in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("error, code", [
     (EnergyPositivityError("E(ubar) = -1.0 <= 0 at step 1"), EXIT_ASSERTION),
     (MonotonicityError(3, 1.0, 2.0), EXIT_ASSERTION),

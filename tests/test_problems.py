@@ -42,6 +42,21 @@ def test_double_well_critical_points():
     assert double_well(np.array(0.0)) == 0.25
 
 
+def test_double_well_prime_is_odd_and_accurate():
+    v = np.random.default_rng(4).normal(0.0, 2.0, size=4096)
+    assert np.array_equal(double_well_prime(-v), -double_well_prime(v))
+    eps = np.finfo(float).eps
+    bound = 4.0 * eps * (np.abs(v) ** 3 + np.abs(v))
+    assert np.all(np.abs(double_well_prime(v) - (v ** 3 - v)) <= bound)
+
+
+def test_problems_compare_and_hash_by_identity(grid):
+    p, q = allen_cahn(grid), allen_cahn(grid)
+    assert p == p and p != q
+    assert len({p, q, p}) == 2
+    assert p.linear_symbol is p.linear_symbol
+
+
 def test_wrong_basis_rejected(grid):
     with pytest.raises(ValueError):
         allen_cahn(Grid.sine1d(8))

@@ -18,7 +18,8 @@ from savbdf import (
     sobolev_norm,
     solve_shifted,
 )
-from savbdf.spectral import apply_shifted, apply_symbol, quadratic_form, sine_derivative_values
+from savbdf.spectral import (_hermitianize, apply_shifted, apply_symbol, quadratic_form,
+                             sine_derivative_values)
 
 
 @pytest.fixture
@@ -115,6 +116,24 @@ def test_from_spectral_enforces_hermitian_symmetry(fgrid):
     assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-12 * np.max(np.abs(f.coeffs))
 
 
+@pytest.mark.parametrize("extents", [(32, 32), (16, 24)])
+def test_diagonal_operators_keep_rfft2_coefficients_hermitian(extents):
+    # only Field.from_spectral repairs the symmetry; the operators rely on
+    # real, kx-even symbols preserving it
+    grid = Grid.fourier2d(*extents)
+    f = _random_field(grid, 3)
+    shift, symbol = 7.0, 1e-3 * grid.k2 ** 2 + grid.k2
+    results = [
+        apply_symbol(laplacian_symbol(grid), f),
+        solve_shifted(shift, symbol, f),
+        apply_shifted(shift, symbol, f),
+        dealias(f),
+    ]
+    for out in results:
+        c = out.coeffs
+        assert np.max(np.abs(_hermitianize(c, grid.extents[0]) - c)) <= 1e-14 * np.max(np.abs(c))
+
+
 # -- Parseval and norms --------------------------------------------------------
 
 
@@ -127,6 +146,18 @@ def test_parseval_inner_products(make):
     physical = 2.0 * inner(f, g)
     scale = sobolev_norm(f) * sobolev_norm(g)
     assert abs(spectral - physical) <= 1e-10 * max(scale, 1.0)
+
+
+@pytest.mark.parametrize("make", [lambda: Grid.fourier2d(32), lambda: Grid.fourier2d(16, 24),
+                                  lambda: Grid.sine1d(30)])
+def test_inner_matches_quadrature(make):
+    grid = make()
+    f, g = _random_field(grid, 11), _random_field(grid, 12)
+    quadrature = grid.cell_volume * np.sum(f.values * g.values)
+    assert inner(f, g) == pytest.approx(quadrature, rel=1e-13)
+    # fields held only as coefficients give the same value
+    fs, gs = Field(grid, spectral=f.coeffs), Field(grid, spectral=g.coeffs)
+    assert inner(fs, gs) == pytest.approx(quadrature, rel=1e-13)
 
 
 @pytest.mark.parametrize("make", [lambda: Grid.fourier2d(32), lambda: Grid.sine1d(30)])

@@ -1,12 +1,14 @@
 """Core time-loop behavior: the frozen scalar oracle, invariants, startup."""
 
 import math
+import types
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import fft
 
 import savbdf
 from savbdf import (
@@ -26,6 +28,7 @@ from savbdf import (
     with_manufactured_forcing,
 )
 from savbdf.harness import random_smooth_field
+from savbdf.stepper import _make_record
 
 
 # Frozen oracle, derived independently with exact rational arithmetic for
@@ -293,3 +296,45 @@ def test_unforced_invariants_hold_for_any_dt(name, order, log10_dt, seed):
     assert all(rec.r >= 0.0 and rec.xi >= 0.0 for rec in rep.records)
     if p.name == "cahn_hilliard":
         assert rep.mean_drift <= 1e-12
+
+
+# -- transform budget ------------------------------------------------------------
+
+
+def _count_transforms(monkeypatch):
+    counts = {"fwd": 0, "inv": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    proxy = types.SimpleNamespace(dst=fft.dst, dct=fft.dct,
+                                  rfft2=counted(fft.rfft2, "fwd"),
+                                  irfft2=counted(fft.irfft2, "inv"))
+    monkeypatch.setattr(savbdf.spectral, "_fft", proxy)
+    return counts
+
+
+@pytest.mark.parametrize("name, order, fwd, inv", [
+    ("allen_cahn_forced", 3, 6, 2),
+    ("allen_cahn", 5, 3, 2),
+    ("cahn_hilliard", 5, 3, 2),
+])
+def test_steady_step_transform_budget(monkeypatch, name, order, fwd, inv):
+    # one step after the startup plus its trace record, on 32^2
+    grid = Grid.fourier2d(32)
+    if name == "allen_cahn_forced":
+        p, u0 = with_manufactured_forcing(allen_cahn(grid)), None
+    else:
+        p = allen_cahn(grid) if name == "allen_cahn" else cahn_hilliard(grid)
+        u0 = random_smooth_field(grid, seed=2)
+    tab, dt = tableau(order), 0.01
+    state = initialize(p, tab, dt, u0=u0)
+    for _ in range(2):
+        state = step(state, p, tab, dt)
+        _make_record(p, state)
+    counts = _count_transforms(monkeypatch)
+    _make_record(p, step(state, p, tab, dt))
+    assert counts["fwd"] <= fwd and counts["inv"] <= inv, counts
