@@ -18,7 +18,7 @@ import numpy as np
 
 from .problems import ProblemDefinition, burgers
 from .spectral import Basis, Field, Grid
-from .stepper import RunReport, StepMode, run
+from .stepper import RunReport, StepMode, run, step_count
 from .tableau import tableau
 
 __all__ = [
@@ -118,9 +118,7 @@ def convergence_study(problem: ProblemDefinition, order: int, dt_list=None,
     if any(b >= a for a, b in zip(dts, dts[1:])):
         raise ValueError("dt ladder must be strictly decreasing")
     for dt in dts:
-        n = round(T / dt)
-        if n < 1 or abs(n * dt - T) > 1e-9 * max(abs(T), 1.0):
-            raise ValueError(f"dt = {dt} does not divide T = {T}")
+        step_count(dt, T, order)
     tab = tableau(order, eta_exponent)
 
     def one_case(dt: float) -> ConvergenceEntry:

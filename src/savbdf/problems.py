@@ -25,7 +25,7 @@ cancels in their sum: it changes only the splitting, never E, dE/du or K.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -83,7 +83,10 @@ class ProblemDefinition:
     The fields are the data of the general form (module docstring); the
     splitting and the energy law are derived from them here, so the two
     cannot drift apart.  `has_double_well` selects F = `double_well`.
-    Problems compare and hash by identity: the symbols are arrays.
+    Problems compare and hash by identity: the symbols are arrays.  The
+    last dE/du is kept (keyed by the identity of its field, which fields as
+    value types allow), so K and the forcing power along one state share
+    one build.
     """
 
     name: str
@@ -96,6 +99,7 @@ class ProblemDefinition:
     transport: Optional[Callable[[Field], Field]] = None
     forcing: Optional[Callable[[float], Field]] = None
     exact: Optional[ExactSolution] = None
+    _gradient_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def linear_symbol(self) -> np.ndarray:
@@ -116,8 +120,9 @@ class ProblemDefinition:
         if self.has_double_well or self.stabilization:
             v = u.values
             well = double_well_prime(v) if self.has_double_well else 0.0
-            g = apply_symbol(self._dealiased_mobility,
-                             Field.from_physical(self.grid, well - self.stabilization * v))
+            if self.stabilization:
+                well = well - self.stabilization * v
+            g = apply_symbol(self._dealiased_mobility, Field.from_physical(self.grid, well))
         else:
             g = Field(self.grid, spectral=np.zeros(self.grid.spectral_shape))
         return g if self.transport is None else g + self.transport(u)
@@ -136,10 +141,16 @@ class ProblemDefinition:
 
     def energy_gradient(self, u: Field) -> Field:
         """dE/du = L u + dealias(F'(u)); for Cahn-Hilliard the chemical potential."""
-        lu = apply_symbol(self.principal_symbol, u)
-        if not self.has_double_well:
-            return lu
-        return lu + dealias(pointwise_map(u, double_well_prime))
+        hit = self._gradient_cache.get(id(u))
+        if hit is not None:
+            return hit[1]
+        grad = apply_symbol(self.principal_symbol, u)
+        if self.has_double_well:
+            grad = grad + dealias(pointwise_map(u, double_well_prime))
+        # holding u keeps its id from being reused while the entry lives
+        self._gradient_cache.clear()
+        self._gradient_cache[id(u)] = (u, grad)
+        return grad
 
     def dissipation(self, u: Field) -> float:
         """K(u) = (G dE/du, dE/du) >= 0, the decay rate of the unforced energy law."""

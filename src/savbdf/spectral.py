@@ -17,7 +17,10 @@ at mode j.  With the uniform-grid quadrature
 
 discrete Parseval holds exactly for both bases, so physical and spectral
 inner products agree to rounding; :func:`inner` and the norms are computed
-from the coefficients.
+from the coefficients, each as one dot product against a weighted symbol.
+Sums of fields are formed from the coefficients whenever both operands hold
+them, so a field that carries both representations never costs a transform
+to be added.
 
 In the rfft2 layout the self-conjugate columns (ky = 0 and Nyquist) store
 both modes kx and -kx, which for a real field must be complex conjugates.
@@ -82,7 +85,7 @@ class Grid:
 
     __slots__ = (
         "basis", "extents", "domain", "cell_volume", "volume",
-        "k2", "dealias_mask", "_mult", "_points", "_mode_norm_sq",
+        "k2", "dealias_mask", "_mult", "_norm_factor", "_points", "_sobolev_weights",
     )
 
     def __init__(self, basis: Basis, extents: tuple[int, ...], domain: tuple[tuple[float, float], ...]):
@@ -122,7 +125,7 @@ class Grid:
             x = x0 + hx * np.arange(nx)
             y = y0 + hy * np.arange(ny)
             self._points = np.meshgrid(x, y, indexing="ij")
-            self._mode_norm_sq = None
+            self._norm_factor = self.volume
         elif basis is Basis.SINE1D:
             if len(extents) != 1:
                 raise ValueError("SINE1D grids are one-dimensional")
@@ -133,18 +136,19 @@ class Grid:
             j = np.arange(1, n + 1)
             kj = j * np.pi / length
             self.k2 = kj ** 2
-            self._mult = None
+            self._mult = np.ones(n)
             cut = 2.0 * n / 3.0
             self.dealias_mask = j <= cut
             self.cell_volume = h
             self.volume = length
             self._points = (a + h * np.arange(1, n + 1),)
             # L2 norm of each basis function: integral of sin^2 over (a, b)
-            self._mode_norm_sq = length / 2.0
+            self._norm_factor = length / 2.0
         else:  # pragma: no cover - enum is closed
             raise ValueError(f"unknown basis {basis}")
-        for arr in (self.k2, self.dealias_mask):
+        for arr in (self.k2, self.dealias_mask, self._mult):
             arr.setflags(write=False)
+        self._sobolev_weights = {}
 
     @classmethod
     def fourier2d(cls, nx: int, ny: int | None = None,
@@ -166,6 +170,19 @@ class Grid:
             nx, ny = self.extents
             return (nx, ny // 2 + 1)
         return self.extents
+
+    def _sobolev_weight(self, s: float) -> np.ndarray:
+        """Per-mode weight of the H^s norm, multiplicity * (1 + |k|^2)^s.
+
+        Built once per exponent and read-only like the other tables; filling
+        the cache twice under a race stores equal arrays.
+        """
+        w = self._sobolev_weights.get(s)
+        if w is None:
+            w = self._mult * (1.0 + self.k2) ** s
+            w.setflags(write=False)
+            self._sobolev_weights[s] = w
+        return w
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Grid):
@@ -236,8 +253,7 @@ class Field:
         if self._phys is None:
             g = self.grid
             if g.basis is Basis.FOURIER2D:
-                nx, ny = g.extents
-                self._phys = _fft.irfft2(self._spec * (nx * ny), s=(nx, ny))
+                self._phys = _fft.irfft2(self._spec, s=g.extents, norm="forward")
             else:
                 self._phys = _fft.dst(self._spec, type=1) / 2.0
         return self._phys
@@ -247,8 +263,7 @@ class Field:
         if self._spec is None:
             g = self.grid
             if g.basis is Basis.FOURIER2D:
-                nx, ny = g.extents
-                self._spec = _fft.rfft2(self._phys) / (nx * ny)
+                self._spec = _fft.rfft2(self._phys, norm="forward")
             else:
                 n = g.extents[0]
                 self._spec = _fft.dst(self._phys, type=1) / (n + 1)
@@ -269,12 +284,12 @@ class Field:
             raise GridMismatchError(f"fields live on different grids: {self.grid} vs {other.grid}")
 
     def _binary(self, other: "Field", op) -> "Field":
+        # coefficients first: values only when both hold them and one lacks coefficients
         self._check_grid(other)
-        if self._phys is not None and other._phys is not None:
+        if (self._phys is not None and other._phys is not None
+                and (self._spec is None or other._spec is None)):
             return Field(self.grid, physical=op(self._phys, other._phys))
-        if self._spec is not None and other._spec is not None:
-            return Field(self.grid, spectral=op(self._spec, other._spec))
-        return Field(self.grid, physical=op(self.values, other.values))
+        return Field(self.grid, spectral=op(self.coeffs, other.coeffs))
 
     def __add__(self, other):
         if not isinstance(other, Field):
@@ -345,29 +360,20 @@ def apply_shifted(shift: float, op_symbol, f: Field) -> Field:
 # -- norms and inner products ------------------------------------------------------
 
 
-def _spectral_weights(grid: Grid) -> tuple[np.ndarray, float]:
-    """Per-mode |coeff|^2 weights and their common factor for L2-type sums."""
-    if grid.basis is Basis.FOURIER2D:
-        return grid._mult, grid.volume
-    return np.ones(grid.extents[0]), grid._mode_norm_sq
+def _weighted_sum(f: Field, weight) -> float:
+    """factor * sum(weight * |c|^2) over the stored modes, as one dot product."""
+    c = f.coeffs
+    return f.grid._norm_factor * np.vdot(c, weight * c).real
 
 
 def sobolev_norm(f: Field, s: float = 0.0) -> float:
     """Spectral H^s norm: sqrt(sum (1 + |k|^2)^s |f_hat|^2), L2 at s = 0."""
-    mult, factor = _spectral_weights(f.grid)
-    c = f.coeffs
-    mag2 = (c * np.conj(c)).real if np.iscomplexobj(c) else c * c
-    if s == 0.0:
-        return float(np.sqrt(factor * np.sum(mult * mag2)))
-    return float(np.sqrt(factor * np.sum(mult * (1.0 + f.grid.k2) ** s * mag2)))
+    return float(np.sqrt(_weighted_sum(f, f.grid._sobolev_weight(s))))
 
 
 def quadratic_form(symbol, f: Field) -> float:
     """(S f, f) for a diagonal operator S given by its (real) symbol."""
-    mult, factor = _spectral_weights(f.grid)
-    c = f.coeffs
-    mag2 = (c * np.conj(c)).real if np.iscomplexobj(c) else c * c
-    return float(factor * np.sum(mult * np.asarray(symbol) * mag2))
+    return float(_weighted_sum(f, f.grid._mult * symbol))
 
 
 def inner(f: Field, g: Field) -> float:
@@ -378,8 +384,8 @@ def inner(f: Field, g: Field) -> float:
     """
     if f.grid != g.grid:
         raise GridMismatchError("inner product of fields on different grids")
-    mult, factor = _spectral_weights(f.grid)
-    return float(factor * np.sum(mult * (np.conj(f.coeffs) * g.coeffs).real))
+    grid = f.grid
+    return float(grid._norm_factor * np.vdot(f.coeffs, grid._mult * g.coeffs).real)
 
 
 def integrate(f: Field) -> float:

@@ -135,10 +135,16 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
     # overflow in a diverging trajectory is detected by the finiteness
     # guards below, not reported as arithmetic warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        drift = combine_history(tab.a_floats(), state.u_history)
-        explicit = problem.nonlinear(combine_history(tab.b_floats(), state.u_history), t_next)
-        rhs = (1.0 / dt) * drift - explicit
-        ubar = solve_shifted(float(tab.alpha) / dt, problem.linear_symbol, rhs)
+        # each history level holds values and coefficients (E(ubar) evaluated
+        # ubar's values), so the drift combines coefficients, the input of the
+        # solve, and the extrapolation values, the input of the pointwise F'
+        alpha, a, b = tab.floats
+        history = state.u_history[:k]
+        drift = combine_history(a, [u.coeffs for u in history])
+        extrapolated = Field(problem.grid, physical=combine_history(b, [u.values for u in history]))
+        explicit = problem.nonlinear(extrapolated, t_next)
+        rhs = Field(problem.grid, spectral=(1.0 / dt) * drift - explicit.coeffs)
+        ubar = solve_shifted(alpha / dt, problem.linear_symbol, rhs)
         if not ubar.all_finite():
             raise DivergenceError(next_index, "uncorrected solution")
 
@@ -313,7 +319,7 @@ def step_count(dt: float, T: float, order: int) -> int:
         raise ValueError("T must be positive")
     n_steps = round(T / dt)
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(abs(T), 1.0):
-        raise ValueError(f"T = {T} is not an integral number of steps of dt = {dt}")
+        raise ValueError(f"dt = {dt} does not divide T = {T} into whole steps")
     if n_steps < order:
         raise ValueError(f"run of {n_steps} steps cannot host an order-{order} startup")
     return n_steps

@@ -13,14 +13,15 @@ derivative of any polynomial of degree <= k exactly; the b-weights are the
 binomial extrapolation weights, exact on degree <= k-1.
 
 Coefficients are stored as `fractions.Fraction` so they carry no rounding at
-all; convert with :meth:`BdfTableau.a_floats` / :meth:`BdfTableau.b_floats`
-at the point of use.
+all; :attr:`BdfTableau.floats` converts them once per tableau for the time
+loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 __all__ = ["BdfTableau", "tableau", "combine_history", "UnsupportedOrderError"]
 
@@ -75,8 +76,10 @@ class BdfTableau:
     eta_exponent : int
         Exponent p in the solution-correction factor eta = 1 - (1 - xi)**p.
         Defaults to 3 for order 1 and order+1 otherwise; overridable for
-        experiments (p = order is the smallest exponent that keeps order-k
-        accuracy of the correction, p - 1 degrades it).
+        experiments.  p = order + 1 is the smallest exponent that keeps
+        order-k accuracy (the paper's eta = 1 - (1 - xi)^(k+1)): |1 - xi| is
+        O(dt), so each step's correction error is O(dt^p) and their sum
+        over a run O(dt^(p-1)).  p = order loses about one order.
     """
 
     order: int
@@ -85,11 +88,17 @@ class BdfTableau:
     b_weights: tuple[Fraction, ...]
     eta_exponent: int
 
+    @cached_property
+    def floats(self) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
+        """(alpha, a_weights, b_weights) as floats, converted once per tableau."""
+        return (float(self.alpha), tuple(float(w) for w in self.a_weights),
+                tuple(float(w) for w in self.b_weights))
+
     def a_floats(self) -> tuple[float, ...]:
-        return tuple(float(w) for w in self.a_weights)
+        return self.floats[1]
 
     def b_floats(self) -> tuple[float, ...]:
-        return tuple(float(w) for w in self.b_weights)
+        return self.floats[2]
 
 
 def tableau(order: int, eta_exponent: int | None = None) -> BdfTableau:

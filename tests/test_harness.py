@@ -78,6 +78,18 @@ def test_convergence_study_stabilized_second_order(maker):
     assert rep.slopes["h2"] >= 1.8
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_eta_exponent_order_plus_one_is_the_smallest_that_keeps_order(order):
+    # |1 - xi| = O(dt): each step's correction error is O(dt^p) and they sum
+    # to O(dt^(p-1)), so p = k + 1 keeps order k and p = k loses about one
+    p = with_manufactured_forcing(allen_cahn(Grid.fourier2d(32)))
+    ladder = (1 / 80, 1 / 160, 1 / 320, 1 / 640)
+    kept = convergence_study(p, order, ladder, eta_exponent=order + 1)
+    lost = convergence_study(p, order, ladder, eta_exponent=order)
+    assert kept.slopes["h2"] >= order - 0.1
+    assert lost.slopes["h2"] <= order - 0.5
+
+
 def test_convergence_study_validation():
     p = scalar_decay()
     with pytest.raises(ValueError, match="three"):

@@ -14,9 +14,10 @@ so must the final solution's L2/H1/H2 norms.  Final errors against an
 exact solution are differences of O(1) fields, so they are held to 1e-12
 of the solution norm of the same Sobolev order.
 
-The golden files were written once by ``python tests/test_reference.py
---freeze`` and are not regenerated to make this test pass.  A change that
-moves the numbers on purpose rewrites them and says why in CHANGES.md.
+The golden files are written by ``python tests/test_reference.py --freeze
+NAME...``, which rewrites only the named cases, and are not regenerated to
+make this test pass.  A change that moves the numbers on purpose rewrites
+the goldens it moves, one at a time, and says why in CHANGES.md.
 """
 
 import json
@@ -108,10 +109,12 @@ def test_matches_golden(name):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--freeze"]:
-        raise SystemExit("usage: python tests/test_reference.py --freeze")
+    names = sys.argv[2:]
+    if sys.argv[1:2] != ["--freeze"] or not names or not set(names) <= CASES.keys():
+        raise SystemExit("usage: python tests/test_reference.py --freeze NAME...\n"
+                         f"NAME is one of: {', '.join(sorted(CASES))}")
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for case, make in sorted(CASES.items()):
+    for case in names:
         path = GOLDEN_DIR / f"{case}.json"
-        path.write_text(json.dumps(snapshot(make()), indent=1) + "\n")
+        path.write_text(json.dumps(snapshot(CASES[case]()), indent=1) + "\n")
         print(f"wrote {path}")

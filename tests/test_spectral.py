@@ -148,8 +148,12 @@ def test_parseval_inner_products(make):
     assert abs(spectral - physical) <= 1e-10 * max(scale, 1.0)
 
 
-@pytest.mark.parametrize("make", [lambda: Grid.fourier2d(32), lambda: Grid.fourier2d(16, 24),
-                                  lambda: Grid.sine1d(30)])
+#: a square Fourier grid, a non-square Fourier grid and a sine grid
+PARSEVAL_GRIDS = [lambda: Grid.fourier2d(32), lambda: Grid.fourier2d(16, 24),
+                  lambda: Grid.sine1d(30)]
+
+
+@pytest.mark.parametrize("make", PARSEVAL_GRIDS)
 def test_inner_matches_quadrature(make):
     grid = make()
     f, g = _random_field(grid, 11), _random_field(grid, 12)
@@ -158,6 +162,31 @@ def test_inner_matches_quadrature(make):
     # fields held only as coefficients give the same value
     fs, gs = Field(grid, spectral=f.coeffs), Field(grid, spectral=g.coeffs)
     assert inner(fs, gs) == pytest.approx(quadrature, rel=1e-13)
+
+
+def _direct_weighted_sum(grid, symbol, c):
+    # reference: factor * sum(mult * symbol * |c|^2), with the rfft2 layout's
+    # conjugate-pair multiplicity and the basis functions' L2 norm
+    if grid.basis is Basis.FOURIER2D:
+        mult = np.full(grid.spectral_shape, 2.0)
+        mult[:, 0] = mult[:, -1] = 1.0
+        factor = grid.volume
+    else:
+        mult, factor = np.ones(grid.spectral_shape), grid.volume / 2.0
+    return factor * np.sum(mult * symbol * np.abs(c) ** 2)
+
+
+@pytest.mark.parametrize("make", PARSEVAL_GRIDS)
+def test_norms_match_direct_sum(make):
+    grid = make()
+    for f in (_random_field(grid, 13), Field(grid, spectral=_random_field(grid, 14).coeffs)):
+        c = f.coeffs
+        symbol = 1e-3 * grid.k2 ** 2 + grid.k2 + 0.5
+        assert quadratic_form(symbol, f) == pytest.approx(
+            _direct_weighted_sum(grid, symbol, c), rel=1e-13)
+        for s in (0.0, 1.0, 2.0):
+            want = np.sqrt(_direct_weighted_sum(grid, (1.0 + grid.k2) ** s, c))
+            assert sobolev_norm(f, s) == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("make", [lambda: Grid.fourier2d(32), lambda: Grid.sine1d(30)])
