@@ -12,7 +12,6 @@ from .spectral import (
     dealias,
     inner,
     integrate,
-    laplacian_symbol,
     pointwise_map,
     sobolev_norm,
     solve_shifted,
@@ -56,7 +55,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BdfTableau", "UnsupportedOrderError", "combine_history", "tableau",
     "Basis", "Field", "Grid", "GridMismatchError", "IndefiniteOperatorError",
-    "dealias", "inner", "integrate", "laplacian_symbol", "pointwise_map",
+    "dealias", "inner", "integrate", "pointwise_map",
     "sobolev_norm", "solve_shifted",
     "ExactSolution", "ProblemDefinition", "allen_cahn", "burgers",
     "cahn_hilliard", "exp_sine_product_solution", "scalar_decay",

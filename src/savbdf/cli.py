@@ -1,11 +1,13 @@
 """Command-line entry point.
 
-Subcommands: converge, stability, burgers, run.  A flat JSON config file can
-supply any setting; command-line flags override it.  All artifacts are plain
+Subcommands: converge, stability, burgers, run.  Each accepts only the
+settings it reads (EXPERIMENTS, PROBLEMS), as flags or as keys of a flat
+JSON config file; flags override the file.  All artifacts are plain
 CSV/JSON with '.'-decimal floats printed to 17 significant digits, no
 timestamps, and fixed row order, so a repeated invocation is byte-identical.
 
-Exit codes: 0 success, 1 usage or I/O failure (including a ValueError the
+Exit codes: 0 success, 1 usage or I/O failure (including a malformed
+command line, a setting the experiment does not read, and a ValueError the
 library raises on a bad setting), 2 invariant-check failure (also
 EnergyPositivityError and MonotonicityError), 3 divergence in an experiment
 that does not tolerate it.
@@ -42,9 +44,33 @@ EXIT_USAGE = 1
 EXIT_ASSERTION = 2
 EXIT_DIVERGENCE = 3
 
-EXPERIMENTS = ("converge", "stability", "burgers", "run")
-PROBLEMS = ("allen_cahn", "cahn_hilliard", "burgers")
-MODES = ("sav", "imex")
+#: The settable keys each experiment reads, besides `experiment` and `out`.
+#: An experiment that reads `problem` also reads that problem's keys; the
+#: burgers experiment always runs the burgers problem and reads `nu` itself.
+EXPERIMENTS = {
+    "converge": ("problem", "order", "grid", "T", "dt_list", "eta_exponent"),
+    "stability": ("problem", "order", "grid", "dt", "n_steps", "seed", "eta_exponent"),
+    "burgers": ("order", "grid", "nu", "dt", "dt_ref", "T", "eta_exponent"),
+    "run": ("problem", "order", "grid", "dt", "T", "mode", "eta_exponent"),
+}
+#: The settable keys each problem reads.
+PROBLEMS = {
+    "allen_cahn": ("alpha", "stabilization", "c_shift"),
+    "cahn_hilliard": ("alpha", "stabilization", "c_shift", "m0"),
+    "burgers": ("nu", "c_shift"),
+}
+MODES = tuple(m.value for m in StepMode)
+
+#: argparse options of the flag --key ('_' spelled '-') of each settable key
+#: but grid and dt_list; a `type` is also the type a config-file value must have
+_FLAGS = {
+    "problem": {"choices": tuple(PROBLEMS)},
+    "mode": {"choices": MODES},
+    "out": {"type": str, "metavar": "DIR"},
+    **dict.fromkeys(("order", "eta_exponent", "seed", "n_steps"), {"type": int}),
+    **dict.fromkeys(("alpha", "m0", "nu", "stabilization", "c_shift", "dt", "T", "dt_ref"),
+                    {"type": float}),
+}
 
 TRACE_HEADER = "step,t,r,xi,eta,energy,principal_norm_sq,err_l2,err_h1,err_h2"
 
@@ -78,28 +104,36 @@ class RunConfig:
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
-def _parse_grid(raw) -> tuple[int, ...]:
-    if isinstance(raw, int):
-        return (raw,)
-    if isinstance(raw, (list, tuple)):
-        return tuple(int(v) for v in raw)
-    if isinstance(raw, str):
-        parts = raw.lower().replace("x", ",").split(",")
-        return tuple(int(p) for p in parts if p)
-    raise ConfigError(f"key 'grid': cannot interpret {raw!r}")
+def _settable_keys(experiment: str, problems) -> list[str]:
+    """The keys besides `experiment` that `experiment` reads on any of `problems`."""
+    keys = list(EXPERIMENTS[experiment])
+    if "problem" in keys:
+        for problem in problems:
+            keys += [k for k in PROBLEMS[problem] if k not in keys]
+    return keys + ["out"]
 
 
-def _parse_dt_list(raw) -> tuple[float, ...]:
-    if isinstance(raw, (list, tuple)):
-        return tuple(float(v) for v in raw)
+def _parse_list(key: str, raw, kind) -> tuple:
+    """A list setting: a JSON list, or a string split at ',' (grid: also at 'x', or one integer)."""
+    items = raw
     if isinstance(raw, str):
-        return tuple(float(p) for p in raw.split(",") if p)
-    raise ConfigError(f"key 'dt_list': cannot interpret {raw!r}")
+        text = raw.lower().replace("x", ",") if key == "grid" else raw
+        items = [p for p in text.split(",") if p]
+    elif key == "grid" and isinstance(raw, int) and not isinstance(raw, bool):
+        items = [raw]
+    try:
+        return tuple(kind(v) for v in items)
+    except (TypeError, ValueError):
+        raise ConfigError(f"key '{key}': cannot interpret {raw!r}") from None
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
-    """Merge a flat JSON config file with flag overrides (flags win) and validate."""
-    merged: dict = {}
+    """Merge a flat JSON config file with flag overrides (flags win) and validate.
+
+    A null value leaves a key unset.  A key that the experiment or its
+    problem does not read (see EXPERIMENTS and PROBLEMS) is a ConfigError.
+    """
+    data: dict = {}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -110,42 +144,44 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a flat JSON object")
-        merged.update(data)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
+    merged = {k: v for source in (data, overrides or {}) for k, v in source.items() if v is not None}
 
-    unknown = sorted(set(merged) - _CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(
-            f"unknown key '{unknown[0]}'; allowed keys: {', '.join(sorted(_CONFIG_KEYS))}"
-        )
     if "experiment" not in merged:
         raise ConfigError(f"key 'experiment' is required; allowed values: {', '.join(EXPERIMENTS)}")
-
-    if "grid" in merged:
-        merged["grid"] = _parse_grid(merged["grid"])
-    if "dt_list" in merged and merged["dt_list"] is not None:
-        merged["dt_list"] = _parse_dt_list(merged["dt_list"])
-
-    cfg = RunConfig(**merged)
-
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigError(f"key 'experiment': {cfg.experiment!r} not one of {', '.join(EXPERIMENTS)}")
-    if cfg.problem not in PROBLEMS:
-        raise ConfigError(f"key 'problem': {cfg.problem!r} not one of {', '.join(PROBLEMS)}")
-    if not isinstance(cfg.order, int) or not 1 <= cfg.order <= MAX_ORDER:
-        raise ConfigError(f"key 'order': {cfg.order!r} must be an integer in 1..{MAX_ORDER}")
-    if cfg.mode not in MODES:
-        raise ConfigError(f"key 'mode': {cfg.mode!r} not one of {', '.join(MODES)}")
-    if cfg.experiment == "burgers":
-        if "problem" in merged and merged["problem"] != "burgers":
-            raise ConfigError("key 'problem': the burgers experiment only runs on 'burgers'")
-        cfg.problem = "burgers"
-    if cfg.experiment == "converge" and cfg.problem == "burgers":
+    experiment = merged["experiment"]
+    if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
+        raise ConfigError(f"key 'experiment': {experiment!r} not one of {', '.join(EXPERIMENTS)}")
+    reads_problem = "problem" in EXPERIMENTS[experiment]
+    problem = merged.get("problem", RunConfig.problem) if reads_problem else "burgers"
+    if not isinstance(problem, str) or problem not in PROBLEMS:
+        raise ConfigError(f"key 'problem': {problem!r} not one of {', '.join(PROBLEMS)}")
+    if experiment == "converge" and problem == "burgers":
         raise ConfigError(
             "key 'problem': converge needs a manufactured solution; use allen_cahn or cahn_hilliard"
         )
+    allowed = ["experiment", *_settable_keys(experiment, (problem,))]
+    unread = sorted(set(merged) - set(allowed))
+    if unread:
+        key = unread[0]
+        reader = f"{experiment} on {problem}" if reads_problem else experiment
+        head = f"key '{key}' is not read by {reader}" if key in _CONFIG_KEYS else f"unknown key '{key}'"
+        raise ConfigError(f"{head}; it reads: {', '.join(allowed)}")
+    for key, value in merged.items():
+        kind = _FLAGS.get(key, {}).get("type")
+        expected = (int, float) if kind is float else kind
+        if kind is not None and (isinstance(value, bool) or not isinstance(value, expected)):
+            raise ConfigError(f"key '{key}': expected {kind.__name__}, got {value!r}")
+
+    for key, kind in (("grid", int), ("dt_list", float)):
+        if key in merged:
+            merged[key] = _parse_list(key, merged[key], kind)
+
+    cfg = RunConfig(**merged)
+    cfg.problem = problem
+    if not 1 <= cfg.order <= MAX_ORDER:
+        raise ConfigError(f"key 'order': {cfg.order!r} must be an integer in 1..{MAX_ORDER}")
+    if cfg.mode not in MODES:
+        raise ConfigError(f"key 'mode': {cfg.mode!r} not one of {', '.join(MODES)}")
 
     # problem-dependent defaults
     if cfg.alpha is None:
@@ -157,7 +193,10 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     if cfg.dt_list is None and cfg.experiment == "converge":
         cfg.dt_list = default_dt_ladder(cfg.order)
 
-    positive = ("alpha", "m0", "nu", "T", "dt") + (("c_shift",) if cfg.c_shift is not None else ())
+    if len(cfg.grid) > (1 if cfg.problem == "burgers" else 2):
+        takes = "one entry" if cfg.problem == "burgers" else "one or two entries"
+        raise ConfigError(f"key 'grid': {cfg.problem} takes {takes}, got {cfg.grid!r}")
+    positive = ("alpha", "m0", "nu", "T", "dt", "dt_ref") + (("c_shift",) if cfg.c_shift is not None else ())
     for key in positive:
         value = getattr(cfg, key)
         if not value > 0:
@@ -166,8 +205,11 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
         raise ConfigError(f"key 'stabilization': must be non-negative, got {cfg.stabilization!r}")
     if cfg.n_steps < 1:
         raise ConfigError(f"key 'n_steps': must be at least 1, got {cfg.n_steps!r}")
-    if cfg.eta_exponent is not None and cfg.eta_exponent < 1:
-        raise ConfigError(f"key 'eta_exponent': must be a positive integer, got {cfg.eta_exponent!r}")
+    if cfg.eta_exponent is not None and cfg.eta_exponent < cfg.order + 1:
+        raise ConfigError(
+            f"key 'eta_exponent': must be at least order + 1 = {cfg.order + 1}, the smallest "
+            f"exponent that keeps order {cfg.order}; got {cfg.eta_exponent!r}"
+        )
     if cfg.dt_list is not None and any(d <= 0 for d in cfg.dt_list):
         raise ConfigError("key 'dt_list': all entries must be positive")
     if cfg.experiment == "run":
@@ -325,8 +367,7 @@ def _execute_run(cfg: RunConfig, out: Path) -> int:
         problem = _build_problem(cfg, forced=True)
         u0 = None
     tab = tableau(cfg.order, cfg.eta_exponent)
-    mode = StepMode.SAV if cfg.mode == "sav" else StepMode.IMEX
-    report = run(problem, tab, cfg.dt, cfg.T, mode=mode, u0=u0)
+    report = run(problem, tab, cfg.dt, cfg.T, mode=StepMode(cfg.mode), u0=u0)
     _write_trace(out / "trace.csv", report)
     summary = {
         "problem": report.problem,
@@ -375,40 +416,33 @@ def execute(cfg: RunConfig) -> int:
         return EXIT_USAGE
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ConfigErrors, not exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="savbdf",
         description="Energy-stable semi-implicit BDFk experiments on spectral grids.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="|".join(EXPERIMENTS))
     for name in EXPERIMENTS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", metavar="PATH", help="flat JSON config file; flags override it")
-        p.add_argument("--problem", choices=PROBLEMS)
-        p.add_argument("--order", type=int)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--m0", type=float)
-        p.add_argument("--nu", type=float)
-        p.add_argument("--stabilization", type=float)
-        p.add_argument("--c-shift", dest="c_shift", type=float)
-        p.add_argument("--eta-exponent", dest="eta_exponent", type=int)
-        p.add_argument("--dt", type=float)
-        p.add_argument("--dt-list", dest="dt_list")
-        p.add_argument("--T", dest="T", type=float)
-        p.add_argument("--grid")
-        p.add_argument("--mode", choices=MODES)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--n-steps", dest="n_steps", type=int)
-        p.add_argument("--dt-ref", dest="dt_ref", type=float)
-        p.add_argument("--out", metavar="DIR")
+        for key in _settable_keys(name, PROBLEMS):
+            flag = "--" + key.replace("_", "-")
+            p.add_argument(flag, dest=key, **_FLAGS.get(key, {}))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    overrides = {k: v for k, v in vars(args).items() if k != "config"}
     try:
+        args = _build_parser().parse_args(argv)
+        overrides = {k: v for k, v in vars(args).items() if k != "config"}
         cfg = parse_config(args.config, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

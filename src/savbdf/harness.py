@@ -89,9 +89,6 @@ class ConvergenceReport:
     entries: list[ConvergenceEntry]
     slopes: dict[str, Optional[float]] = field(default_factory=dict)
 
-    def slope(self, norm: str) -> Optional[float]:
-        return self.slopes.get(norm)
-
 
 def _fit_norm(entries: list[ConvergenceEntry], attr: str) -> Optional[float]:
     pts = [(e.dt, getattr(e, attr)) for e in entries
@@ -103,8 +100,7 @@ def _fit_norm(entries: list[ConvergenceEntry], attr: str) -> Optional[float]:
 
 
 def convergence_study(problem: ProblemDefinition, order: int, dt_list=None,
-                      T: float = 1.0, mode: StepMode = StepMode.SAV,
-                      eta_exponent: int | None = None) -> ConvergenceReport:
+                      T: float = 1.0, eta_exponent: int | None = None) -> ConvergenceReport:
     """Run the order-`order` scheme over a dt ladder and fit error slopes.
 
     Requires an attached exact solution; entries that diverge are flagged and
@@ -122,7 +118,7 @@ def convergence_study(problem: ProblemDefinition, order: int, dt_list=None,
     tab = tableau(order, eta_exponent)
 
     def one_case(dt: float) -> ConvergenceEntry:
-        report = run(problem, tab, dt, T, mode=mode, raise_on_divergence=False)
+        report = run(problem, tab, dt, T, raise_on_divergence=False)
         if report.diverged:
             return ConvergenceEntry(dt, None, None, None, diverged=True)
         err = report.final_errors
@@ -139,10 +135,10 @@ def convergence_study(problem: ProblemDefinition, order: int, dt_list=None,
     return report
 
 
-def random_smooth_field(grid: Grid, seed: int = 0, max_mode: int = RANDOM_FIELD_MAX_MODE) -> Field:
+def random_smooth_field(grid: Grid, seed: int = 0) -> Field:
     """Seeded zero-mean band-limited random field, normalized to unit variance.
 
-    Coefficients on modes up to max_mode are drawn with unit variance, then
+    Coefficients on modes up to RANDOM_FIELD_MAX_MODE are drawn with unit variance, then
     the sampled field is rescaled to pointwise standard deviation one, which
     keeps the stress data at phase-field amplitudes.  Zero mean by
     construction, so a conserved mean stays at exactly zero.
@@ -151,7 +147,7 @@ def random_smooth_field(grid: Grid, seed: int = 0, max_mode: int = RANDOM_FIELD_
     if grid.basis is Basis.FOURIER2D:
         nx, ny = grid.extents
         coeffs = np.zeros((nx, ny // 2 + 1), dtype=complex)
-        span = min(max_mode, nx // 2 - 1, ny // 2 - 1)
+        span = min(RANDOM_FIELD_MAX_MODE, nx // 2 - 1, ny // 2 - 1)
         re = rng.normal(0.0, math.sqrt(0.5), size=(2 * span + 1, span + 1))
         im = rng.normal(0.0, math.sqrt(0.5), size=(2 * span + 1, span + 1))
         for row, mx in enumerate(range(-span, span + 1)):
@@ -163,7 +159,7 @@ def random_smooth_field(grid: Grid, seed: int = 0, max_mode: int = RANDOM_FIELD_
         raw = Field.from_spectral(grid, coeffs)
     else:
         n = grid.extents[0]
-        span = min(max_mode, n)
+        span = min(RANDOM_FIELD_MAX_MODE, n)
         coeffs = np.zeros(n)
         coeffs[:span] = rng.normal(0.0, 1.0, size=span)
         raw = Field.from_spectral(grid, coeffs)

@@ -18,9 +18,8 @@ at mode j.  With the uniform-grid quadrature
 discrete Parseval holds exactly for both bases, so physical and spectral
 inner products agree to rounding; :func:`inner` and the norms are computed
 from the coefficients, each as one dot product against a weighted symbol.
-Sums of fields are formed from the coefficients whenever both operands hold
-them, so a field that carries both representations never costs a transform
-to be added.
+Sums of fields are always formed from the coefficients, so adding a field
+that already holds them costs no transform.
 
 In the rfft2 layout the self-conjugate columns (ky = 0 and Nyquist) store
 both modes kx and -kx, which for a real field must be complex conjugates.
@@ -48,10 +47,8 @@ __all__ = [
     "Field",
     "GridMismatchError",
     "IndefiniteOperatorError",
-    "laplacian_symbol",
     "apply_symbol",
     "solve_shifted",
-    "apply_shifted",
     "sobolev_norm",
     "quadratic_form",
     "dealias",
@@ -274,21 +271,13 @@ class Field:
 
     def all_finite(self) -> bool:
         arr = self._phys if self._phys is not None else self._spec
-        return bool(np.all(np.isfinite(arr))) if np.isrealobj(arr) else bool(
-            np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag)))
+        return bool(np.isfinite(arr).all())
 
     # -- arithmetic -------------------------------------------------------------
 
-    def _check_grid(self, other: "Field"):
+    def _binary(self, other: "Field", op) -> "Field":
         if self.grid != other.grid:
             raise GridMismatchError(f"fields live on different grids: {self.grid} vs {other.grid}")
-
-    def _binary(self, other: "Field", op) -> "Field":
-        # coefficients first: values only when both hold them and one lacks coefficients
-        self._check_grid(other)
-        if (self._phys is not None and other._phys is not None
-                and (self._spec is None or other._spec is None)):
-            return Field(self.grid, physical=op(self._phys, other._phys))
         return Field(self.grid, spectral=op(self.coeffs, other.coeffs))
 
     def __add__(self, other):
@@ -325,11 +314,6 @@ class Field:
 # -- diagonal operator algebra ----------------------------------------------------
 
 
-def laplacian_symbol(grid: Grid) -> np.ndarray:
-    """Per-mode symbol of the Laplacian: -|k|^2 (Fourier), -k_j^2 (sine)."""
-    return -grid.k2
-
-
 def apply_symbol(symbol, f: Field) -> Field:
     """Apply a diagonal (Fourier/sine multiplier) operator to a field.
 
@@ -350,11 +334,6 @@ def solve_shifted(shift: float, op_symbol, rhs: Field) -> Field:
             f"indefinite operator: min(shift + symbol) = {np.min(denom):g} <= 0"
         )
     return Field(rhs.grid, spectral=rhs.coeffs / denom)
-
-
-def apply_shifted(shift: float, op_symbol, f: Field) -> Field:
-    """Apply (shift + A); the exact inverse of :func:`solve_shifted`."""
-    return Field(f.grid, spectral=(shift + np.asarray(op_symbol)) * f.coeffs)
 
 
 # -- norms and inner products ------------------------------------------------------

@@ -161,8 +161,7 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
 
 
 def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
-               u0: Field | None = None, r_init: float | None = None,
-               mode: StepMode = StepMode.SAV,
+               u0: Field | None = None, mode: StepMode = StepMode.SAV,
                record_sink: Optional[list] = None) -> SavState:
     """Build a state with the k-1 startup levels filled.
 
@@ -178,7 +177,7 @@ def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
         if problem.exact is None:
             raise ValueError("u0 is required for problems without an exact solution")
         u0 = problem.exact.field(0.0)
-    r = problem.energy(u0) if r_init is None else float(r_init)
+    r = problem.energy(u0)
     state = fine = SavState(0, 0.0, (u0,), u0, r)
     if record_sink is not None:
         record_sink.append(_make_record(problem, state))
@@ -327,7 +326,7 @@ def step_count(dt: float, T: float, order: int) -> int:
 
 def run(problem: ProblemDefinition, tab: BdfTableau, dt: float, T: float,
         mode: StepMode = StepMode.SAV, u0: Field | None = None,
-        r_init: float | None = None, raise_on_divergence: bool = True) -> RunReport:
+        raise_on_divergence: bool = True) -> RunReport:
     """Integrate to t = T, recording per-step diagnostics.
 
     T must be an integer multiple of dt covering at least the startup levels.
@@ -340,8 +339,7 @@ def run(problem: ProblemDefinition, tab: BdfTableau, dt: float, T: float,
     report = RunReport(problem=problem.name, order=tab.order, dt=dt, mode=mode, records=records)
     state = None
     try:
-        state = initialize(problem, tab, dt, u0=u0, r_init=r_init, mode=mode,
-                           record_sink=records)
+        state = initialize(problem, tab, dt, u0=u0, mode=mode, record_sink=records)
         while state.step_index < n_steps:
             state = step(state, problem, tab, dt, mode)
             records.append(_make_record(problem, state))

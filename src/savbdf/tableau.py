@@ -94,12 +94,6 @@ class BdfTableau:
         return (float(self.alpha), tuple(float(w) for w in self.a_weights),
                 tuple(float(w) for w in self.b_weights))
 
-    def a_floats(self) -> tuple[float, ...]:
-        return self.floats[1]
-
-    def b_floats(self) -> tuple[float, ...]:
-        return self.floats[2]
-
 
 def tableau(order: int, eta_exponent: int | None = None) -> BdfTableau:
     """Return the order-`order` tableau, optionally overriding the eta exponent."""

@@ -74,7 +74,7 @@ def test_c1_tableau_exactness():
         dt, t1 = 0.073, 0.9
         hist = [q(t1 - (i + 1) * dt) for i in range(k)]
         from savbdf import combine_history
-        deriv = (float(tab.alpha) * q(t1) - combine_history(tab.a_floats(), hist)) / dt
+        deriv = (float(tab.alpha) * q(t1) - combine_history(tab.floats[1], hist)) / dt
         rel = abs(deriv - q.deriv()(t1)) / max(1.0, abs(q.deriv()(t1)))
         worst = max(worst, rel)
 

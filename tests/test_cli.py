@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +80,15 @@ def test_rejects_unknown_problem_and_mode(tmp_path):
         parse_config(write_config(tmp_path, {"experiment": "converge", "problem": "burgers"}))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("T", "abc"), ("out", 5), ("order", True), ("grid", "abc"), ("grid", 16.5), ("dt_list", "a,b"),
+])
+def test_malformed_values_are_config_errors(tmp_path, key, value):
+    experiment = "converge" if key == "dt_list" else "run"
+    with pytest.raises(ConfigError, match=f"key '{key}'"):
+        parse_config(write_config(tmp_path, {"experiment": experiment, key: value}))
+
+
 def test_requires_experiment():
     with pytest.raises(ConfigError, match="experiment"):
         parse_config(None, {})
@@ -101,6 +111,75 @@ def test_grid_string_forms(tmp_path):
 def test_dt_list_string_form():
     cfg = parse_config(None, {"experiment": "converge", "dt_list": "0.1,0.05,0.025"})
     assert cfg.dt_list == (0.1, 0.05, 0.025)
+
+
+def test_eta_exponent_below_order_plus_one_is_rejected():
+    with pytest.raises(ConfigError, match="key 'eta_exponent'"):
+        parse_config(None, {"experiment": "run", "order": 2, "eta_exponent": 2})
+    assert parse_config(None, {"experiment": "run", "order": 2, "eta_exponent": 3}).eta_exponent == 3
+
+
+# (experiment, problem or None for the experiment's default, key, value)
+UNREAD = [
+    ("converge", None, "mode", "imex"),
+    ("converge", None, "dt", 0.1),
+    ("stability", None, "T", 2.0),
+    ("stability", None, "dt_list", "0.1,0.05,0.025"),
+    ("burgers", None, "c_shift", 1000.0),
+    ("burgers", None, "alpha", 9.0),
+    ("run", None, "seed", 4),
+    ("run", None, "dt_ref", 1e-3),
+    ("converge", "allen_cahn", "m0", 0.01),
+    ("run", "cahn_hilliard", "nu", 0.1),
+    ("run", "burgers", "alpha", 9.0),
+    ("burgers", None, "grid", "32x7"),
+    ("run", None, "grid", "16x16x99"),
+]
+
+
+@pytest.mark.parametrize("experiment, problem, key, value", UNREAD,
+                         ids=[f"{e}-{p or 'default'}-{k}" for e, p, k, _ in UNREAD])
+def test_unread_key_is_rejected(tmp_path, capsys, experiment, problem, key, value):
+    settings = {"experiment": experiment, key: value}
+    if problem is not None:
+        settings["problem"] = problem
+    with pytest.raises(ConfigError, match=f"key '{key}'"):
+        parse_config(write_config(tmp_path, settings))
+
+    flag = "--" + key.replace("_", "-")
+    argv = [experiment, flag, str(value)] + (["--problem", problem] if problem else [])
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert f"key '{key}'" in err[0] or flag in err[0]
+    assert not out.exists()
+
+
+HELP_FLAGS = {
+    "converge": "problem order grid T dt-list eta-exponent alpha stabilization c-shift m0 nu",
+    "stability": "problem order grid dt n-steps seed eta-exponent alpha stabilization c-shift m0 nu",
+    "burgers": "order grid nu dt dt-ref T eta-exponent",
+    "run": "problem order grid dt T mode eta-exponent alpha stabilization c-shift m0 nu",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(HELP_FLAGS))
+def test_help_lists_exactly_the_read_flags(capsys, experiment):
+    with pytest.raises(SystemExit) as stop:
+        main([experiment, "--help"])
+    assert stop.value.code == 0
+    listed = set(re.findall(r"--[A-Za-z][\w-]*", capsys.readouterr().out))
+    expected = {"--" + f for f in HELP_FLAGS[experiment].split()} | {"--help", "--config", "--out"}
+    assert listed == expected
+
+
+def test_config_file_keys_reach_the_run(tmp_path):
+    out = tmp_path / "from_file"
+    path = write_config(tmp_path, {"experiment": "run", "order": 1, "grid": 16, "dt": 0.1,
+                                   "T": 0.3, "out": str(out)})
+    assert main(["run", "--config", path, "--T", "0.2"]) == EXIT_OK
+    assert len((out / "trace.csv").read_text().splitlines()) == 1 + 3  # T from the flag
 
 
 def test_missing_config_file_is_usage_error(tmp_path, capsys):
@@ -225,6 +304,11 @@ def test_byte_identical_reruns(tmp_path):
     ["stability", "--grid", "63"],
     ["run", "--order", "5", "--dt", "0.25", "--T", "1"],
     ["converge", "--dt-list", "0.1,0.2,0.05"],
+    ["run", "--order", "x"],
+    ["frob"],
+    ["run", "--eta", "4"],
+    ["converge", "--dt", "0.1"],
+    ["converge", "--mode", "imex"],
 ])
 def test_bad_settings_exit_without_traceback(tmp_path, argv):
     src = str(Path(__file__).resolve().parents[1] / "src")

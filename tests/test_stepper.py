@@ -260,7 +260,7 @@ def test_ch_mass_extrapolation_identity():
     state = initialize(p, tab, 0.1, u0=u0)
     for _ in range(5):
         new = step(state, p, tab, 0.1)
-        expected = combine_history(tab.a_floats(), state.u_history).coeffs[0, 0] / float(tab.alpha)
+        expected = combine_history(tab.floats[1], state.u_history).coeffs[0, 0] / float(tab.alpha)
         got = new.ubar.coeffs[0, 0]
         assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
         state = new

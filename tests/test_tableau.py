@@ -39,8 +39,8 @@ def test_weight_sums(k):
     # rational arithmetic: the sums are exact, not merely within 1e-14
     assert sum(tab.a_weights) == tab.alpha
     assert sum(tab.b_weights) == 1
-    assert abs(sum(tab.a_floats()) - float(tab.alpha)) <= 1e-14
-    assert abs(sum(tab.b_floats()) - 1.0) <= 1e-14
+    assert abs(sum(tab.floats[1]) - float(tab.alpha)) <= 1e-14
+    assert abs(sum(tab.floats[2]) - 1.0) <= 1e-14
 
 
 def test_eta_exponent_defaults_and_override():
@@ -74,7 +74,7 @@ def test_extrapolation_exact_on_low_degree_polynomials(k, degree):
     coeffs = [0.7, -1.3, 0.41, 2.9, -0.11][: degree + 1]
     q = np.polynomial.Polynomial(coeffs)
     samples = [q(t1 - (i + 1) * dt) for i in range(k)]
-    value = combine_history(tableau(k).b_floats(), samples)
+    value = combine_history(tableau(k).floats[2], samples)
     assert abs(value - q(t1)) <= 1e-12 * max(1.0, abs(q(t1)))
 
 
@@ -86,7 +86,7 @@ def test_bdf_derivative_exact_on_degree_k_polynomials(k):
     q = np.polynomial.Polynomial(coeffs)
     tab = tableau(k)
     hist = [q(t1 - (i + 1) * dt) for i in range(k)]
-    deriv = (float(tab.alpha) * q(t1) - combine_history(tab.a_floats(), hist)) / dt
+    deriv = (float(tab.alpha) * q(t1) - combine_history(tab.floats[1], hist)) / dt
     expect = q.deriv()(t1)
     assert abs(deriv - expect) <= 1e-10 * max(1.0, abs(expect))
 
@@ -100,7 +100,7 @@ def test_extrapolation_property(k, coeffs, dt):
     coeffs = coeffs[:k]  # degree <= k-1
     q = np.polynomial.Polynomial(coeffs)
     samples = [q(1.0 - (i + 1) * dt) for i in range(k)]
-    value = combine_history(tableau(k).b_floats(), samples)
+    value = combine_history(tableau(k).floats[2], samples)
     scale = max(1.0, max(abs(s) for s in samples))
     assert abs(value - q(1.0)) <= 1e-10 * scale
 
@@ -121,7 +121,7 @@ def test_combine_history_linear_field_extrapolation():
     shape = Field.from_spectral(grid, np.eye(6)[1])
     dt, t1 = 0.2, 1.0
     hist = [(t1 - dt) * shape, (t1 - 2 * dt) * shape]
-    out = combine_history(tableau(2).b_floats(), hist)
+    out = combine_history(tableau(2).floats[2], hist)
     assert np.allclose(out.values, (t1 * shape).values, atol=1e-12)
 
 
