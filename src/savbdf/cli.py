@@ -193,9 +193,13 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     if cfg.dt_list is None and cfg.experiment == "converge":
         cfg.dt_list = default_dt_ladder(cfg.order)
 
-    if len(cfg.grid) > (1 if cfg.problem == "burgers" else 2):
-        takes = "one entry" if cfg.problem == "burgers" else "one or two entries"
+    fourier = cfg.problem != "burgers"
+    if len(cfg.grid) > (2 if fourier else 1):
+        takes = "one or two entries" if fourier else "one entry"
         raise ConfigError(f"key 'grid': {cfg.problem} takes {takes}, got {cfg.grid!r}")
+    if any(n < 1 or (fourier and n % 2) for n in cfg.grid):
+        needs = "even positive extents (real transforms)" if fourier else "a positive mode count"
+        raise ConfigError(f"key 'grid': {cfg.problem} needs {needs}, got {cfg.grid!r}")
     positive = ("alpha", "m0", "nu", "T", "dt", "dt_ref") + (("c_shift",) if cfg.c_shift is not None else ())
     for key in positive:
         value = getattr(cfg, key)
@@ -203,8 +207,13 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
             raise ConfigError(f"key '{key}': must be positive, got {value!r}")
     if cfg.stabilization < 0:
         raise ConfigError(f"key 'stabilization': must be non-negative, got {cfg.stabilization!r}")
-    if cfg.n_steps < 1:
-        raise ConfigError(f"key 'n_steps': must be at least 1, got {cfg.n_steps!r}")
+    if cfg.n_steps < cfg.order:
+        raise ConfigError(
+            f"key 'n_steps': must cover the order-{cfg.order} startup, at least {cfg.order}; "
+            f"got {cfg.n_steps!r}"
+        )
+    if cfg.seed < 0:
+        raise ConfigError(f"key 'seed': must be non-negative, got {cfg.seed!r}")
     if cfg.eta_exponent is not None and cfg.eta_exponent < cfg.order + 1:
         raise ConfigError(
             f"key 'eta_exponent': must be at least order + 1 = {cfg.order + 1}, the smallest "

@@ -35,12 +35,13 @@ from .spectral import (
     Basis,
     Field,
     Grid,
+    _weighted_sum,
     apply_symbol,
     dealias,
     inner,
     integrate,
     pointwise_map,
-    quadratic_form,
+    quadratic_form,  # noqa: F401 -- unused here; bound for perfbench's call-site hooks
     sine_derivative_values,
 )
 
@@ -59,8 +60,15 @@ __all__ = [
 
 
 def double_well(v: np.ndarray) -> np.ndarray:
-    """F(v) = (v^2 - 1)^2 / 4, the canonical phase-field potential."""
-    return 0.25 * (v * v - 1.0) ** 2
+    """F(v) = (v^2 - 1)^2 / 4, the canonical phase-field potential.
+
+    Computed in one scratch array, with the operations of 0.25 * (v*v - 1)**2.
+    """
+    w = v * v
+    w -= 1.0
+    w *= w
+    w *= 0.25
+    return w
 
 
 def double_well_prime(v: np.ndarray) -> np.ndarray:
@@ -83,10 +91,14 @@ class ProblemDefinition:
     The fields are the data of the general form (module docstring); the
     splitting and the energy law are derived from them here, so the two
     cannot drift apart.  `has_double_well` selects F = `double_well`.
-    Problems compare and hash by identity: the symbols are arrays.  The
-    last dE/du is kept (keyed by the identity of its field, which fields as
-    value types allow), so K and the forcing power along one state share
-    one build.
+    Problems compare and hash by identity: the symbols are arrays, made
+    read-only at construction (so a symbol handed in becomes read-only too),
+    which lets the solve and the weighted symbols below be built once.
+
+    For the last field seen the problem keeps dE/du and (L u, u), keyed by
+    the field's identity, which fields as value types allow.  So K and the
+    forcing power along one ubar share one dE/du, and the energy and the
+    principal norm of one u share one quadratic form.
     """
 
     name: str
@@ -99,17 +111,32 @@ class ProblemDefinition:
     transport: Optional[Callable[[Field], Field]] = None
     forcing: Optional[Callable[[float], Field]] = None
     exact: Optional[ExactSolution] = None
-    _gradient_cache: dict = field(default_factory=dict, init=False, repr=False)
+    # [(u, dE/du or None, (L u, u) or None)] for the last field u seen
+    _field_terms: list = field(default_factory=lambda: [(None, None, None)],
+                               init=False, repr=False)
+
+    def __post_init__(self):
+        _read_only(self.principal_symbol)
+        _read_only(self.mobility_symbol)
 
     @cached_property
     def linear_symbol(self) -> np.ndarray:
         """The implicit operator A = G (L + lam)."""
-        return self.mobility_symbol * (self.principal_symbol + self.stabilization)
+        return _read_only(self.mobility_symbol * (self.principal_symbol + self.stabilization))
+
+    @cached_property
+    def _weighted_principal(self) -> np.ndarray:
+        # L times the conjugate-pair multiplicity: (L u, u) is one dot product
+        return _read_only(self.grid._mult * self.principal_symbol)
+
+    @cached_property
+    def _weighted_mobility(self) -> np.ndarray:
+        return _read_only(self.grid._mult * self.mobility_symbol)
 
     @cached_property
     def _dealiased_mobility(self) -> np.ndarray:
         # G after the dealiasing projection, applied to F'(u) - lam u in one pass
-        return self.mobility_symbol * self.grid.dealias_mask
+        return _read_only(self.mobility_symbol * self.grid.dealias_mask)
 
     @property
     def is_forced(self) -> bool:
@@ -132,39 +159,56 @@ class ProblemDefinition:
         g = self.g_unforced(u)
         return g if self.forcing is None else g - self.forcing(t)
 
+    def _terms(self, u: Field) -> tuple:
+        # the entry holds u, so its id cannot pass to another field while kept
+        terms = self._field_terms[0]
+        return terms if terms[0] is u else (u, None, None)
+
+    def _quadratic(self, u: Field) -> float:
+        """(L u, u), kept with the field."""
+        _, grad, quad = self._terms(u)
+        if quad is None:
+            quad = float(_weighted_sum(u, self._weighted_principal))
+            self._field_terms[0] = (u, grad, quad)
+        return quad
+
     def energy(self, u: Field) -> float:
         """E(u) = 1/2 (L u, u) + integral F(u) + c_shift * |Omega|."""
-        e = 0.5 * quadratic_form(self.principal_symbol, u) + self.c_shift * self.grid.volume
+        e = 0.5 * self._quadratic(u) + self.c_shift * self.grid.volume
         if self.has_double_well:
             e += integrate(pointwise_map(u, double_well))
         return e
 
     def energy_gradient(self, u: Field) -> Field:
         """dE/du = L u + dealias(F'(u)); for Cahn-Hilliard the chemical potential."""
-        hit = self._gradient_cache.get(id(u))
-        if hit is not None:
-            return hit[1]
-        grad = apply_symbol(self.principal_symbol, u)
-        if self.has_double_well:
-            grad = grad + dealias(pointwise_map(u, double_well_prime))
-        # holding u keeps its id from being reused while the entry lives
-        self._gradient_cache.clear()
-        self._gradient_cache[id(u)] = (u, grad)
+        _, grad, quad = self._terms(u)
+        if grad is None:
+            c = self.principal_symbol * u.coeffs
+            if self.has_double_well:
+                well = Field(self.grid, physical=double_well_prime(u.values))
+                c = c + well.coeffs * self.grid.dealias_mask
+            grad = Field(self.grid, spectral=c)
+            self._field_terms[0] = (u, grad, quad)
         return grad
 
     def dissipation(self, u: Field) -> float:
         """K(u) = (G dE/du, dE/du) >= 0, the decay rate of the unforced energy law."""
-        return quadratic_form(self.mobility_symbol, self.energy_gradient(u))
+        return float(_weighted_sum(self.energy_gradient(u), self._weighted_mobility))
 
     def principal_norm_sq(self, u: Field) -> float:
         """(L u, u), the quadratic energy part controlled by the integrator."""
-        return quadratic_form(self.principal_symbol, u)
+        return self._quadratic(u)
 
     def forcing_power(self, u: Field, t: float) -> float:
         """(dE/du, f(t)): rate at which the forcing feeds the energy."""
         if self.forcing is None:
             return 0.0
         return inner(self.energy_gradient(u), self.forcing(t))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _default_shift(grid: Grid, c_shift: float | None) -> float:

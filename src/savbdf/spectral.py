@@ -267,6 +267,9 @@ class Field:
         return self._spec
 
     def mean(self) -> float:
+        """The mean over the domain; on a Fourier grid the (0, 0) coefficient."""
+        if self.grid.basis is Basis.FOURIER2D:
+            return float(self.coeffs[0, 0].real)
         return float(np.sum(self.values) * self.grid.cell_volume / self.grid.volume)
 
     def all_finite(self) -> bool:
@@ -323,16 +326,30 @@ def apply_symbol(symbol, f: Field) -> Field:
     return Field(f.grid, spectral=symbol * f.coeffs)
 
 
+#: (shift, symbol, shift + symbol) of the last positive solve of a read-only symbol
+_last_solve: tuple = (None, None, None)
+
+
 def solve_shifted(shift: float, op_symbol, rhs: Field) -> Field:
     """Solve (shift + A) x = rhs for a diagonal operator A given by its symbol.
 
-    Every mode denominator shift + symbol must be strictly positive.
+    Every mode denominator shift + symbol must be strictly positive.  A time
+    loop solves with one shift and one symbol step after step, so the
+    checked denominator of the last solve is kept when the symbol is a
+    read-only array, which cannot change under it.  The entry holds the
+    symbol, so its identity cannot pass to another array; a hit returns
+    what a fresh solve would, and the one entry bounds what is kept.
     """
-    denom = shift + np.asarray(op_symbol)
-    if np.min(denom) <= 0.0:
-        raise IndefiniteOperatorError(
-            f"indefinite operator: min(shift + symbol) = {np.min(denom):g} <= 0"
-        )
+    global _last_solve
+    last_shift, last_symbol, denom = _last_solve
+    if op_symbol is not last_symbol or shift != last_shift:
+        denom = shift + np.asarray(op_symbol)
+        if np.min(denom) <= 0.0:
+            raise IndefiniteOperatorError(
+                f"indefinite operator: min(shift + symbol) = {np.min(denom):g} <= 0"
+            )
+        if isinstance(op_symbol, np.ndarray) and not op_symbol.flags.writeable:
+            _last_solve = (shift, op_symbol, denom)
     return Field(rhs.grid, spectral=rhs.coeffs / denom)
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -82,13 +82,12 @@ class MonotonicityError(RuntimeError):
         self.step_index = step_index
 
 
-@dataclass(frozen=True)
-class SavState:
+class SavState(NamedTuple):
     """State after step n: corrected history (most recent first), last ubar, r.
 
     `u_history` keeps the newest MAX_ORDER levels whatever the order; a step
     of order k reads only the first k.  At a startup level `ubar` is that
-    level's u.
+    level's u.  Immutable; a tuple, so a step builds it cheaply.
     """
 
     step_index: int
@@ -199,9 +198,11 @@ def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
     return state
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """Per-step diagnostics; error columns are None without an exact solution."""
+class StepRecord(NamedTuple):
+    """Per-step diagnostics; error columns are None without an exact solution.
+
+    Immutable; a tuple, so the record costs little to build.
+    """
 
     step: int
     t: float

@@ -119,7 +119,9 @@ def combine_history(weights, history):
 
     Works on anything supporting scalar multiplication and addition (fields,
     ndarrays, plain floats).  Only the leading ``len(weights)`` history
-    entries are consumed.
+    entries are consumed.  The sum accumulates in place into the first
+    product (a new object), which saves an array per term on an array
+    history.
     """
     if len(weights) == 0:
         raise ValueError("combine_history needs at least one weight")
@@ -129,5 +131,5 @@ def combine_history(weights, history):
         )
     acc = float(weights[0]) * history[0]
     for w, h in zip(weights[1:], history[1:]):
-        acc = acc + float(w) * h
+        acc += float(w) * h
     return acc

@@ -337,6 +337,23 @@ def test_run_horizon_is_checked_before_output_exists(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["stability", "--grid", "63"], "grid"),
+    (["stability", "--seed", "-1"], "seed"),
+    (["run", "--grid", "0"], "grid"),
+    (["stability", "--n-steps", "1", "--order", "3"], "n_steps"),
+    (["burgers", "--grid", "0"], "grid"),
+    (["converge", "--grid", "32x0"], "grid"),
+], ids=lambda v: "_".join(v) if isinstance(v, list) else None)
+def test_bad_grid_seed_or_n_steps_is_rejected_before_output_exists(tmp_path, capsys, argv, key):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert f"key '{key}'" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("error, code", [
     (EnergyPositivityError("E(ubar) = -1.0 <= 0 at step 1"), EXIT_ASSERTION),
     (MonotonicityError(3, 1.0, 2.0), EXIT_ASSERTION),

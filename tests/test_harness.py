@@ -123,6 +123,13 @@ def test_random_smooth_field_reproducible():
     assert not np.array_equal(a.values, c.values)
 
 
+def test_cahn_hilliard_probe_keeps_zero_mean_exactly():
+    # G(0) = 0: no step touches the zero mode of zero-mean data
+    grid = Grid.fourier2d(32)
+    result = stability_probe(cahn_hilliard(grid), 3, 1.0, 20, seed=3)
+    assert result.mean_drift == 0.0
+
+
 def test_random_smooth_field_statistics():
     grid = Grid.fourier2d(64)
     u = random_smooth_field(grid, seed=0)

@@ -57,6 +57,32 @@ def test_problems_compare_and_hash_by_identity(grid):
     assert p.linear_symbol is p.linear_symbol
 
 
+@pytest.mark.parametrize("make", [
+    lambda: allen_cahn(Grid.fourier2d(16)),
+    lambda: cahn_hilliard(Grid.fourier2d(16)),
+    lambda: burgers(Grid.sine1d(16), nu=0.1),
+    scalar_decay,
+])
+def test_problem_symbols_are_read_only(make):
+    p = make()
+    for name in ("principal_symbol", "mobility_symbol", "linear_symbol",
+                 "_weighted_principal", "_weighted_mobility"):
+        with pytest.raises(ValueError):
+            getattr(p, name)[0] = 1.0
+
+
+@pytest.mark.parametrize("maker", [allen_cahn, cahn_hilliard])
+def test_field_terms_match_a_fresh_problem_when_fields_alternate(grid, maker):
+    # the per-field cache keeps one field; alternating two must never
+    # return the other's terms
+    fields = (random_smooth_field(grid, seed=1), random_smooth_field(grid, seed=2))
+    p = maker(grid)
+    for i in range(12):
+        method = ("energy", "dissipation", "principal_norm_sq")[i % 3]
+        w = fields[i % 2]
+        assert getattr(p, method)(w) == getattr(maker(grid), method)(w), (i, method)
+
+
 def test_wrong_basis_rejected(grid):
     with pytest.raises(ValueError):
         allen_cahn(Grid.sine1d(8))

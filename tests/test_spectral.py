@@ -266,6 +266,32 @@ def test_solve_shifted_rejects_indefinite(fgrid):
         solve_shifted(-1e-6, np.zeros_like(fgrid.k2), f)
 
 
+def test_solve_shifted_checks_positivity_after_a_cached_solve(fgrid):
+    # a positive solve is kept for its (shift, read-only symbol); a smaller
+    # shift on the same symbol, or another symbol with the same shift, is
+    # checked afresh
+    f = _random_field(fgrid, 23)
+    sym, other = fgrid.k2 - 1.0, np.full_like(fgrid.k2, -3.0)
+    sym.setflags(write=False)
+    other.setflags(write=False)
+    first = solve_shifted(2.0, sym, f)
+    assert np.array_equal(solve_shifted(2.0, sym, f).coeffs, first.coeffs)
+    with pytest.raises(IndefiniteOperatorError):
+        solve_shifted(0.5, sym, f)
+    solve_shifted(2.0, sym, f)
+    with pytest.raises(IndefiniteOperatorError):
+        solve_shifted(2.0, other, f)
+
+
+def test_solve_shifted_rechecks_a_writeable_symbol(fgrid):
+    f = _random_field(fgrid, 29)
+    sym = np.zeros_like(fgrid.k2)
+    solve_shifted(1.0, sym, f)
+    sym -= 2.0
+    with pytest.raises(IndefiniteOperatorError):
+        solve_shifted(1.0, sym, f)
+
+
 def test_solve_residual_bound(fgrid):
     f = _random_field(fgrid, 19)
     sym = fgrid.k2
@@ -334,6 +360,15 @@ def test_field_arithmetic_and_mean(fgrid):
     assert np.allclose(s.values, 2.0 * f.values - g.values / 4.0)
     assert (-f).values == pytest.approx(-f.values)
     assert f.mean() == pytest.approx(float(np.mean(f.values)), abs=1e-13)
+
+
+def test_mean_is_the_zero_mode_on_fourier_grids(fgrid, sgrid):
+    f = _random_field(fgrid, 41) + Field.from_physical(fgrid, np.full(fgrid.extents, 0.375))
+    assert f.mean() == f.coeffs[0, 0].real
+    assert Field(fgrid, spectral=f.coeffs).mean() == f.mean()
+    # a sine field's mean stays the quadrature: n interior points, n + 1 cells
+    g = _random_field(sgrid, 43)
+    assert g.mean() == pytest.approx(float(np.mean(g.values)) * 33 / 34, abs=1e-13)
 
 
 def test_grid_mismatch_raises():

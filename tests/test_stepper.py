@@ -116,6 +116,56 @@ def test_imex_mode_reports_unit_factors():
     assert new.u_history[0].coeffs[0] == pytest.approx(float(ORACLE["ubar1"]), abs=1e-14)
 
 
+def _rounded(x: Fraction, bits: int = 192) -> Fraction:
+    """x to `bits` significant bits, so the exact recursion's operands stay small."""
+    if x == 0:
+        return x
+    scale = Fraction(2) ** (bits - (abs(x.numerator).bit_length() - x.denominator.bit_length()))
+    return Fraction(round(x * scale)) / scale
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(order=st.integers(min_value=1, max_value=5),
+       log10_dt=st.floats(min_value=-3.0, max_value=1.0))
+def test_scalar_oracle_over_many_steps(order, log10_dt):
+    # ORACLE's derivation carried over 20 steps at any order: on u' + u = 0
+    # (E = u^2/2 + 1, K = u^2, g = 0) a step is
+    #   ubar = (sum_i a_i u^{n-i} / dt) / (alpha/dt + 1),
+    #   r'   = r / (1 + dt K(ubar) / E(ubar)),  xi = r' / E(ubar),
+    #   eta  = 1 - (1 - xi)^p,  u = eta * ubar,
+    # after startup levels that are the exact samples, along which r takes
+    # the same update.  Exact rationals, rounded to 192 bits per step.
+    p, tab = scalar_decay(), tableau(order)
+    dt = 10.0 ** log10_dt
+    state = initialize(p, tab, dt)
+    h = Fraction(dt)
+
+    def energy(u):
+        return u * u / 2 + 1
+
+    def update(r, u):
+        r = _rounded(r / (1 + h * u * u / energy(u)))
+        xi = r / energy(u)
+        return r, xi, 1 - (1 - xi) ** tab.eta_exponent
+
+    # the startup levels are float samples of exp(-t); take them as given
+    history = [Fraction(float(level.coeffs[0])) for level in state.u_history]
+    r = Fraction(3, 2)
+    for u in reversed(history[:-1]):
+        r, _, _ = update(r, u)
+    assert float(r) == pytest.approx(state.r, rel=1e-12)
+
+    for _ in range(20):
+        state = step(state, p, tab, dt)
+        drift = sum(a * u for a, u in zip(tab.a_weights, history))
+        ubar = _rounded(drift / h / (tab.alpha / h + 1))
+        r, xi, eta = update(r, ubar)
+        history = [_rounded(eta * ubar)] + history[: order - 1]
+        for got, want in ((state.r, r), (state.last_xi, xi), (state.last_eta, eta),
+                          (state.u_history[0].coeffs[0], history[0])):
+            assert got == pytest.approx(float(want), rel=1e-12)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_imex_reproduces_classical_bdf_orders(k):
     # with g == 0 the corrected and classical schemes coincide; observed
