@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -26,6 +27,7 @@ import numpy as np
 
 from .harness import (
     burgers_compare,
+    check_dt_ladder,
     convergence_study,
     default_dt_ladder,
     random_smooth_field,
@@ -203,10 +205,12 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     positive = ("alpha", "m0", "nu", "T", "dt", "dt_ref") + (("c_shift",) if cfg.c_shift is not None else ())
     for key in positive:
         value = getattr(cfg, key)
-        if not value > 0:
-            raise ConfigError(f"key '{key}': must be positive, got {value!r}")
-    if cfg.stabilization < 0:
-        raise ConfigError(f"key 'stabilization': must be non-negative, got {cfg.stabilization!r}")
+        if not 0 < value < math.inf:
+            raise ConfigError(f"key '{key}': must be positive and finite, got {value!r}")
+    if not 0 <= cfg.stabilization < math.inf:
+        raise ConfigError(
+            f"key 'stabilization': must be non-negative and finite, got {cfg.stabilization!r}"
+        )
     if cfg.n_steps < cfg.order:
         raise ConfigError(
             f"key 'n_steps': must cover the order-{cfg.order} startup, at least {cfg.order}; "
@@ -219,13 +223,17 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
             f"key 'eta_exponent': must be at least order + 1 = {cfg.order + 1}, the smallest "
             f"exponent that keeps order {cfg.order}; got {cfg.eta_exponent!r}"
         )
-    if cfg.dt_list is not None and any(d <= 0 for d in cfg.dt_list):
-        raise ConfigError("key 'dt_list': all entries must be positive")
-    if cfg.experiment == "run":
-        try:
+    # the step counts the experiment's runs will take, checked before any output exists
+    key = "dt_list" if cfg.experiment == "converge" else "dt"
+    try:
+        if cfg.experiment == "converge":
+            check_dt_ladder(cfg.dt_list, cfg.T, cfg.order)
+        elif cfg.experiment == "run":
             step_count(cfg.dt, cfg.T, cfg.order)
-        except ValueError as exc:
-            raise ConfigError(f"key 'dt': {exc}") from None
+        elif cfg.experiment == "stability":
+            step_count(cfg.dt, cfg.n_steps * cfg.dt, cfg.order)
+    except ValueError as exc:
+        raise ConfigError(f"key '{key}': {exc}") from None
     return cfg
 
 
@@ -327,15 +335,16 @@ def _execute_stability(cfg: RunConfig, out: Path) -> int:
     problem = _build_problem(cfg, forced=False)
     result = stability_probe(problem, cfg.order, cfg.dt, cfg.n_steps,
                              seed=cfg.seed, eta_exponent=cfg.eta_exponent)
-    _write_trace(out / "trace.csv", result.report)
+    report = result.report
+    _write_trace(out / "trace.csv", report)
     _write_text(out / "summary.json", _json_dumps({
         "violations": list(result.violations),
-        "monotone_violations": result.report.monotone_violations,
-        "min_r": result.report.min_r,
-        "min_xi": result.report.min_xi,
-        "sup_principal_norm_sq": result.sup_principal,
-        "sup_principal_norm_sq_first10": result.sup_principal_first10,
-        "mean_drift": result.mean_drift,
+        "monotone_violations": report.monotone_violations,
+        "min_r": report.min_r,
+        "min_xi": report.min_xi,
+        "sup_principal_norm_sq": report.sup_principal,
+        "sup_principal_norm_sq_first10": report.sup_principal_first(10),
+        "mean_drift": report.mean_drift,
     }) + "\n")
     if not result.passed:
         for v in result.violations:

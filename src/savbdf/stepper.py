@@ -250,11 +250,8 @@ class RunReport:
     problem: str
     order: int
     dt: float
-    mode: StepMode
     records: list[StepRecord]
-    diverged: bool = False
-    diverged_step: Optional[int] = None
-    final_state: Optional[SavState] = None
+    final_state: SavState
 
     @property
     def final(self) -> StepRecord:
@@ -313,6 +310,8 @@ class RunReport:
 def step_count(dt: float, T: float, order: int) -> int:
     """Steps of size dt to reach T; T must be a whole number of steps of dt,
     enough to host the order-`order` startup."""
+    if not (math.isfinite(dt) and math.isfinite(T)):
+        raise ValueError(f"dt and T must be finite, got dt = {dt!r}, T = {T!r}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if T <= 0:
@@ -326,28 +325,17 @@ def step_count(dt: float, T: float, order: int) -> int:
 
 
 def run(problem: ProblemDefinition, tab: BdfTableau, dt: float, T: float,
-        mode: StepMode = StepMode.SAV, u0: Field | None = None,
-        raise_on_divergence: bool = True) -> RunReport:
+        mode: StepMode = StepMode.SAV, u0: Field | None = None) -> RunReport:
     """Integrate to t = T, recording per-step diagnostics.
 
     T must be an integer multiple of dt covering at least the startup levels.
-    Divergence raises by default; with raise_on_divergence=False the partial
-    trace is returned with the report flagged (used where instability is the
-    observation itself, not a failure).
+    Returns the report of a finished run; a non-finite value raises
+    DivergenceError, whose step_index is the step it appeared in.
     """
     n_steps = step_count(dt, T, tab.order)
     records: list[StepRecord] = []
-    report = RunReport(problem=problem.name, order=tab.order, dt=dt, mode=mode, records=records)
-    state = None
-    try:
-        state = initialize(problem, tab, dt, u0=u0, mode=mode, record_sink=records)
-        while state.step_index < n_steps:
-            state = step(state, problem, tab, dt, mode)
-            records.append(_make_record(problem, state))
-    except DivergenceError as exc:
-        report.diverged = True
-        report.diverged_step = exc.step_index
-        if raise_on_divergence:
-            raise
-    report.final_state = state
-    return report
+    state = initialize(problem, tab, dt, u0=u0, mode=mode, record_sink=records)
+    while state.step_index < n_steps:
+        state = step(state, problem, tab, dt, mode)
+        records.append(_make_record(problem, state))
+    return RunReport(problem.name, tab.order, dt, records, state)

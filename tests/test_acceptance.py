@@ -208,14 +208,14 @@ def test_c7_supplementary_breakdown_at_sine_threshold():
     # where this discretization actually crosses the baseline's stability
     # threshold: the plain scheme diverges, the corrected one stays bounded
     c = burgers_compare(nu=1.0 / 314.0, n_modes=320, dt=0.0125, dt_ref=1e-4, T=1.0)
-    etas = [eta for _, eta in c.eta_trace]
+    min_eta, max_eta = c.sav_report.min_eta, c.sav_report.max_eta
     ok = (c.imex_diverged or c.overshoot_imex > 1.05) \
         and c.deviation_sav < c.deviation_imex \
         and np.all(np.isfinite(c.u_sav)) \
-        and 0.0 < min(etas) and max(etas) <= 1.0 + 1e-6
+        and 0.0 < min_eta and max_eta <= 1.0 + 1e-6
     detail = (f"dt=0.0125: imex diverged={c.imex_diverged}, "
               f"sav bounded dev={c.deviation_sav:.3g}, eta in "
-              f"[{min(etas):.4f}, {max(etas):.6f}]")
+              f"[{min_eta:.4f}, {max_eta:.6f}]")
     print(f"[criterion 7 supplement] {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok
 
@@ -225,8 +225,9 @@ def test_c7_supplementary_breakdown_at_sine_threshold():
 
 def test_c8_cahn_hilliard_mass_conservation(fourier_grid):
     result = stability_probe(cahn_hilliard(fourier_grid), 3, 0.1, 500, seed=0)
-    ok = result.passed and result.mean_drift <= MEAN_DRIFT_TOL
-    assert _verdict(8, ok, f"mean drift {result.mean_drift:.2e} over 500 steps")
+    drift = result.report.mean_drift
+    ok = result.passed and drift <= MEAN_DRIFT_TOL
+    assert _verdict(8, ok, f"mean drift {drift:.2e} over 500 steps")
 
 
 # -- criterion 9: determinism ----------------------------------------------------------------

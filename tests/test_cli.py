@@ -344,6 +344,13 @@ def test_run_horizon_is_checked_before_output_exists(tmp_path):
     (["stability", "--n-steps", "1", "--order", "3"], "n_steps"),
     (["burgers", "--grid", "0"], "grid"),
     (["converge", "--grid", "32x0"], "grid"),
+    (["converge", "--dt-list", "0.1,0.2,0.05"], "dt_list"),
+    (["converge", "--dt-list", "0.3,0.2,0.1"], "dt_list"),
+    (["converge", "--dt-list", "0.1,0.05"], "dt_list"),
+    (["run", "--T", "inf"], "T"),
+    (["converge", "--T", "inf"], "T"),
+    (["stability", "--dt", "1e307"], "dt"),
+    (["stability", "--dt", "inf"], "dt"),
 ], ids=lambda v: "_".join(v) if isinstance(v, list) else None)
 def test_bad_grid_seed_or_n_steps_is_rejected_before_output_exists(tmp_path, capsys, argv, key):
     out = tmp_path / "o"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from savbdf import (
+    DivergenceError,
     Grid,
     allen_cahn,
     burgers_compare,
@@ -16,6 +17,7 @@ from savbdf import (
     stability_probe,
     with_manufactured_forcing,
 )
+from savbdf import harness
 
 
 # -- fit_rate ----------------------------------------------------------------------
@@ -67,6 +69,27 @@ def test_convergence_study_scalar_second_order():
     assert all(not e.diverged for e in rep.entries)
     errs = [e.err_l2 for e in rep.entries]
     assert errs == sorted(errs, reverse=True)
+
+
+def test_convergence_study_flags_a_diverged_rung(monkeypatch):
+    # a rung whose run raises is flagged, and the slopes come from the others
+    ladder = (0.1, 0.05, 0.025, 0.0125)
+    real_run = harness.run
+
+    def run_diverging_at(problem, tab, dt, T, **kwargs):
+        if dt == 0.05:
+            raise DivergenceError(7)
+        return real_run(problem, tab, dt, T, **kwargs)
+
+    full = convergence_study(scalar_decay(), 2, ladder, T=1.0)
+    monkeypatch.setattr(harness, "run", run_diverging_at)
+    rep = convergence_study(scalar_decay(), 2, ladder, T=1.0)
+    assert [e.diverged for e in rep.entries] == [False, True, False, False]
+    flagged = rep.entries[1]
+    assert (flagged.err_l2, flagged.err_h1, flagged.err_h2) == (None, None, None)
+    kept = [e for e in full.entries if e.dt != 0.05]
+    assert [e for e in rep.entries if not e.diverged] == kept
+    assert rep.slopes["l2"] == fit_rate([(e.dt, e.err_l2) for e in kept])
 
 
 @pytest.mark.parametrize("maker", [allen_cahn, cahn_hilliard])
@@ -127,7 +150,7 @@ def test_cahn_hilliard_probe_keeps_zero_mean_exactly():
     # G(0) = 0: no step touches the zero mode of zero-mean data
     grid = Grid.fourier2d(32)
     result = stability_probe(cahn_hilliard(grid), 3, 1.0, 20, seed=3)
-    assert result.mean_drift == 0.0
+    assert result.report.mean_drift == 0.0
 
 
 def test_random_smooth_field_statistics():
@@ -156,7 +179,7 @@ def test_stability_probe_allen_cahn():
     result = stability_probe(allen_cahn(grid), 2, 0.5, 50, seed=3)
     assert result.passed, result.violations
     assert result.report.monotone_violations == 0
-    assert result.sup_principal <= 10.0 * result.sup_principal_first10
+    assert result.report.sup_principal <= 10.0 * result.report.sup_principal_first(10)
 
 
 def test_stability_probe_zero_data_is_constant():
@@ -180,7 +203,7 @@ def test_stability_probe_ch_mean_conserved():
     grid = Grid.fourier2d(32)
     result = stability_probe(cahn_hilliard(grid), 3, 0.1, 100, seed=4)
     assert result.passed, result.violations
-    assert result.mean_drift <= 1e-10
+    assert result.report.mean_drift <= 1e-10
 
 
 # -- Burgers comparison ----------------------------------------------------------------
@@ -193,9 +216,8 @@ def test_burgers_compare_self_comparison():
     assert c.overshoot_sav == pytest.approx(1.0, abs=1e-12)
     assert not c.imex_diverged
     assert c.deviation_imex < 0.05
-    etas = [eta for _, eta in c.eta_trace]
-    assert min(etas) > 0.0
-    assert max(etas) <= 1.0 + 1e-6
+    assert c.sav_report.min_eta > 0.0
+    assert c.sav_report.max_eta <= 1.0 + 1e-6
 
 
 def test_burgers_compare_nonuniform_horizon():

@@ -1,0 +1,47 @@
+"""The benchmark tracer's hooks name functions the package still has.
+
+`perfbench/tracing.py` wraps public names at the sites that call them; a name
+that a refactor drops is only reported as a warning in a traced benchmark
+run.  This test makes it a failure here.  It only reads `perfbench/`.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules while being built
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_every_call_site_hook_resolves(tracing):
+    missing = []
+    for module_name, class_name, attr, _span in tracing.CALL_SITE_HOOKS:
+        owner = importlib.import_module(module_name)
+        if class_name is not None:
+            owner = getattr(owner, class_name, None)
+            found = owner is not None and attr in vars(owner)
+        else:
+            found = hasattr(owner, attr)
+        if not found:
+            missing.append(".".join(p for p in (module_name, class_name, attr) if p))
+    assert not missing, f"hooked names the package no longer has: {missing}"
+
+
+def test_exact_solution_hook_resolves(tracing):
+    module_name, attr = tracing.EXACT_HOOK
+    assert hasattr(importlib.import_module(module_name), attr)

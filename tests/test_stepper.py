@@ -28,7 +28,7 @@ from savbdf import (
     with_manufactured_forcing,
 )
 from savbdf.harness import random_smooth_field
-from savbdf.stepper import _make_record
+from savbdf.stepper import _make_record, step_count
 
 
 # Frozen oracle, derived independently with exact rational arithmetic for
@@ -234,13 +234,16 @@ def test_divergence_raises_with_step_index():
     p = burgers(Grid.sine1d(320), nu=1.0 / 314.0)
     (x,) = p.grid.points
     u0 = Field.from_physical(p.grid, -np.sin(np.pi * x))
-    with pytest.raises(DivergenceError, match="divergence detected at step"):
+    with pytest.raises(DivergenceError, match="divergence detected at step") as exc:
         run(p, tableau(2), 0.02, 1.0, mode=StepMode.IMEX, u0=u0)
-    rep = run(p, tableau(2), 0.02, 1.0, mode=StepMode.IMEX, u0=u0,
-              raise_on_divergence=False)
-    assert rep.diverged
-    assert rep.diverged_step is not None
-    assert len(rep.records) >= 1
+    assert type(exc.value.step_index) is int
+    assert exc.value.step_index > 0
+
+
+@pytest.mark.parametrize("dt, T", [(math.inf, 1.0), (math.nan, 1.0), (0.1, math.inf), (0.1, math.nan)])
+def test_step_count_rejects_non_finite_values(dt, T):
+    with pytest.raises(ValueError, match="must be finite"):
+        step_count(dt, T, 1)
 
 
 # -- initialization -------------------------------------------------------------------
