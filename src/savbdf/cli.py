@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -27,16 +28,16 @@ import numpy as np
 
 from .harness import (
     burgers_compare,
+    burgers_horizon,
     check_dt_ladder,
     convergence_study,
     default_dt_ladder,
-    random_smooth_field,
     stability_probe,
 )
 from .problems import allen_cahn, burgers, cahn_hilliard, with_manufactured_forcing
 from .spectral import Field, Grid
-from .stepper import (DivergenceError, EnergyPositivityError, MonotonicityError,
-                      RunReport, StepMode, run, step_count)
+from .stepper import (MAX_STEPS, DivergenceError, EnergyPositivityError, MonotonicityError,
+                      StepMode, run, step_count)
 from .tableau import MAX_ORDER, tableau
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "execute", "main", "console_main"]
@@ -74,7 +75,10 @@ _FLAGS = {
                     {"type": float}),
 }
 
-TRACE_HEADER = "step,t,r,xi,eta,energy,principal_norm_sq,err_l2,err_h1,err_h2"
+TRACE_COLUMNS = ("step", "t", "r", "xi", "eta", "energy", "principal_norm_sq",
+                 "err_l2", "err_h1", "err_h2")
+TRACE_HEADER = ",".join(TRACE_COLUMNS)
+_trace_row = attrgetter(*TRACE_COLUMNS)
 
 
 class ConfigError(ValueError):
@@ -202,6 +206,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     if any(n < 1 or (fourier and n % 2) for n in cfg.grid):
         needs = "even positive extents (real transforms)" if fourier else "a positive mode count"
         raise ConfigError(f"key 'grid': {cfg.problem} needs {needs}, got {cfg.grid!r}")
+    if cfg.experiment == "burgers" and cfg.grid[0] < 2:
+        raise ConfigError(f"key 'grid': the burgers comparison needs at least 2 modes, got {cfg.grid!r}")
     positive = ("alpha", "m0", "nu", "T", "dt", "dt_ref") + (("c_shift",) if cfg.c_shift is not None else ())
     for key in positive:
         value = getattr(cfg, key)
@@ -211,10 +217,10 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
         raise ConfigError(
             f"key 'stabilization': must be non-negative and finite, got {cfg.stabilization!r}"
         )
-    if cfg.n_steps < cfg.order:
+    if not cfg.order <= cfg.n_steps <= MAX_STEPS:
         raise ConfigError(
-            f"key 'n_steps': must cover the order-{cfg.order} startup, at least {cfg.order}; "
-            f"got {cfg.n_steps!r}"
+            f"key 'n_steps': must cover the order-{cfg.order} startup and stay within the step "
+            f"cap, {cfg.order}..{MAX_STEPS}; got {cfg.n_steps!r}"
         )
     if cfg.seed < 0:
         raise ConfigError(f"key 'seed': must be non-negative, got {cfg.seed!r}")
@@ -232,6 +238,10 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
             step_count(cfg.dt, cfg.T, cfg.order)
         elif cfg.experiment == "stability":
             step_count(cfg.dt, cfg.n_steps * cfg.dt, cfg.order)
+        else:
+            burgers_horizon(cfg.dt, cfg.dt, cfg.T, cfg.order)  # the compared runs alone
+            key = "dt_ref"
+            burgers_horizon(cfg.dt, cfg.dt_ref, cfg.T, cfg.order)
     except ValueError as exc:
         raise ConfigError(f"key '{key}': {exc}") from None
     return cfg
@@ -263,48 +273,22 @@ def _fmt(value) -> str:
     return f"{value:.17g}"
 
 
-def _json_dumps(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  "{k}": {_json_dumps(v, indent + 1)}' for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_dumps(v, indent) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, float):
-        return _fmt(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    return json.dumps(obj)
-
-
 def _write_text(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
-def _write_trace(path: Path, report: RunReport):
-    lines = [TRACE_HEADER]
-    for rec in report.records:
-        lines.append(",".join([
-            str(rec.step), _fmt(rec.t), _fmt(rec.r), _fmt(rec.xi), _fmt(rec.eta),
-            _fmt(rec.energy), _fmt(rec.principal_norm_sq),
-            _fmt(rec.err_l2), _fmt(rec.err_h1), _fmt(rec.err_h2),
-        ]))
-    _write_text(path, "\n".join(lines) + "\n")
+def _write_summary(out: Path, summary: dict):
+    """summary.json: one key per line of a flat object of scalars and lists of strings."""
+    items = ",\n".join(f'  "{k}": {_fmt(v) if isinstance(v, float) else json.dumps(v)}'
+                        for k, v in summary.items())
+    _write_text(out / "summary.json", "{\n" + items + "\n}\n")
 
 
-def _write_snapshot(path: Path, x: np.ndarray, u: np.ndarray):
-    lines = ["x,u"]
-    lines.extend(f"{_fmt(float(xi))},{_fmt(float(ui))}" for xi, ui in zip(x, u))
+def _write_csv(path: Path, header, rows):
+    """A line of column names, then one line of formatted values per row."""
+    lines = [",".join(header)]
+    lines += [",".join([_fmt(v) for v in row]) for row in rows]
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -315,15 +299,9 @@ def _execute_converge(cfg: RunConfig, out: Path) -> int:
     problem = _build_problem(cfg, forced=True)
     report = convergence_study(problem, cfg.order, cfg.dt_list, cfg.T,
                                eta_exponent=cfg.eta_exponent)
-    lines = ["dt,err_l2,err_h1,err_h2"]
-    for e in report.entries:
-        lines.append(f"{_fmt(e.dt)},{_fmt(e.err_l2)},{_fmt(e.err_h1)},{_fmt(e.err_h2)}")
-    _write_text(out / "convergence.csv", "\n".join(lines) + "\n")
-    _write_text(out / "summary.json", _json_dumps({
-        "slope_l2": report.slopes["l2"],
-        "slope_h1": report.slopes["h1"],
-        "slope_h2": report.slopes["h2"],
-    }) + "\n")
+    columns = ("dt", "err_l2", "err_h1", "err_h2")
+    _write_csv(out / "convergence.csv", columns, map(attrgetter(*columns), report.entries))
+    _write_summary(out, {f"slope_{norm}": slope for norm, slope in report.slopes.items()})
     fitted = [s for s in report.slopes.values() if s is not None]
     if len(fitted) < 3:
         print("converge: too few finite error points to fit all slopes", file=sys.stderr)
@@ -336,8 +314,8 @@ def _execute_stability(cfg: RunConfig, out: Path) -> int:
     result = stability_probe(problem, cfg.order, cfg.dt, cfg.n_steps,
                              seed=cfg.seed, eta_exponent=cfg.eta_exponent)
     report = result.report
-    _write_trace(out / "trace.csv", report)
-    _write_text(out / "summary.json", _json_dumps({
+    _write_csv(out / "trace.csv", TRACE_COLUMNS, map(_trace_row, report.records))
+    _write_summary(out, {
         "violations": list(result.violations),
         "monotone_violations": report.monotone_violations,
         "min_r": report.min_r,
@@ -345,7 +323,7 @@ def _execute_stability(cfg: RunConfig, out: Path) -> int:
         "sup_principal_norm_sq": report.sup_principal,
         "sup_principal_norm_sq_first10": report.sup_principal_first(10),
         "mean_drift": report.mean_drift,
-    }) + "\n")
+    })
     if not result.passed:
         for v in result.violations:
             print(f"stability violation: {v}", file=sys.stderr)
@@ -357,12 +335,11 @@ def _execute_burgers(cfg: RunConfig, out: Path) -> int:
     comparison = burgers_compare(nu=cfg.nu, n_modes=cfg.grid[0], dt=cfg.dt,
                                  dt_ref=cfg.dt_ref, T=cfg.T, order=cfg.order,
                                  eta_exponent=cfg.eta_exponent)
-    _write_snapshot(out / "snapshot_ref.csv", comparison.x, comparison.u_ref)
-    _write_snapshot(out / "snapshot_sav.csv", comparison.x, comparison.u_sav)
-    if comparison.u_imex is not None:
-        _write_snapshot(out / "snapshot_imex.csv", comparison.x, comparison.u_imex)
-    _write_trace(out / "trace.csv", comparison.sav_report)
-    _write_text(out / "summary.json", _json_dumps({
+    for name, u in (("ref", comparison.u_ref), ("sav", comparison.u_sav), ("imex", comparison.u_imex)):
+        if u is not None:
+            _write_csv(out / f"snapshot_{name}.csv", ("x", "u"), zip(comparison.x, u))
+    _write_csv(out / "trace.csv", TRACE_COLUMNS, map(_trace_row, comparison.sav_report.records))
+    _write_summary(out, {
         "deviation_sav": comparison.deviation_sav,
         "deviation_imex": None if comparison.imex_diverged else comparison.deviation_imex,
         "overshoot_sav": comparison.overshoot_sav,
@@ -370,7 +347,7 @@ def _execute_burgers(cfg: RunConfig, out: Path) -> int:
         "imex_diverged": comparison.imex_diverged,
         "min_eta_sav": comparison.sav_report.min_eta,
         "max_eta_sav": comparison.sav_report.max_eta,
-    }) + "\n")
+    })
     return EXIT_OK
 
 
@@ -386,7 +363,7 @@ def _execute_run(cfg: RunConfig, out: Path) -> int:
         u0 = None
     tab = tableau(cfg.order, cfg.eta_exponent)
     report = run(problem, tab, cfg.dt, cfg.T, mode=StepMode(cfg.mode), u0=u0)
-    _write_trace(out / "trace.csv", report)
+    _write_csv(out / "trace.csv", TRACE_COLUMNS, map(_trace_row, report.records))
     summary = {
         "problem": report.problem,
         "order": report.order,
@@ -400,7 +377,7 @@ def _execute_run(cfg: RunConfig, out: Path) -> int:
     }
     if report.final_errors is not None:
         summary["final_err_l2"], summary["final_err_h1"], summary["final_err_h2"] = report.final_errors
-    _write_text(out / "summary.json", _json_dumps(summary) + "\n")
+    _write_summary(out, summary)
     return EXIT_OK
 
 

@@ -11,7 +11,8 @@ baseline on an under-resolved shock layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "fit_rate",
     "default_dt_ladder",
     "check_dt_ladder",
+    "burgers_horizon",
     "convergence_study",
     "stability_probe",
     "burgers_compare",
@@ -101,7 +103,7 @@ class ConvergenceReport:
     order: int
     T: float
     entries: list[ConvergenceEntry]
-    slopes: dict[str, Optional[float]] = field(default_factory=dict)
+    slopes: dict[str, Optional[float]]
 
 
 def _fit_norm(entries: list[ConvergenceEntry], attr: str) -> Optional[float]:
@@ -133,14 +135,8 @@ def convergence_study(problem: ProblemDefinition, order: int, dt_list=None,
         return ConvergenceEntry(dt, *err)
 
     entries = [one_case(dt) for dt in dts]
-
-    report = ConvergenceReport(problem=problem.name, order=order, T=T, entries=entries)
-    report.slopes = {
-        "l2": _fit_norm(entries, "err_l2"),
-        "h1": _fit_norm(entries, "err_h1"),
-        "h2": _fit_norm(entries, "err_h2"),
-    }
-    return report
+    slopes = {norm: _fit_norm(entries, f"err_{norm}") for norm in ("l2", "h1", "h2")}
+    return ConvergenceReport(problem.name, order, T, entries, slopes)
 
 
 def random_smooth_field(grid: Grid, seed: int = 0) -> Field:
@@ -235,26 +231,44 @@ class BurgersComparison:
     sav_report: RunReport
 
 
+def burgers_horizon(dt: float, dt_ref: float, T: float, order: int) -> tuple[float, float]:
+    """The Burgers comparison's end time and its reference's step size.
+
+    dt need not divide T (the benchmark step does not): the compared runs
+    end at the step boundary nearest T, at least `order` steps in, and the
+    reference takes the step nearest dt_ref, no coarser than dt, that lands
+    on the same endpoint.  Both step counts go through `step_count`, so a
+    run past MAX_STEPS raises ValueError before any run starts.
+    """
+    # an infinite ratio cannot be rounded: clamped, it fails the cap instead
+    n_cmp = max(round(min(T / dt, sys.float_info.max)), order)
+    t_end = n_cmp * dt
+    step_count(dt, t_end, order)
+    n_ref = max(round(min(t_end / dt_ref, sys.float_info.max)), n_cmp)
+    dt_ref_eff = t_end / n_ref
+    step_count(dt_ref_eff, t_end, order)
+    return t_end, dt_ref_eff
+
+
 def burgers_compare(nu: float = 1.0 / 314.0, n_modes: int = 320, dt: float = 8.5e-3,
                     dt_ref: float = 1e-4, T: float = 1.0, order: int = 2,
                     eta_exponent: int | None = None) -> BurgersComparison:
     """Shock-layer comparison from u(x, 0) = -sin(pi x) on (-1, 1).
 
-    The reference is the corrected scheme at dt_ref.  Divergence of the
-    baseline is an admissible outcome and is recorded, not raised.
+    The reference is the corrected scheme at dt_ref (see `burgers_horizon`).
+    Divergence of the baseline is an admissible outcome and is recorded, not
+    raised.  The overshoots are relative to the reference's peak, which needs
+    at least 2 modes: the one interior point of a 1-mode grid is x = 0, where
+    the data and the reference are 0.
     """
+    if n_modes < 2:
+        raise ValueError(f"the comparison needs at least 2 modes, got {n_modes}")
+    t_end, dt_ref_eff = burgers_horizon(dt, dt_ref, T, order)
     grid = Grid.sine1d(n_modes)
     problem = burgers(grid, nu)
     (x,) = grid.points
     u0 = Field.from_physical(grid, -np.sin(np.pi * x))
     tab = tableau(order, eta_exponent)
-
-    # dt need not divide T (the benchmark step does not); integrate to the
-    # step boundary nearest T and give the reference the exact same endpoint
-    n_cmp = max(round(T / dt), order)
-    t_end = n_cmp * dt
-    n_ref = max(round(t_end / dt_ref), n_cmp)
-    dt_ref_eff = t_end / n_ref
 
     ref = run(problem, tab, dt_ref_eff, t_end, mode=StepMode.SAV, u0=u0)
     sav = run(problem, tab, dt, t_end, mode=StepMode.SAV, u0=u0)

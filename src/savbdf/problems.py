@@ -241,7 +241,7 @@ def _phase_field(name: str, grid: Grid, alpha: float, stabilization: float,
 
 def allen_cahn(grid: Grid, alpha: float = 1e-4, stabilization: float = 0.0,
                c_shift: float | None = None) -> ProblemDefinition:
-    """Allen-Cahn:  u_t - alpha*Lap(u) + F'(u) = 0  on a periodic rectangle.
+    """Allen-Cahn:  u_t - alpha*Lap(u) + F'(u) = 0  on the periodic square.
 
     L = -alpha*Lap, G = 1; K(u) = ||mu||^2 with mu = -alpha*Lap(u) + F'(u).
     """
@@ -250,7 +250,7 @@ def allen_cahn(grid: Grid, alpha: float = 1e-4, stabilization: float = 0.0,
 
 def cahn_hilliard(grid: Grid, alpha: float = 0.04, mobility: float = 0.005,
                   stabilization: float = 0.0, c_shift: float | None = None) -> ProblemDefinition:
-    """Cahn-Hilliard:  u_t = -m0*Lap(alpha*Lap(u) - F'(u))  on a periodic rectangle.
+    """Cahn-Hilliard:  u_t = -m0*Lap(alpha*Lap(u) - F'(u))  on the periodic square.
 
     L = -alpha*Lap, G = -m0*Lap; K(u) = m0*||grad mu||^2 with the chemical
     potential mu = -alpha*Lap(u) + F'(u).  G annihilates constants, so the
@@ -284,12 +284,12 @@ def burgers(grid: Grid, nu: float, c_shift: float | None = None) -> ProblemDefin
     )
 
 
-def scalar_decay(rate: float = 1.0, amplitude: float = 1.0) -> ProblemDefinition:
+def scalar_decay(rate: float = 1.0) -> ProblemDefinition:
     """The one-unknown system u' + rate*u = 0 with E = u^2/2 + 1, K = rate*u^2.
 
     L = 1 and G = rate on a single-mode sine grid whose basis function has
     unit L2 norm, so the field is its coefficient.  Carries the exact
-    solution amplitude * exp(-rate*t), which makes it the reference oracle
+    solution exp(-rate*t), which makes it the reference oracle
     for integrator order checks.
     """
     if rate < 0:
@@ -297,10 +297,10 @@ def scalar_decay(rate: float = 1.0, amplitude: float = 1.0) -> ProblemDefinition
     grid = Grid.sine1d(1)
 
     def sample(t: float) -> Field:
-        return Field.from_spectral(grid, np.array([amplitude * math.exp(-rate * t)]))
+        return Field.from_spectral(grid, np.array([math.exp(-rate * t)]))
 
     def sample_dt(t: float) -> Field:
-        return Field.from_spectral(grid, np.array([-rate * amplitude * math.exp(-rate * t)]))
+        return Field.from_spectral(grid, np.array([-rate * math.exp(-rate * t)]))
 
     return ProblemDefinition(
         name="scalar_decay",
@@ -315,7 +315,7 @@ def scalar_decay(rate: float = 1.0, amplitude: float = 1.0) -> ProblemDefinition
 def exp_sine_product_solution(grid: Grid) -> ExactSolution:
     """The separable analytic family  exp(sin(pi x) sin(pi y)) * sin(t).
 
-    Periodic on the default (0,2)^2 rectangle; zero at t = 0.  The profile's
+    Periodic on the (0, 2)^2 square; zero at t = 0.  The profile's
     coefficients are computed once, so every sample carries both its values
     and its coefficients and costs no transform.
     """
@@ -334,23 +334,18 @@ def exp_sine_product_solution(grid: Grid) -> ExactSolution:
     return ExactSolution(field=field, time_derivative=time_derivative)
 
 
-def with_manufactured_forcing(problem: ProblemDefinition,
-                              exact: ExactSolution | None = None) -> ProblemDefinition:
-    """Attach an exact solution and the forcing that makes it solve the system.
+def with_manufactured_forcing(problem: ProblemDefinition) -> ProblemDefinition:
+    """Attach `exp_sine_product_solution` and the forcing that makes it solve the system.
 
     The forcing is assembled on the grid through the same discrete operators
     as the scheme, f(t) = u_t(t) + A u(t) + g(u(t)), so the sampled exact
-    trajectory satisfies the semidiscrete equation to rounding.  With exact
-    samples that carry their coefficients (as `exp_sine_product_solution`'s
-    do) the sum is formed in coefficient space, and a rebuild costs the one
-    forward transform of g.
+    trajectory satisfies the semidiscrete equation to rounding.  The exact
+    samples carry their coefficients, so the sum is formed in coefficient
+    space, and a rebuild costs the one forward transform of g.  Raises
+    ValueError on a grid other than FOURIER2D, where the solution family
+    does not live.
     """
-    if exact is None:
-        if problem.grid.basis is Basis.FOURIER2D:
-            exact = exp_sine_product_solution(problem.grid)
-        else:
-            raise ValueError("no default exact solution for this grid; pass one explicitly")
-
+    exact = exp_sine_product_solution(problem.grid)
     cache: dict[float, Field] = {}
 
     def forcing(t: float) -> Field:

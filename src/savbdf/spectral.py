@@ -2,15 +2,16 @@
 
 Two bases are supported:
 
-* ``FOURIER2D`` -- doubly periodic rectangle, real-to-complex FFT storage
-  (``scipy.fft.rfft2`` layout).  Wavenumbers k = 2*pi*n/L per direction.
-* ``SINE1D`` -- Dirichlet interval, DST-I basis phi_j(x) = sin(j*pi*(x-a)/L)
-  sampled at the N interior points of a uniform grid with spacing
-  h = L/(N+1).  Wavenumbers k_j = j*pi/L.
+* ``FOURIER2D`` -- the doubly periodic square (0, 2)^2, real-to-complex FFT
+  storage (``scipy.fft.rfft2`` layout).  Wavenumbers k = pi*n per direction.
+* ``SINE1D`` -- the Dirichlet interval (-1, 1), DST-I basis
+  phi_j(x) = sin(j*pi*(x+1)/2) sampled at the N interior points of a uniform
+  grid with spacing h = 2/(N+1).  Wavenumbers k_j = j*pi/2.
 
+The domain is fixed by the basis; a grid is its basis plus its extents.
 Spectral coefficients are stored normalized so that a coefficient is the
 amplitude of its basis function: a constant field has Fourier coefficient
-(0,0) equal to that constant, and sin(j*pi*(x-a)/L) has sine coefficient 1
+(0,0) equal to that constant, and sin(j*pi*(x+1)/2) has sine coefficient 1
 at mode j.  With the uniform-grid quadrature
 
     (f, g) = cell_volume * sum_i f_i * g_i
@@ -73,28 +74,24 @@ class Basis(enum.Enum):
 
 
 class Grid:
-    """Immutable description of a discretization: basis, extents, domain.
+    """Immutable description of a discretization: a basis and its extents.
 
-    Use the :meth:`fourier2d` / :meth:`sine1d` constructors.  All derived
-    arrays (wavenumbers, multiplicities, dealias mask) are computed once
-    here and must be treated as read-only.
+    The domain is fixed by the basis: the square (0, 2)^2 for FOURIER2D, the
+    interval (-1, 1) for SINE1D.  Use the :meth:`fourier2d` / :meth:`sine1d`
+    constructors.  All derived arrays (points, wavenumbers, multiplicities,
+    dealias mask) are computed once here and must be treated as read-only.
     """
 
     __slots__ = (
-        "basis", "extents", "domain", "cell_volume", "volume",
-        "k2", "dealias_mask", "_mult", "_norm_factor", "_points", "_sobolev_weights",
+        "basis", "extents", "points", "spectral_shape", "cell_volume", "volume",
+        "k2", "dealias_mask", "_mult", "_norm_factor", "_sobolev_weights",
     )
 
-    def __init__(self, basis: Basis, extents: tuple[int, ...], domain: tuple[tuple[float, float], ...]):
-        if len(extents) != len(domain):
-            raise ValueError("extents and domain must have the same dimensionality")
+    def __init__(self, basis: Basis, extents: tuple[int, ...]):
         if any(n <= 0 for n in extents):
             raise ValueError(f"extents must be positive, got {extents}")
         self.basis = basis
         self.extents = tuple(int(n) for n in extents)
-        self.domain = tuple((float(a), float(b)) for a, b in domain)
-        if any(b <= a for a, b in self.domain):
-            raise ValueError(f"degenerate domain {self.domain}")
 
         if basis is Basis.FOURIER2D:
             if len(extents) != 2:
@@ -102,14 +99,14 @@ class Grid:
             if any(n % 2 for n in self.extents):
                 raise ValueError("FOURIER2D extents must be even for real transforms")
             nx, ny = self.extents
-            (x0, x1), (y0, y1) = self.domain
-            lx, ly = x1 - x0, y1 - y0
+            lx = ly = 2.0
             hx, hy = lx / nx, ly / ny
             kx = 2.0 * np.pi * _fft.fftfreq(nx, d=hx)
             ky = 2.0 * np.pi * _fft.rfftfreq(ny, d=hy)
             self.k2 = kx[:, None] ** 2 + ky[None, :] ** 2
+            self.spectral_shape = (nx, ny // 2 + 1)
             # conjugate-pair multiplicity of the rfft2 layout
-            mult = np.ones((nx, ny // 2 + 1))
+            mult = np.ones(self.spectral_shape)
             mult[:, 1:-1] = 2.0
             self._mult = mult
             ix = np.abs(np.rint(_fft.fftfreq(nx) * nx)).astype(int)
@@ -119,54 +116,39 @@ class Grid:
             self.dealias_mask = (ix[:, None] <= cut_x) & (iy[None, :] <= cut_y)
             self.cell_volume = hx * hy
             self.volume = lx * ly
-            x = x0 + hx * np.arange(nx)
-            y = y0 + hy * np.arange(ny)
-            self._points = np.meshgrid(x, y, indexing="ij")
+            self.points = np.meshgrid(hx * np.arange(nx), hy * np.arange(ny), indexing="ij")
             self._norm_factor = self.volume
         elif basis is Basis.SINE1D:
             if len(extents) != 1:
                 raise ValueError("SINE1D grids are one-dimensional")
             (n,) = self.extents
-            ((a, b),) = self.domain
-            length = b - a
+            a, length = -1.0, 2.0
             h = length / (n + 1)
             j = np.arange(1, n + 1)
             kj = j * np.pi / length
             self.k2 = kj ** 2
+            self.spectral_shape = self.extents
             self._mult = np.ones(n)
             cut = 2.0 * n / 3.0
             self.dealias_mask = j <= cut
             self.cell_volume = h
             self.volume = length
-            self._points = (a + h * np.arange(1, n + 1),)
-            # L2 norm of each basis function: integral of sin^2 over (a, b)
+            self.points = (a + h * np.arange(1, n + 1),)
+            # L2 norm of each basis function: integral of sin^2 over (-1, 1)
             self._norm_factor = length / 2.0
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unknown basis {basis}")
         for arr in (self.k2, self.dealias_mask, self._mult):
             arr.setflags(write=False)
         self._sobolev_weights = {}
 
     @classmethod
-    def fourier2d(cls, nx: int, ny: int | None = None,
-                  domain: tuple[tuple[float, float], tuple[float, float]] = ((0.0, 2.0), (0.0, 2.0))) -> "Grid":
-        return cls(Basis.FOURIER2D, (nx, ny if ny is not None else nx), domain)
+    def fourier2d(cls, nx: int, ny: int | None = None) -> "Grid":
+        """An nx x ny periodic grid on (0, 2)^2; square when ny is omitted."""
+        return cls(Basis.FOURIER2D, (nx, ny if ny is not None else nx))
 
     @classmethod
-    def sine1d(cls, n: int, interval: tuple[float, float] = (-1.0, 1.0)) -> "Grid":
-        return cls(Basis.SINE1D, (n,), (interval,))
-
-    @property
-    def points(self):
-        """Physical coordinates: (X, Y) meshgrids for Fourier, (x,) for sine."""
-        return self._points
-
-    @property
-    def spectral_shape(self) -> tuple[int, ...]:
-        if self.basis is Basis.FOURIER2D:
-            nx, ny = self.extents
-            return (nx, ny // 2 + 1)
-        return self.extents
+    def sine1d(cls, n: int) -> "Grid":
+        """n interior points of a uniform Dirichlet grid on (-1, 1)."""
+        return cls(Basis.SINE1D, (n,))
 
     def _sobolev_weight(self, s: float) -> np.ndarray:
         """Per-mode weight of the H^s norm, multiplicity * (1 + |k|^2)^s.
@@ -184,13 +166,13 @@ class Grid:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Grid):
             return NotImplemented
-        return (self.basis, self.extents, self.domain) == (other.basis, other.extents, other.domain)
+        return (self.basis, self.extents) == (other.basis, other.extents)
 
     def __hash__(self) -> int:
-        return hash((self.basis, self.extents, self.domain))
+        return hash((self.basis, self.extents))
 
     def __repr__(self) -> str:
-        return f"Grid({self.basis.value}, extents={self.extents}, domain={self.domain})"
+        return f"Grid({self.basis.value}, extents={self.extents})"
 
 
 def _hermitianize(coeffs: np.ndarray, nx: int) -> np.ndarray:

@@ -54,6 +54,10 @@ MONOTONE_RTOL = 1e-14
 #: substeps per startup level in the cascade initialization
 CASCADE_SUBSTEPS = 8
 
+#: the most steps one run may take; a step costs hundreds of microseconds,
+#: so a run at the cap takes hours, while a tiny dt would otherwise step forever
+MAX_STEPS = 10 ** 7
+
 
 class StepMode(enum.Enum):
     SAV = "sav"
@@ -309,13 +313,15 @@ class RunReport:
 
 def step_count(dt: float, T: float, order: int) -> int:
     """Steps of size dt to reach T; T must be a whole number of steps of dt,
-    enough to host the order-`order` startup."""
+    enough to host the order-`order` startup and at most MAX_STEPS."""
     if not (math.isfinite(dt) and math.isfinite(T)):
         raise ValueError(f"dt and T must be finite, got dt = {dt!r}, T = {T!r}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if T <= 0:
         raise ValueError("T must be positive")
+    if T / dt >= MAX_STEPS + 0.5:  # round(T / dt) > MAX_STEPS, with no rounding of an inf
+        raise ValueError(f"dt = {dt} takes more than MAX_STEPS = {MAX_STEPS} steps to reach T = {T}")
     n_steps = round(T / dt)
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(abs(T), 1.0):
         raise ValueError(f"dt = {dt} does not divide T = {T} into whole steps")

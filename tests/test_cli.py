@@ -295,6 +295,70 @@ def test_byte_identical_reruns(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+TRACE_LINE = "step,t,r,xi,eta,energy,principal_norm_sq,err_l2,err_h1,err_h2"
+RUN_KEYS = ["problem", "order", "dt", "mode", "max_xi_deviation", "min_eta", "max_eta",
+            "final_r", "final_energy"]
+BURGERS_KEYS = ["deviation_sav", "deviation_imex", "overshoot_sav", "overshoot_imex",
+                "imex_diverged", "min_eta_sav", "max_eta_sav"]
+SNAPSHOTS = dict.fromkeys(("snapshot_ref.csv", "snapshot_sav.csv"), "x,u")
+
+
+@pytest.mark.parametrize("argv, headers, keys", [
+    pytest.param(["converge", "--problem", "allen_cahn", "--grid", "16", "--order", "2",
+                  "--dt-list", "0.1,0.05,0.025", "--T", "0.2"],
+                 {"convergence.csv": "dt,err_l2,err_h1,err_h2"},
+                 ["slope_l2", "slope_h1", "slope_h2"], id="converge"),
+    pytest.param(["stability", "--problem", "cahn_hilliard", "--grid", "16", "--order", "2",
+                  "--dt", "0.1", "--n-steps", "4"],
+                 {"trace.csv": TRACE_LINE},
+                 ["violations", "monotone_violations", "min_r", "min_xi", "sup_principal_norm_sq",
+                  "sup_principal_norm_sq_first10", "mean_drift"], id="stability"),
+    pytest.param(["burgers", "--grid", "16", "--nu", "0.05", "--dt", "0.01", "--dt-ref", "0.005",
+                  "--T", "0.05"],
+                 {**SNAPSHOTS, "snapshot_imex.csv": "x,u", "trace.csv": TRACE_LINE}, BURGERS_KEYS,
+                 id="burgers"),
+    # the baseline diverges: no imex snapshot, null imex values
+    pytest.param(["burgers", "--dt", "0.02", "--dt-ref", "0.01", "--T", "1.0"],
+                 {**SNAPSHOTS, "trace.csv": TRACE_LINE}, BURGERS_KEYS, id="burgers_imex_diverged"),
+    pytest.param(["run", "--problem", "allen_cahn", "--grid", "16", "--dt", "0.05", "--T", "0.2"],
+                 {"trace.csv": TRACE_LINE},
+                 RUN_KEYS + ["final_err_l2", "final_err_h1", "final_err_h2"], id="run_allen_cahn"),
+    pytest.param(["run", "--problem", "burgers", "--grid", "16", "--nu", "0.05", "--dt", "0.01",
+                  "--T", "0.05"],
+                 {"trace.csv": TRACE_LINE}, RUN_KEYS, id="run_burgers"),
+])
+def test_artifact_format(tmp_path, argv, headers, keys):
+    """Header lines, summary key order, '\n' endings, floats printed as '.17g'."""
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == sorted([*headers, "summary.json"])
+
+    def check_number(text):
+        assert text == format(float(text), ".17g"), text
+
+    for name, header in headers.items():
+        raw = (out / name).read_bytes()
+        assert raw.endswith(b"\n") and b"\r" not in raw
+        lines = raw.decode().split("\n")[:-1]
+        assert lines[0] == header
+        for line in lines[1:]:
+            fields = line.split(",")
+            assert len(fields) == header.count(",") + 1
+            for text in filter(None, fields):
+                check_number(text)
+
+    raw = (out / "summary.json").read_bytes()
+    assert raw.endswith(b"}\n") and b"\r" not in raw
+    lines = raw.decode().split("\n")[:-1]
+    assert lines[0] == "{" and lines[-1] == "}"
+    pairs = [line.rstrip(",").split(": ", 1) for line in lines[1:-1]]
+    assert [json.loads(k.strip()) for k, _ in pairs] == keys
+    for _, text in pairs:
+        value = json.loads(text)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            check_number(text)
+
+
 # -- error model --------------------------------------------------------------------
 
 
@@ -351,6 +415,13 @@ def test_run_horizon_is_checked_before_output_exists(tmp_path):
     (["converge", "--T", "inf"], "T"),
     (["stability", "--dt", "1e307"], "dt"),
     (["stability", "--dt", "inf"], "dt"),
+    (["run", "--dt", "1e-300"], "dt"),
+    (["burgers", "--dt", "1e-300"], "dt"),
+    (["burgers", "--dt-ref", "1e-300"], "dt_ref"),
+    (["stability", "--n-steps", "100000000"], "n_steps"),
+    (["burgers", "--grid", "1"], "grid"),
+    (["run", "--dt", "1e-310"], "dt"),
+    (["burgers", "--dt", "1e-310"], "dt"),
 ], ids=lambda v: "_".join(v) if isinstance(v, list) else None)
 def test_bad_grid_seed_or_n_steps_is_rejected_before_output_exists(tmp_path, capsys, argv, key):
     out = tmp_path / "o"

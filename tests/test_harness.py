@@ -228,6 +228,32 @@ def test_burgers_compare_nonuniform_horizon():
     assert c.u_ref.shape == c.u_sav.shape
 
 
+def test_burgers_horizon_lines_runs_up_and_caps_them():
+    # 0.05 / 0.0085 rounds to 6 steps; the reference lands on the same endpoint
+    t_end, dt_ref = harness.burgers_horizon(0.0085, 0.002, 0.05, 2)
+    assert t_end == 6 * 0.0085
+    n_ref = round(t_end / dt_ref)
+    assert n_ref * dt_ref == pytest.approx(t_end, rel=1e-15)
+    assert abs(dt_ref - 0.002) < 0.002 / n_ref
+    # never coarser than the compared runs, never fewer than `order` steps
+    assert harness.burgers_horizon(0.01, 0.05, 0.1, 2) == pytest.approx((0.1, 0.01), rel=1e-15)
+    assert harness.burgers_horizon(0.01, 0.01, 0.001, 3) == pytest.approx((0.03, 0.01), rel=1e-15)
+    for dt, dt_ref in ((0.005, 1e-300), (1e-300, 1e-4), (5e-324, 1e-4)):
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            harness.burgers_horizon(dt, dt_ref, 1.0, 2)
+
+
+def test_burgers_compare_needs_two_modes(monkeypatch):
+    # the one interior point of a 1-mode grid is x = 0, where the data and the
+    # reference peak are 0; rejected before any run
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "run", no_run)
+    with pytest.raises(ValueError, match="at least 2 modes"):
+        burgers_compare(n_modes=1, dt_ref=0.005, T=0.05)
+
+
 def test_burgers_compare_records_imex_breakdown():
     # at a deliberately large step the baseline diverges and is recorded,
     # while the corrected run stays bounded

@@ -44,7 +44,7 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         Grid.sine1d(0)
     with pytest.raises(ValueError):
-        Grid(Basis.SINE1D, (8,), ((1.0, 1.0),))
+        Grid(Basis.SINE1D, (8, 8))  # a sine grid is one-dimensional
 
 
 def test_grid_equality_and_hash():

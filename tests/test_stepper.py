@@ -28,7 +28,7 @@ from savbdf import (
     with_manufactured_forcing,
 )
 from savbdf.harness import random_smooth_field
-from savbdf.stepper import _make_record, step_count
+from savbdf.stepper import MAX_STEPS, _make_record, step_count
 
 
 # Frozen oracle, derived independently with exact rational arithmetic for
@@ -244,6 +244,14 @@ def test_divergence_raises_with_step_index():
 def test_step_count_rejects_non_finite_values(dt, T):
     with pytest.raises(ValueError, match="must be finite"):
         step_count(dt, T, 1)
+
+
+def test_step_count_caps_the_run_length():
+    assert step_count(1.0, float(MAX_STEPS), 1) == MAX_STEPS
+    # the last case's T / dt overflows to inf
+    for dt, T in ((1.0, float(MAX_STEPS + 1)), (1e-300, 1.0), (5e-324, 1.0)):
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            step_count(dt, T, 1)
 
 
 # -- initialization -------------------------------------------------------------------
