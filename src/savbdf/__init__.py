@@ -1,69 +1,20 @@
 """savbdf: semi-implicit BDFk time integration with a scalar-auxiliary-variable
 energy correction, spectral spatial discretization, and an experiment harness.
+
+The public names are each module's ``__all__``, all re-exported here.
 """
 
-from .tableau import BdfTableau, UnsupportedOrderError, combine_history, tableau
-from .spectral import (
-    Basis,
-    Field,
-    Grid,
-    GridMismatchError,
-    IndefiniteOperatorError,
-    dealias,
-    inner,
-    integrate,
-    pointwise_map,
-    sobolev_norm,
-    solve_shifted,
-)
-from .problems import (
-    ExactSolution,
-    ProblemDefinition,
-    allen_cahn,
-    burgers,
-    cahn_hilliard,
-    exp_sine_product_solution,
-    scalar_decay,
-    with_manufactured_forcing,
-)
-from .stepper import (
-    DivergenceError,
-    EnergyPositivityError,
-    MonotonicityError,
-    RunReport,
-    SavState,
-    StepMode,
-    StepRecord,
-    initialize,
-    run,
-    step,
-)
-from .harness import (
-    BurgersComparison,
-    ConvergenceReport,
-    StabilityResult,
-    burgers_compare,
-    convergence_study,
-    default_dt_ladder,
-    fit_rate,
-    random_smooth_field,
-    stability_probe,
-)
+from . import harness, problems, spectral, stepper, tableau
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BdfTableau", "UnsupportedOrderError", "combine_history", "tableau",
-    "Basis", "Field", "Grid", "GridMismatchError", "IndefiniteOperatorError",
-    "dealias", "inner", "integrate", "pointwise_map",
-    "sobolev_norm", "solve_shifted",
-    "ExactSolution", "ProblemDefinition", "allen_cahn", "burgers",
-    "cahn_hilliard", "exp_sine_product_solution", "scalar_decay",
-    "with_manufactured_forcing",
-    "DivergenceError", "EnergyPositivityError", "MonotonicityError",
-    "RunReport", "SavState", "StepMode", "StepRecord", "initialize", "run", "step",
-    "BurgersComparison", "ConvergenceReport", "StabilityResult",
-    "burgers_compare", "convergence_study", "default_dt_ladder", "fit_rate",
-    "random_smooth_field", "stability_probe",
-    "__version__",
-]
+# built before the star imports: `from .tableau import *` rebinds `tableau`
+# from the submodule to the function
+__all__ = [*tableau.__all__, *spectral.__all__, *problems.__all__,
+           *stepper.__all__, *harness.__all__, "__version__"]
+
+from .tableau import *  # noqa: E402,F403
+from .spectral import *  # noqa: E402,F403
+from .problems import *  # noqa: E402,F403
+from .stepper import *  # noqa: E402,F403
+from .harness import *  # noqa: E402,F403

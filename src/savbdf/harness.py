@@ -240,6 +240,9 @@ def burgers_horizon(dt: float, dt_ref: float, T: float, order: int) -> tuple[flo
     on the same endpoint.  Both step counts go through `step_count`, so a
     run past MAX_STEPS raises ValueError before any run starts.
     """
+    # an infinite dt_ref would round to the compared run, its own reference
+    if not (0 < dt_ref < math.inf):
+        raise ValueError(f"dt_ref must be positive and finite, got {dt_ref!r}")
     # an infinite ratio cannot be rounded: clamped, it fails the cap instead
     n_cmp = max(round(min(T / dt, sys.float_info.max)), order)
     t_end = n_cmp * dt

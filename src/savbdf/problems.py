@@ -211,9 +211,17 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (0 < value < math.inf):  # false for nan too
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def _default_shift(grid: Grid, c_shift: float | None) -> float:
     # normalized so the constant energy offset c_shift * |Omega| equals 1
-    return 1.0 / grid.volume if c_shift is None else float(c_shift)
+    if c_shift is None:
+        return 1.0 / grid.volume
+    _check_positive("c_shift", c_shift)
+    return float(c_shift)
 
 
 def _phase_field(name: str, grid: Grid, alpha: float, stabilization: float,
@@ -221,12 +229,11 @@ def _phase_field(name: str, grid: Grid, alpha: float, stabilization: float,
     """L = alpha |k|^2 with the double well; G = 1, or mobility |k|^2 when given."""
     if grid.basis is not Basis.FOURIER2D:
         raise ValueError(f"{name} requires a FOURIER2D grid")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if mobility is not None and mobility <= 0:
-        raise ValueError("mobility must be positive")
-    if stabilization < 0:
-        raise ValueError("stabilization must be non-negative")
+    _check_positive("alpha", alpha)
+    if mobility is not None:
+        _check_positive("mobility m0", mobility)
+    if not (0 <= stabilization < math.inf):
+        raise ValueError(f"stabilization must be non-negative and finite, got {stabilization!r}")
     k2 = grid.k2
     return ProblemDefinition(
         name=name,
@@ -272,8 +279,7 @@ def burgers(grid: Grid, nu: float, c_shift: float | None = None) -> ProblemDefin
     """
     if grid.basis is not Basis.SINE1D:
         raise ValueError("burgers requires a SINE1D grid")
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    _check_positive("nu", nu)
     return ProblemDefinition(
         name="burgers",
         grid=grid,

@@ -88,8 +88,9 @@ class Grid:
     )
 
     def __init__(self, basis: Basis, extents: tuple[int, ...]):
-        if any(n <= 0 for n in extents):
-            raise ValueError(f"extents must be positive, got {extents}")
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n > 0
+                   for n in extents):
+            raise ValueError(f"extents must be positive integers, got {extents}")
         self.basis = basis
         self.extents = tuple(int(n) for n in extents)
 

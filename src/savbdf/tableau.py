@@ -1,19 +1,27 @@
 """Backward differentiation formula coefficients for orders 1 through 5.
 
-For a uniform step dt the order-k scheme approximates
+The order-k scheme is the paper's unified backward-difference form: for a
+uniform step dt,
 
-    du/dt(t^{n+1})  ~  (alpha_k * u^{n+1} - sum_i a_i * u^{n-i}) / dt
+    du/dt(t^{n+1})  ~  sum_{j=1..k} (1/j) * nabla^j u^{n+1} / dt
+                    =  (alpha * u^{n+1} - sum_i a_i * u^{n+1-i}) / dt
 
 while the explicit extrapolation of a history to t^{n+1} is
 
-    u(t^{n+1})  ~  sum_i b_i * u^{n-i}
+    u(t^{n+1})  ~  sum_{j=0..k-1} nabla^j u^n  =  sum_i b_i * u^{n+1-i}
 
-with histories ordered most recent first.  The a-weights reproduce the
-derivative of any polynomial of degree <= k exactly; the b-weights are the
-binomial extrapolation weights, exact on degree <= k-1.
+with i = 1..k, histories ordered most recent first.  Expanding the
+differences gives
 
-Coefficients are stored as `fractions.Fraction` so they carry no rounding at
-all; :attr:`BdfTableau.floats` converts them once per tableau for the time
+    alpha = sum_{j=1..k} 1/j
+    a_i   = (-1)^(i+1) * sum_{j=i..k} C(j, i) / j
+    b_i   = (-1)^(i+1) * C(k, i)
+
+The a-weights reproduce the derivative of any polynomial of degree <= k
+exactly; the b-weights are exact on degree <= k-1.
+
+Coefficients are computed as `fractions.Fraction` so they carry no rounding
+at all; :attr:`BdfTableau.floats` converts them once per tableau for the time
 loop.
 """
 
@@ -22,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 
 __all__ = ["BdfTableau", "tableau", "combine_history", "UnsupportedOrderError"]
 
@@ -30,31 +39,6 @@ MAX_ORDER = 5
 
 class UnsupportedOrderError(ValueError):
     """Raised for orders outside 1..5 (BDF6+ is not zero-stable in this family's stability framework)."""
-
-
-_ALPHA = {
-    1: Fraction(1),
-    2: Fraction(3, 2),
-    3: Fraction(11, 6),
-    4: Fraction(25, 12),
-    5: Fraction(137, 60),
-}
-
-_A_WEIGHTS = {
-    1: (Fraction(1),),
-    2: (Fraction(2), Fraction(-1, 2)),
-    3: (Fraction(3), Fraction(-3, 2), Fraction(1, 3)),
-    4: (Fraction(4), Fraction(-3), Fraction(4, 3), Fraction(-1, 4)),
-    5: (Fraction(5), Fraction(-5), Fraction(10, 3), Fraction(-5, 4), Fraction(1, 5)),
-}
-
-_B_WEIGHTS = {
-    1: (Fraction(1),),
-    2: (Fraction(2), Fraction(-1)),
-    3: (Fraction(3), Fraction(-3), Fraction(1)),
-    4: (Fraction(4), Fraction(-6), Fraction(4), Fraction(-1)),
-    5: (Fraction(5), Fraction(-10), Fraction(10), Fraction(-5), Fraction(1)),
-}
 
 
 @dataclass(frozen=True)
@@ -103,13 +87,15 @@ def tableau(order: int, eta_exponent: int | None = None) -> BdfTableau:
         raise UnsupportedOrderError(f"unsupported order {order}: must be in 1..{MAX_ORDER}")
     if eta_exponent is None:
         eta_exponent = 3 if order == 1 else order + 1
-    elif eta_exponent < 1:
-        raise ValueError(f"eta_exponent must be a positive integer, got {eta_exponent}")
+    elif not isinstance(eta_exponent, int) or isinstance(eta_exponent, bool) or eta_exponent < 1:
+        raise ValueError(f"eta_exponent must be an integer >= 1, got {eta_exponent!r}")
+    terms = range(1, order + 1)
     return BdfTableau(
         order=order,
-        alpha=_ALPHA[order],
-        a_weights=_A_WEIGHTS[order],
-        b_weights=_B_WEIGHTS[order],
+        alpha=sum(Fraction(1, j) for j in terms),
+        a_weights=tuple((-1) ** (i + 1) * sum(Fraction(comb(j, i), j) for j in range(i, order + 1))
+                        for i in terms),
+        b_weights=tuple((-1) ** (i + 1) * Fraction(comb(order, i)) for i in terms),
         eta_exponent=eta_exponent,
     )
 

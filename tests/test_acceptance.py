@@ -7,7 +7,6 @@ the qualitative claim it encodes is demonstrated separately at the measured
 instability threshold of the sine basis.
 """
 
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +14,6 @@ import pytest
 
 from savbdf import (
     Grid,
-    StepMode,
     allen_cahn,
     burgers_compare,
     cahn_hilliard,

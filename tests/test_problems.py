@@ -92,6 +92,38 @@ def test_wrong_basis_rejected(grid):
         burgers(grid, nu=0.1)
 
 
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(alpha=NAN), "alpha"), (dict(alpha=INF), "alpha"),
+    (dict(stabilization=INF), "stabilization"), (dict(stabilization=NAN), "stabilization"),
+    (dict(c_shift=NAN), "c_shift"), (dict(c_shift=-10.0), "c_shift"), (dict(c_shift=0.0), "c_shift"),
+])
+def test_allen_cahn_rejects_bad_settings(grid, kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        allen_cahn(grid, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(mobility=NAN), "mobility m0"), (dict(mobility=INF), "mobility m0"),
+    (dict(alpha=INF), "alpha"), (dict(c_shift=-10.0), "c_shift"),
+])
+def test_cahn_hilliard_rejects_bad_settings(grid, kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        cahn_hilliard(grid, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(nu=INF), "nu"), (dict(nu=NAN), "nu"),
+    (dict(nu=0.1, c_shift=NAN), "c_shift"), (dict(nu=0.1, c_shift=-10.0), "c_shift"),
+])
+def test_burgers_rejects_bad_settings(kwargs, name):
+    # c_shift = -10 would otherwise fail only at step 1, on energy positivity
+    with pytest.raises(ValueError, match=name):
+        burgers(Grid.sine1d(8), **kwargs)
+
+
 # -- Allen-Cahn -------------------------------------------------------------------
 
 

@@ -47,6 +47,18 @@ def test_grid_validation():
         Grid(Basis.SINE1D, (8, 8))  # a sine grid is one-dimensional
 
 
+@pytest.mark.parametrize("basis, extents", [
+    (Basis.FOURIER2D, (8.7, 8)), (Basis.FOURIER2D, (8, 8.0)), (Basis.SINE1D, (True,)),
+])
+def test_grid_extents_must_be_integers(basis, extents):
+    with pytest.raises(ValueError, match="extents must be positive integers"):
+        Grid(basis, extents)
+
+
+def test_grid_takes_numpy_integer_extents():
+    assert Grid.fourier2d(np.int64(8)).extents == (8, 8)
+
+
 def test_grid_equality_and_hash():
     assert Grid.fourier2d(16) == Grid.fourier2d(16)
     assert Grid.fourier2d(16) != Grid.fourier2d(32)

@@ -53,6 +53,13 @@ def test_eta_exponent_defaults_and_override():
         tableau(3, eta_exponent=0)
 
 
+@pytest.mark.parametrize("p", [2.5, True, 4.0])
+def test_non_integer_eta_exponent_rejected(p):
+    # (1 - xi) ** 2.5 is complex whenever xi > 1
+    with pytest.raises(ValueError, match="eta_exponent"):
+        tableau(3, eta_exponent=p)
+
+
 @pytest.mark.parametrize("k", [0, 6, -1])
 def test_unsupported_orders(k):
     with pytest.raises(UnsupportedOrderError, match="unsupported order"):
