@@ -216,6 +216,11 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _check_non_negative(name: str, value: float) -> None:
+    if not (0 <= value < math.inf):  # false for nan too
+        raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+
+
 def _default_shift(grid: Grid, c_shift: float | None) -> float:
     # normalized so the constant energy offset c_shift * |Omega| equals 1
     if c_shift is None:
@@ -232,8 +237,7 @@ def _phase_field(name: str, grid: Grid, alpha: float, stabilization: float,
     _check_positive("alpha", alpha)
     if mobility is not None:
         _check_positive("mobility m0", mobility)
-    if not (0 <= stabilization < math.inf):
-        raise ValueError(f"stabilization must be non-negative and finite, got {stabilization!r}")
+    _check_non_negative("stabilization", stabilization)
     k2 = grid.k2
     return ProblemDefinition(
         name=name,
@@ -298,8 +302,7 @@ def scalar_decay(rate: float = 1.0) -> ProblemDefinition:
     solution exp(-rate*t), which makes it the reference oracle
     for integrator order checks.
     """
-    if rate < 0:
-        raise ValueError("rate must be non-negative")
+    _check_non_negative("rate", rate)
     grid = Grid.sine1d(1)
 
     def sample(t: float) -> Field:
@@ -343,23 +346,34 @@ def exp_sine_product_solution(grid: Grid) -> ExactSolution:
 def with_manufactured_forcing(problem: ProblemDefinition) -> ProblemDefinition:
     """Attach `exp_sine_product_solution` and the forcing that makes it solve the system.
 
-    The forcing is assembled on the grid through the same discrete operators
-    as the scheme, f(t) = u_t(t) + A u(t) + g(u(t)), so the sampled exact
-    trajectory satisfies the semidiscrete equation to rounding.  The exact
-    samples carry their coefficients, so the sum is formed in coefficient
-    space, and a rebuild costs the one forward transform of g.  Raises
-    ValueError on a grid other than FOURIER2D, where the solution family
-    does not live.
+    The forcing is f(t) = u_t + A u + g(u) at the exact sample, through the
+    scheme's own discrete operators, so the sampled trajectory satisfies the
+    semidiscrete equation to rounding.  With u = sin t p, F' cubic and Gd the
+    dealiased mobility, f(t) = cos t P + sin t (A - (lam + 1) Gd) P
+    + sin^3 t Gd (p^3)^, P the profile's coefficients (no cubic term and no 1
+    without the double well).  Both products are built once per problem, so
+    a rebuild costs no transform.  Raises ValueError for a problem with
+    transport, which does not separate so, and on a grid other than
+    FOURIER2D, where the solution family does not live.
     """
+    if problem.transport is not None:
+        raise ValueError("manufactured forcing needs a problem without transport")
     exact = exp_sine_product_solution(problem.grid)
+    profile = exact.time_derivative(0.0)  # cos 0 = 1: the profile itself
+    gd, well = problem._dealiased_mobility, float(problem.has_double_well)
+    linear = (problem.linear_symbol - (problem.stabilization + well) * gd) * profile.coeffs
+    cubic = gd * Field.from_physical(problem.grid, profile.values ** 3).coeffs if well else None
     cache: dict[float, Field] = {}
 
     def forcing(t: float) -> Field:
         hit = cache.get(t)
         if hit is not None:
             return hit
-        u = exact.field(t)
-        f = exact.time_derivative(t) + apply_symbol(problem.linear_symbol, u) + problem.g_unforced(u)
+        s = math.sin(t)
+        c = math.cos(t) * profile.coeffs + s * linear
+        if cubic is not None:
+            c += s ** 3 * cubic
+        f = Field(problem.grid, spectral=c)
         cache.clear()
         cache[t] = f
         return f

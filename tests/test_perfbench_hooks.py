@@ -5,6 +5,7 @@ that a refactor drops is only reported as a warning in a traced benchmark
 run.  This test makes it a failure here.  It only reads `perfbench/`.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import sys
@@ -45,3 +46,23 @@ def test_every_call_site_hook_resolves(tracing):
 def test_exact_solution_hook_resolves(tracing):
     module_name, attr = tracing.EXACT_HOOK
     assert hasattr(importlib.import_module(module_name), attr)
+
+
+def test_exact_solution_is_replaceable_on_its_samples(tracing):
+    # the tracer wraps the factory's samples with `dataclasses.replace`
+    module_name, attr = tracing.EXACT_HOOK
+    module = importlib.import_module(module_name)
+    exact = getattr(module, attr)(module.Grid.fourier2d(8))
+    calls = []
+
+    def sampler(name, sample):
+        def wrapped(t):
+            calls.append(name)
+            return sample(t)
+        return wrapped
+
+    copy = dataclasses.replace(exact, field=sampler("field", exact.field),
+                               time_derivative=sampler("time_derivative", exact.time_derivative))
+    copy.field(0.5)
+    copy.time_derivative(0.5)
+    assert calls == ["field", "time_derivative"]

@@ -1,12 +1,16 @@
 """Model-problem contracts: energies, dissipation rates, forcing construction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from savbdf import (
     Field,
     Grid,
+    ProblemDefinition,
     allen_cahn,
+    apply_symbol,
     burgers,
     cahn_hilliard,
     dealias,
@@ -233,6 +237,17 @@ def test_scalar_decay_definitions():
     assert p.exact.field(1.0).coeffs[0] == pytest.approx(np.exp(-1.0), rel=1e-14)
 
 
+@pytest.mark.parametrize("rate", [NAN, INF, -1.0])
+def test_scalar_decay_rejects_bad_rate(rate):
+    with pytest.raises(ValueError, match="rate"):
+        scalar_decay(rate)
+
+
+def test_scalar_decay_accepts_zero_rate():
+    p = scalar_decay(0.0)
+    assert p.exact.field(1.0).coeffs[0] == 1.0
+
+
 # -- manufactured forcing ---------------------------------------------------------------
 
 
@@ -251,8 +266,6 @@ def test_forcing_at_t0_equals_initial_rate(grid, ac):
 
 @pytest.mark.parametrize("maker", [allen_cahn, cahn_hilliard])
 def test_manufactured_residual_vanishes(grid, maker):
-    from savbdf.spectral import apply_symbol
-
     forced = with_manufactured_forcing(maker(grid))
     exact = forced.exact
     rng = np.random.default_rng(42)
@@ -285,10 +298,42 @@ def test_energy_law_along_scalar_decay():
         assert rate == pytest.approx(-p.dissipation(exact(t)), rel=1e-6)
 
 
+def _well_free_problem(grid, stabilization):
+    # the general form without the double well: g(u) = -lam u alone
+    return ProblemDefinition(name="linear", grid=grid, principal_symbol=0.01 * grid.k2,
+                             mobility_symbol=np.ones_like(grid.k2), c_shift=1.0,
+                             stabilization=stabilization)
+
+
+@pytest.mark.parametrize("lam", [0.0, 2.0])
+@pytest.mark.parametrize("maker", [allen_cahn, cahn_hilliard, _well_free_problem])
+def test_forcing_matches_its_assembly_from_the_exact_sample(maker, lam):
+    # f(t) = u_t + A u + g(u) at the exact sample, from the problem's operators
+    grid = Grid.fourier2d(32)
+    forced = with_manufactured_forcing(maker(grid, stabilization=lam))
+    exact = forced.exact
+    for t in np.linspace(-1.0, 4.0, 10):
+        u = exact.field(t)
+        expected = exact.time_derivative(t) + apply_symbol(forced.linear_symbol, u) \
+            + forced.g_unforced(u)
+        scale = np.max(np.abs(expected.coeffs))
+        assert np.max(np.abs(forced.forcing(t).coeffs - expected.coeffs)) <= 1e-13 * scale
+
+
+def test_manufactured_forcing_rejects_transport():
+    grid = Grid.fourier2d(16)
+    p = dataclasses.replace(allen_cahn(grid), transport=lambda u: 0.0 * u)
+    with pytest.raises(ValueError, match="transport"):
+        with_manufactured_forcing(p)
+
+
 def test_manufactured_requires_exact_for_sine():
     p = burgers(Grid.sine1d(16), nu=0.1)
     with pytest.raises(ValueError):
         with_manufactured_forcing(p)
+    # a sine-grid problem without transport reaches the solution family's check
+    with pytest.raises(ValueError, match="FOURIER2D"):
+        with_manufactured_forcing(scalar_decay())
 
 
 def test_forcing_power_zero_when_unforced(ac, grid):
