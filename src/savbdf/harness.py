@@ -19,7 +19,7 @@ import numpy as np
 
 from .problems import ProblemDefinition, burgers
 from .spectral import Basis, Field, Grid
-from .stepper import DivergenceError, RunReport, StepMode, run, step_count
+from .stepper import DivergenceError, RunReport, StepMode, advance, exact_errors, run, step_count
 from .tableau import tableau
 
 __all__ = [
@@ -120,7 +120,8 @@ def convergence_study(problem: ProblemDefinition, order: int, dt_list=None,
     """Run the order-`order` scheme over a dt ladder and fit error slopes.
 
     Requires an attached exact solution; entries that diverge are flagged and
-    excluded from the fit, as are errors at the rounding floor.
+    excluded from the fit, as are errors at the rounding floor.  A rung is an
+    unrecorded `advance`, measured at T alone: `run(...).final_errors` bit for bit.
     """
     if problem.exact is None:
         raise ValueError("convergence_study requires a problem with an exact solution")
@@ -129,10 +130,10 @@ def convergence_study(problem: ProblemDefinition, order: int, dt_list=None,
 
     def one_case(dt: float) -> ConvergenceEntry:
         try:
-            err = run(problem, tab, dt, T).final_errors
+            final = advance(problem, tab, dt, T)
         except DivergenceError:
             return ConvergenceEntry(dt, None, None, None, diverged=True)
-        return ConvergenceEntry(dt, *err)
+        return ConvergenceEntry(dt, *exact_errors(problem, final))
 
     entries = [one_case(dt) for dt in dts]
     slopes = {norm: _fit_norm(entries, f"err_{norm}") for norm in ("l2", "h1", "h2")}
@@ -260,9 +261,11 @@ def burgers_compare(nu: float = 1.0 / 314.0, n_modes: int = 320, dt: float = 8.5
 
     The reference is the corrected scheme at dt_ref (see `burgers_horizon`).
     Divergence of the baseline is an admissible outcome and is recorded, not
-    raised.  The overshoots are relative to the reference's peak, which needs
-    at least 2 modes: the one interior point of a 1-mode grid is x = 0, where
-    the data and the reference are 0.
+    raised.  The reference and the baseline, read only at T, `advance` with no
+    records; the corrected run's trace is `sav_report`.  The overshoots are
+    relative to the reference's peak, which needs at least 2 modes (the one
+    interior point of a 1-mode grid is x = 0, where the data and the reference
+    are 0) and must not decay to exactly zero (a huge nu): else ValueError.
     """
     if n_modes < 2:
         raise ValueError(f"the comparison needs at least 2 modes, got {n_modes}")
@@ -273,23 +276,21 @@ def burgers_compare(nu: float = 1.0 / 314.0, n_modes: int = 320, dt: float = 8.5
     u0 = Field.from_physical(grid, -np.sin(np.pi * x))
     tab = tableau(order, eta_exponent)
 
-    ref = run(problem, tab, dt_ref_eff, t_end, mode=StepMode.SAV, u0=u0)
-    sav = run(problem, tab, dt, t_end, mode=StepMode.SAV, u0=u0)
-
-    u_ref = ref.final_state.u_history[0].values
-    u_sav = sav.final_state.u_history[0].values
+    u_ref = advance(problem, tab, dt_ref_eff, t_end, mode=StepMode.SAV, u0=u0).u_history[0].values
     ref_peak = float(np.max(np.abs(u_ref)))
+    if ref_peak == 0.0:
+        raise ValueError("the reference decayed to zero, so the overshoots are undefined")
+    sav = run(problem, tab, dt, t_end, mode=StepMode.SAV, u0=u0)
+    u_sav = sav.final_state.u_history[0].values
     dev_sav = float(np.max(np.abs(u_sav - u_ref)))
     over_sav = float(np.max(np.abs(u_sav))) / ref_peak
 
     # the baseline diverges by raising, or by finite coefficients within a
     # factor of the mode count of the largest float, whose transform overflows
     try:
-        imex = run(problem, tab, dt, t_end, mode=StepMode.IMEX, u0=u0)
+        u_imex = advance(problem, tab, dt, t_end, mode=StepMode.IMEX, u0=u0).u_history[0].values
     except DivergenceError:
         u_imex = None
-    else:
-        u_imex = imex.final_state.u_history[0].values
     imex_diverged = u_imex is None or not np.all(np.isfinite(u_imex))
     if imex_diverged:
         u_imex, dev_imex, over_imex = None, math.inf, math.inf

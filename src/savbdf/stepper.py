@@ -44,7 +44,9 @@ __all__ = [
     "MonotonicityError",
     "step",
     "initialize",
+    "advance",
     "run",
+    "exact_errors",
     "step_count",
 ]
 
@@ -119,7 +121,10 @@ def _sav_update(problem: ProblemDefinition, tab: BdfTableau, r: float, ubar: Fie
     if not problem.is_forced and not 0.0 <= r_new <= r * (1.0 + MONOTONE_RTOL):
         raise MonotonicityError(index, r, r_new)
     xi = r_new / energy
-    return r_new, xi, 1.0 - (1.0 - xi) ** tab.eta_exponent
+    try:  # a huge finite xi overflows the float power, which raises rather than give inf
+        return r_new, xi, 1.0 - (1.0 - xi) ** tab.eta_exponent
+    except OverflowError:
+        raise DivergenceError(index, "correction factor") from None
 
 
 def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float,
@@ -221,17 +226,21 @@ class StepRecord(NamedTuple):
     err_h2: Optional[float] = None
 
 
-def _make_record(problem: ProblemDefinition, state: SavState) -> StepRecord:
-    u = state.u_history[0]
+def exact_errors(problem: ProblemDefinition, state: SavState) -> Optional[tuple[float, float, float]]:
+    """(L2, H1, H2) norms of u - exact(t) at the state; None without an exact solution."""
+    if problem.exact is None:
+        return None
     # near an impending divergence the diagnostics may overflow to inf;
     # they are trace data, not control flow
     with np.errstate(over="ignore", invalid="ignore"):
-        err_l2 = err_h1 = err_h2 = None
-        if problem.exact is not None:
-            diff = u - problem.exact.field(state.time)
-            err_l2 = sobolev_norm(diff, 0.0)
-            err_h1 = sobolev_norm(diff, 1.0)
-            err_h2 = sobolev_norm(diff, 2.0)
+        diff = state.u_history[0] - problem.exact.field(state.time)
+        return sobolev_norm(diff, 0.0), sobolev_norm(diff, 1.0), sobolev_norm(diff, 2.0)
+
+
+def _make_record(problem: ProblemDefinition, state: SavState) -> StepRecord:
+    u = state.u_history[0]
+    err_l2, err_h1, err_h2 = exact_errors(problem, state) or (None, None, None)
+    with np.errstate(over="ignore", invalid="ignore"):
         return StepRecord(
             step=state.step_index,
             t=state.time,
@@ -330,18 +339,27 @@ def step_count(dt: float, T: float, order: int) -> int:
     return n_steps
 
 
-def run(problem: ProblemDefinition, tab: BdfTableau, dt: float, T: float,
-        mode: StepMode = StepMode.SAV, u0: Field | None = None) -> RunReport:
-    """Integrate to t = T, recording per-step diagnostics.
+def advance(problem: ProblemDefinition, tab: BdfTableau, dt: float, T: float,
+            mode: StepMode = StepMode.SAV, u0: Field | None = None,
+            record_sink: Optional[list] = None) -> SavState:
+    """Integrate to t = T, a whole number (at least the order) of steps of dt.
 
-    T must be an integer multiple of dt covering at least the startup levels.
-    Returns the report of a finished run; a non-finite value raises
-    DivergenceError, whose step_index is the step it appeared in.
+    Every level's StepRecord, startup included, goes to record_sink if given;
+    without one the loop computes no diagnostic.  Records never feed back into
+    the state.  A non-finite value raises DivergenceError at its step_index.
     """
     n_steps = step_count(dt, T, tab.order)
-    records: list[StepRecord] = []
-    state = initialize(problem, tab, dt, u0=u0, mode=mode, record_sink=records)
+    state = initialize(problem, tab, dt, u0=u0, mode=mode, record_sink=record_sink)
     while state.step_index < n_steps:
         state = step(state, problem, tab, dt, mode)
-        records.append(_make_record(problem, state))
+        if record_sink is not None:
+            record_sink.append(_make_record(problem, state))
+    return state
+
+
+def run(problem: ProblemDefinition, tab: BdfTableau, dt: float, T: float,
+        mode: StepMode = StepMode.SAV, u0: Field | None = None) -> RunReport:
+    """`advance` to t = T, recording every level: for runs whose trace is read."""
+    records: list[StepRecord] = []
+    state = advance(problem, tab, dt, T, mode, u0, records)
     return RunReport(problem.name, tab.order, dt, records, state)

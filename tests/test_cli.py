@@ -432,6 +432,29 @@ def test_bad_grid_seed_or_n_steps_is_rejected_before_output_exists(tmp_path, cap
     assert not out.exists()
 
 
+EXTREME = [
+    (["run", "--problem", "allen_cahn", "--stabilization", "1e300", "--dt", "0.1", "--T", "1"],
+     EXIT_DIVERGENCE, "step 1: non-finite correction factor"),
+    (["burgers", "--nu", "1e300", "--grid", "8", "--dt-ref", "0.01"],
+     EXIT_USAGE, "reference decayed to zero"),
+    (["stability", "--dt", "1e300", "--n-steps", "5"], EXIT_DIVERGENCE, "non-finite scalar variable"),
+    (["run", "--alpha", "1e300"], EXIT_DIVERGENCE, "non-finite scalar variable"),
+    (["run", "--c-shift", "1e-300", "--dt", "1", "--T", "20"], EXIT_DIVERGENCE, "non-finite scalar variable"),
+    (["burgers", "--nu", "1e-300", "--grid", "8", "--dt-ref", "0.01"], EXIT_OK, None),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", EXTREME, ids=["_".join(argv) for argv, _, _ in EXTREME])
+def test_extreme_finite_settings_exit_without_traceback(tmp_path, capsys, argv, code, message):
+    # in-process, so an escaping exception fails the test rather than a stderr scan
+    assert main(argv + ["--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    if message is None:
+        assert err == []
+    else:
+        assert len(err) == 1 and message in err[0]
+
+
 @pytest.mark.parametrize("error, code", [
     (EnergyPositivityError("E(ubar) = -1.0 <= 0 at step 1"), EXIT_ASSERTION),
     (MonotonicityError(3, 1.0, 2.0), EXIT_ASSERTION),

@@ -13,11 +13,27 @@ from savbdf import (
     default_dt_ladder,
     fit_rate,
     random_smooth_field,
+    run,
     scalar_decay,
     stability_probe,
+    tableau,
     with_manufactured_forcing,
 )
-from savbdf import harness
+from savbdf import harness, stepper
+
+
+@pytest.fixture
+def records_made(monkeypatch):
+    """The (problem, state) of every per-step record built while the test runs."""
+    made = []
+    real_make_record = stepper._make_record
+
+    def counting_make_record(*args):
+        made.append(args)
+        return real_make_record(*args)
+
+    monkeypatch.setattr(stepper, "_make_record", counting_make_record)
+    return made
 
 
 # -- fit_rate ----------------------------------------------------------------------
@@ -74,15 +90,15 @@ def test_convergence_study_scalar_second_order():
 def test_convergence_study_flags_a_diverged_rung(monkeypatch):
     # a rung whose run raises is flagged, and the slopes come from the others
     ladder = (0.1, 0.05, 0.025, 0.0125)
-    real_run = harness.run
+    real_advance = harness.advance
 
-    def run_diverging_at(problem, tab, dt, T, **kwargs):
+    def advance_diverging_at(problem, tab, dt, T, *args, **kwargs):
         if dt == 0.05:
             raise DivergenceError(7)
-        return real_run(problem, tab, dt, T, **kwargs)
+        return real_advance(problem, tab, dt, T, *args, **kwargs)
 
     full = convergence_study(scalar_decay(), 2, ladder, T=1.0)
-    monkeypatch.setattr(harness, "run", run_diverging_at)
+    monkeypatch.setattr(harness, "advance", advance_diverging_at)
     rep = convergence_study(scalar_decay(), 2, ladder, T=1.0)
     assert [e.diverged for e in rep.entries] == [False, True, False, False]
     flagged = rep.entries[1]
@@ -90,6 +106,19 @@ def test_convergence_study_flags_a_diverged_rung(monkeypatch):
     kept = [e for e in full.entries if e.dt != 0.05]
     assert [e for e in rep.entries if not e.diverged] == kept
     assert rep.slopes["l2"] == fit_rate([(e.dt, e.err_l2) for e in kept])
+
+
+@pytest.mark.parametrize("maker, order", [(allen_cahn, 3), (cahn_hilliard, 2)])
+def test_convergence_study_measures_each_rung_at_t_alone(records_made, maker, order):
+    # each entry is the recorded run's final errors bit for bit, and the study
+    # builds no per-step record
+    p = with_manufactured_forcing(maker(Grid.fourier2d(16)))
+    ladder = (0.1, 0.05, 0.025)
+    want = [run(p, tableau(order), dt, 0.5).final_errors for dt in ladder]
+    records_made.clear()
+    rep = convergence_study(p, order, ladder, T=0.5)
+    assert [(e.err_l2, e.err_h1, e.err_h2) for e in rep.entries] == want
+    assert not records_made
 
 
 @pytest.mark.parametrize("maker", [allen_cahn, cahn_hilliard])
@@ -259,8 +288,24 @@ def test_burgers_compare_needs_two_modes(monkeypatch):
         raise AssertionError("a run started")
 
     monkeypatch.setattr(harness, "run", no_run)
+    monkeypatch.setattr(harness, "advance", no_run)
     with pytest.raises(ValueError, match="at least 2 modes"):
         burgers_compare(n_modes=1, dt_ref=0.005, T=0.05)
+
+
+def test_burgers_compare_reference_decayed_to_zero():
+    # a huge viscosity takes the reference to exactly zero, and the overshoots
+    # relative to its peak with it
+    with pytest.raises(ValueError, match="reference decayed to zero"):
+        burgers_compare(nu=1e300, n_modes=8, dt_ref=0.01)
+
+
+def test_burgers_compare_records_the_corrected_run_alone(records_made):
+    # the reference and the baseline are read at T alone: the only records
+    # made are the corrected run's trace
+    c = burgers_compare(n_modes=32, dt=0.05, dt_ref=0.01, T=0.5)
+    assert not c.imex_diverged
+    assert len(records_made) == len(c.sav_report.records) == 11
 
 
 def test_burgers_compare_records_imex_breakdown():

@@ -16,6 +16,7 @@ from savbdf import (
     Field,
     Grid,
     StepMode,
+    advance,
     allen_cahn,
     burgers,
     cahn_hilliard,
@@ -238,6 +239,38 @@ def test_divergence_raises_with_step_index():
         run(p, tableau(2), 0.02, 1.0, mode=StepMode.IMEX, u0=u0)
     assert type(exc.value.step_index) is int
     assert exc.value.step_index > 0
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_huge_correction_factor_is_a_divergence(order):
+    # E(ubar) stays tiny against a huge stabilization, so xi is finite but huge
+    # and (1 - xi)**p overflows; order 1 meets it in step, order 2 in initialize
+    p = with_manufactured_forcing(allen_cahn(Grid.fourier2d(16), stabilization=1e300))
+    with pytest.raises(DivergenceError, match="non-finite correction factor") as exc:
+        run(p, tableau(order), 0.1, 1.0)
+    assert exc.value.step_index == 1
+
+
+@pytest.mark.parametrize("name, mode", [("forced", StepMode.SAV), ("unforced", StepMode.SAV),
+                                        ("unforced", StepMode.IMEX)])
+def test_advance_is_run_without_records(name, mode):
+    # the records never feed back into the state: with no sink the final
+    # state is the recorded run's bit for bit, and a sink gets run's records
+    grid = Grid.fourier2d(16)
+    p = allen_cahn(grid)
+    u0 = random_smooth_field(grid, seed=2)
+    if name == "forced":
+        p, u0 = with_manufactured_forcing(p), None
+    tab = tableau(3)
+    rep = run(p, tab, 0.05, 0.5, mode=mode, u0=u0)
+    sink = []
+    for final in (advance(p, tab, 0.05, 0.5, mode, u0), advance(p, tab, 0.05, 0.5, mode, u0, sink)):
+        assert (final.step_index, final.time, final.r, final.last_xi, final.last_eta) == (
+            rep.final_state.step_index, rep.final_state.time, rep.final_state.r,
+            rep.final_state.last_xi, rep.final_state.last_eta)
+        for got, want in zip(final.u_history, rep.final_state.u_history, strict=True):
+            assert np.array_equal(got.values, want.values)
+    assert sink == rep.records
 
 
 @pytest.mark.parametrize("dt, T", [(math.inf, 1.0), (math.nan, 1.0), (0.1, math.inf), (0.1, math.nan)])
