@@ -18,8 +18,9 @@ from typing import Optional
 import numpy as np
 
 from .problems import ProblemDefinition, burgers
-from .spectral import Basis, Field, Grid
-from .stepper import DivergenceError, RunReport, StepMode, advance, exact_errors, run, step_count
+from .spectral import Basis, Field, Grid, SettingError
+from .stepper import (MAX_STEPS, DivergenceError, RunReport, StepMode, advance, exact_errors, run,
+                      step_count)
 from .tableau import tableau
 
 __all__ = [
@@ -76,16 +77,27 @@ def default_dt_ladder(order: int) -> tuple[float, ...]:
 
 
 def check_dt_ladder(dt_list, T: float, order: int) -> tuple[float, ...]:
-    """The ladder as floats; raises ValueError unless it has at least three
-    strictly decreasing entries, each dividing T into at least `order` steps."""
+    """The ladder as floats; raises SettingError on `dt_list` (on `T` for a bad T)
+    unless it has at least three strictly decreasing entries, each dividing T
+    into at least `order` steps."""
     dts = tuple(float(dt) for dt in dt_list)
     if len(dts) < 3:
-        raise ValueError("a convergence study needs at least three dt values")
+        raise SettingError("dt_list", "a convergence study needs at least three dt values")
     if any(b >= a for a, b in zip(dts, dts[1:])):
-        raise ValueError("dt ladder must be strictly decreasing")
+        raise SettingError("dt_list", "dt ladder must be strictly decreasing")
     for dt in dts:
-        step_count(dt, T, order)
+        _step_count_on("dt_list", dt, T, order)
     return dts
+
+
+def _step_count_on(name: str, dt: float, T: float, order: int) -> int:
+    """`step_count`, its SettingError on `dt` raised again on `name`."""
+    try:
+        return step_count(dt, T, order)
+    except SettingError as exc:
+        if exc.setting != "dt":
+            raise
+        raise SettingError(name, str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -125,8 +137,8 @@ def convergence_study(problem: ProblemDefinition, order: int, dt_list=None,
     """
     if problem.exact is None:
         raise ValueError("convergence_study requires a problem with an exact solution")
-    dts = check_dt_ladder(dt_list if dt_list is not None else default_dt_ladder(order), T, order)
     tab = tableau(order, eta_exponent)
+    dts = check_dt_ladder(dt_list if dt_list is not None else default_dt_ladder(order), T, order)
 
     def one_case(dt: float) -> ConvergenceEntry:
         try:
@@ -148,6 +160,8 @@ def random_smooth_field(grid: Grid, seed: int = 0) -> Field:
     keeps the stress data at phase-field amplitudes.  Zero mean by
     construction, so a conserved mean stays at exactly zero.
     """
+    if seed < 0:
+        raise SettingError("seed", f"seed must be non-negative, got {seed!r}")
     rng = np.random.default_rng(seed)
     if grid.basis is Basis.FOURIER2D:
         nx, ny = grid.extents
@@ -193,13 +207,18 @@ def stability_probe(problem: ProblemDefinition, order: int, dt: float, n_steps: 
     problem `step()` raises MonotonicityError whenever r would grow or turn
     negative, and xi = r / E with E > 0.  The probe checks what the step does
     not: the principal quadratic (L u, u) staying within 10x the largest
-    value seen over the first ten steps.
+    value seen over the first ten steps.  Settings are checked before any work.
     """
     if problem.is_forced:
         raise ValueError("stability_probe requires an unforced problem")
+    tab = tableau(order, eta_exponent)
+    if not order <= n_steps <= MAX_STEPS:
+        raise SettingError("n_steps", f"n_steps must cover the order-{order} startup and stay "
+                                      f"within the step cap, {order}..{MAX_STEPS}; got {n_steps!r}")
+    if not 0 < n_steps * dt < math.inf:  # n_steps >= 1, so dt too; false for nan
+        raise SettingError("dt", f"dt and n_steps * dt must be positive and finite, got {dt!r}")
     if u0 is None:
         u0 = random_smooth_field(problem.grid, seed=seed)
-    tab = tableau(order, eta_exponent)
     report = run(problem, tab, dt, n_steps * dt, mode=StepMode.SAV, u0=u0)
 
     violations: list[str] = []
@@ -238,19 +257,20 @@ def burgers_horizon(dt: float, dt_ref: float, T: float, order: int) -> tuple[flo
     dt need not divide T (the benchmark step does not): the compared runs
     end at the step boundary nearest T, at least `order` steps in, and the
     reference takes the step nearest dt_ref, no coarser than dt, that lands
-    on the same endpoint.  Both step counts go through `step_count`, so a
-    run past MAX_STEPS raises ValueError before any run starts.
+    on the same endpoint.  Both step counts go through `step_count` (the
+    reference's named `dt_ref`), so a bad step raises SettingError before any run starts.
     """
     # an infinite dt_ref would round to the compared run, its own reference
-    if not (0 < dt_ref < math.inf):
-        raise ValueError(f"dt_ref must be positive and finite, got {dt_ref!r}")
+    for name, value in (("dt", dt), ("T", T), ("dt_ref", dt_ref)):
+        if not 0 < value < math.inf:  # false for nan too
+            raise SettingError(name, f"{name} must be positive and finite, got {value!r}")
     # an infinite ratio cannot be rounded: clamped, it fails the cap instead
     n_cmp = max(round(min(T / dt, sys.float_info.max)), order)
     t_end = n_cmp * dt
     step_count(dt, t_end, order)
     n_ref = max(round(min(t_end / dt_ref, sys.float_info.max)), n_cmp)
     dt_ref_eff = t_end / n_ref
-    step_count(dt_ref_eff, t_end, order)
+    _step_count_on("dt_ref", dt_ref_eff, t_end, order)
     return t_end, dt_ref_eff
 
 
@@ -268,13 +288,13 @@ def burgers_compare(nu: float = 1.0 / 314.0, n_modes: int = 320, dt: float = 8.5
     are 0) and must not decay to exactly zero (a huge nu): else ValueError.
     """
     if n_modes < 2:
-        raise ValueError(f"the comparison needs at least 2 modes, got {n_modes}")
+        raise SettingError("n_modes", f"the comparison needs at least 2 modes, got {n_modes}")
+    tab = tableau(order, eta_exponent)
     t_end, dt_ref_eff = burgers_horizon(dt, dt_ref, T, order)
     grid = Grid.sine1d(n_modes)
     problem = burgers(grid, nu)
     (x,) = grid.points
     u0 = Field.from_physical(grid, -np.sin(np.pi * x))
-    tab = tableau(order, eta_exponent)
 
     u_ref = advance(problem, tab, dt_ref_eff, t_end, mode=StepMode.SAV, u0=u0).u_history[0].values
     ref_peak = float(np.max(np.abs(u_ref)))

@@ -35,6 +35,7 @@ from .spectral import (
     Basis,
     Field,
     Grid,
+    SettingError,
     _weighted_sum,
     apply_symbol,
     dealias,
@@ -95,6 +96,9 @@ class ProblemDefinition:
     read-only at construction (so a symbol handed in becomes read-only too),
     which lets the solve and the weighted symbols below be built once.
 
+    Construction checks `c_shift` > 0 (so E > 0) and `stabilization` >= 0,
+    both finite, each with a SettingError on its field.
+
     For the last field seen the problem keeps dE/du and (L u, u), keyed by
     the field's identity, which fields as value types allow.  So K and the
     forcing power along one ubar share one dE/du, and the energy and the
@@ -116,6 +120,8 @@ class ProblemDefinition:
                                init=False, repr=False)
 
     def __post_init__(self):
+        _check_positive("c_shift", self.c_shift)
+        _check_non_negative("stabilization", self.stabilization)
         _read_only(self.principal_symbol)
         _read_only(self.mobility_symbol)
 
@@ -213,20 +219,17 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 def _check_positive(name: str, value: float) -> None:
     if not (0 < value < math.inf):  # false for nan too
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        raise SettingError(name, f"{name} must be positive and finite, got {value!r}")
 
 
 def _check_non_negative(name: str, value: float) -> None:
     if not (0 <= value < math.inf):  # false for nan too
-        raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+        raise SettingError(name, f"{name} must be non-negative and finite, got {value!r}")
 
 
 def _default_shift(grid: Grid, c_shift: float | None) -> float:
     # normalized so the constant energy offset c_shift * |Omega| equals 1
-    if c_shift is None:
-        return 1.0 / grid.volume
-    _check_positive("c_shift", c_shift)
-    return float(c_shift)
+    return 1.0 / grid.volume if c_shift is None else float(c_shift)
 
 
 def _phase_field(name: str, grid: Grid, alpha: float, stabilization: float,
@@ -236,8 +239,7 @@ def _phase_field(name: str, grid: Grid, alpha: float, stabilization: float,
         raise ValueError(f"{name} requires a FOURIER2D grid")
     _check_positive("alpha", alpha)
     if mobility is not None:
-        _check_positive("mobility m0", mobility)
-    _check_non_negative("stabilization", stabilization)
+        _check_positive("mobility", mobility)
     k2 = grid.k2
     return ProblemDefinition(
         name=name,

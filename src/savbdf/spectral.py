@@ -46,6 +46,7 @@ __all__ = [
     "Basis",
     "Grid",
     "Field",
+    "SettingError",
     "GridMismatchError",
     "IndefiniteOperatorError",
     "apply_symbol",
@@ -58,6 +59,14 @@ __all__ = [
     "integrate",
     "sine_derivative_values",
 ]
+
+
+class SettingError(ValueError):
+    """A setting outside its domain; `setting` names the parameter."""
+
+    def __init__(self, setting: str, message: str):
+        super().__init__(message)
+        self.setting = setting
 
 
 class GridMismatchError(ValueError):
@@ -90,15 +99,15 @@ class Grid:
     def __init__(self, basis: Basis, extents: tuple[int, ...]):
         if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n > 0
                    for n in extents):
-            raise ValueError(f"extents must be positive integers, got {extents}")
+            raise SettingError("extents", f"extents must be positive integers, got {extents}")
         self.basis = basis
         self.extents = tuple(int(n) for n in extents)
 
         if basis is Basis.FOURIER2D:
             if len(extents) != 2:
-                raise ValueError("FOURIER2D grids are two-dimensional")
+                raise SettingError("extents", "FOURIER2D grids are two-dimensional")
             if any(n % 2 for n in self.extents):
-                raise ValueError("FOURIER2D extents must be even for real transforms")
+                raise SettingError("extents", f"FOURIER2D extents must be even, got {extents}")
             nx, ny = self.extents
             lx = ly = 2.0
             hx, hy = lx / nx, ly / ny
@@ -121,7 +130,7 @@ class Grid:
             self._norm_factor = self.volume
         elif basis is Basis.SINE1D:
             if len(extents) != 1:
-                raise ValueError("SINE1D grids are one-dimensional")
+                raise SettingError("extents", "SINE1D grids are one-dimensional")
             (n,) = self.extents
             a, length = -1.0, 2.0
             h = length / (n + 1)

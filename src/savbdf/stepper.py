@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .problems import ProblemDefinition
-from .spectral import Field, sobolev_norm, solve_shifted
+from .spectral import Field, SettingError, sobolev_norm, solve_shifted
 from .tableau import MAX_ORDER, BdfTableau, combine_history, tableau
 
 __all__ = [
@@ -322,20 +322,21 @@ class RunReport:
 
 def step_count(dt: float, T: float, order: int) -> int:
     """Steps of size dt to reach T; T must be a whole number of steps of dt,
-    enough to host the order-`order` startup and at most MAX_STEPS."""
-    if not (math.isfinite(dt) and math.isfinite(T)):
-        raise ValueError(f"dt and T must be finite, got dt = {dt!r}, T = {T!r}")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if T <= 0:
-        raise ValueError("T must be positive")
+    enough to host the order-`order` startup and at most MAX_STEPS.  A
+    SettingError names `T` for a bad T alone, else `dt`."""
+    for name, value in (("dt", dt), ("T", T)):
+        if not math.isfinite(value):
+            raise SettingError(name, f"{name} must be finite, got {value!r}")
+        if value <= 0:
+            raise SettingError(name, f"{name} must be positive, got {value!r}")
     if T / dt >= MAX_STEPS + 0.5:  # round(T / dt) > MAX_STEPS, with no rounding of an inf
-        raise ValueError(f"dt = {dt} takes more than MAX_STEPS = {MAX_STEPS} steps to reach T = {T}")
+        raise SettingError("dt", f"dt = {dt} takes more than MAX_STEPS = {MAX_STEPS} steps "
+                                 f"to reach T = {T}")
     n_steps = round(T / dt)
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(abs(T), 1.0):
-        raise ValueError(f"dt = {dt} does not divide T = {T} into whole steps")
+        raise SettingError("dt", f"dt = {dt} does not divide T = {T} into whole steps")
     if n_steps < order:
-        raise ValueError(f"run of {n_steps} steps cannot host an order-{order} startup")
+        raise SettingError("dt", f"run of {n_steps} steps cannot host an order-{order} startup")
     return n_steps
 
 

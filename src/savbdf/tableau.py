@@ -32,13 +32,15 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
+from .spectral import SettingError
+
 __all__ = ["BdfTableau", "tableau", "combine_history", "UnsupportedOrderError"]
 
 MAX_ORDER = 5
 
 
-class UnsupportedOrderError(ValueError):
-    """Raised for orders outside 1..5 (BDF6+ is not zero-stable in this family's stability framework)."""
+class UnsupportedOrderError(SettingError):
+    """Raised on `order` for orders outside 1..5 (BDF6+ is not zero-stable in this family's stability framework)."""
 
 
 @dataclass(frozen=True)
@@ -81,14 +83,14 @@ class BdfTableau:
 
 def tableau(order: int, eta_exponent: int | None = None) -> BdfTableau:
     """Return the order-`order` tableau, optionally overriding the eta exponent."""
-    if not isinstance(order, int) or isinstance(order, bool):
-        raise UnsupportedOrderError(f"unsupported order {order!r}: must be an integer in 1..{MAX_ORDER}")
-    if not 1 <= order <= MAX_ORDER:
-        raise UnsupportedOrderError(f"unsupported order {order}: must be in 1..{MAX_ORDER}")
+    if not isinstance(order, int) or isinstance(order, bool) or not 1 <= order <= MAX_ORDER:
+        raise UnsupportedOrderError("order",
+                                    f"unsupported order {order!r}: must be an integer in 1..{MAX_ORDER}")
     if eta_exponent is None:
         eta_exponent = 3 if order == 1 else order + 1
     elif not isinstance(eta_exponent, int) or isinstance(eta_exponent, bool) or eta_exponent < 1:
-        raise ValueError(f"eta_exponent must be an integer >= 1, got {eta_exponent!r}")
+        raise SettingError("eta_exponent",
+                           f"eta_exponent must be an integer >= 1, got {eta_exponent!r}")
     terms = range(1, order + 1)
     return BdfTableau(
         order=order,

@@ -61,9 +61,14 @@ def test_cahn_hilliard_defaults(tmp_path):
     assert cfg.dt_list == (1 / 10, 1 / 20, 1 / 40, 1 / 80)
 
 
-def test_rejects_out_of_range_order(tmp_path):
-    with pytest.raises(ConfigError, match="order"):
-        parse_config(write_config(tmp_path, {"experiment": "converge", "order": 7}))
+def test_rejects_out_of_range_order(tmp_path, capsys):
+    # the range is the library's (`tableau`) to check, under the key all the same
+    out = tmp_path / "o"
+    path = write_config(tmp_path, {"experiment": "converge", "order": 7})
+    assert main(["converge", "--config", path, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "key 'order'" in err[0]
+    assert not out.exists()
 
 
 def test_rejects_unknown_key(tmp_path):
@@ -374,23 +379,24 @@ def test_artifact_format(tmp_path, argv, headers, keys):
     ["converge", "--dt", "0.1"],
     ["converge", "--mode", "imex"],
 ])
-def test_bad_settings_exit_without_traceback(tmp_path, argv):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "savbdf.cli", *argv, "--out", str(tmp_path / "o")],
-                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == EXIT_USAGE, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert len(proc.stderr.strip().splitlines()) == 1
+def test_bad_settings_exit_without_traceback(tmp_path, capsys, argv):
+    # in-process: an escaping exception, or a RuntimeWarning (an error under
+    # the suite's warning filter), fails the test
+    assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
-def test_run_horizon_is_checked_before_output_exists(tmp_path):
-    with pytest.raises(ConfigError, match="key 'dt'"):
-        parse_config(None, {"experiment": "run", "dt": 0.3, "T": 1.0})
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+def test_run_horizon_is_checked_before_output_exists(tmp_path, capsys):
+    # in-process, then once through `python -m savbdf.cli`
     out = tmp_path / "o"
+    assert main(["run", "--dt", "0.3", "--T", "1", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "key 'dt'" in err[0]
+    assert not out.exists()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "savbdf.cli", "run", "--dt", "0.3", "--T", "1",
                            "--out", str(out)],
                           cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
@@ -422,6 +428,17 @@ def test_run_horizon_is_checked_before_output_exists(tmp_path):
     (["burgers", "--grid", "1"], "grid"),
     (["run", "--dt", "1e-310"], "dt"),
     (["burgers", "--dt", "1e-310"], "dt"),
+    # checked by the library function that uses the value, named by its key
+    (["run", "--alpha", "-1"], "alpha"),
+    (["stability", "--problem", "cahn_hilliard", "--m0", "0"], "m0"),
+    (["burgers", "--nu", "inf"], "nu"),
+    (["run", "--c-shift", "nan"], "c_shift"),
+    (["run", "--stabilization", "-1"], "stabilization"),
+    (["run", "--T", "0"], "T"),
+    (["burgers", "--T", "inf"], "T"),
+    (["burgers", "--dt", "nan"], "dt"),
+    (["stability", "--dt", "nan"], "dt"),
+    (["converge", "--order", "6"], "order"),
 ], ids=lambda v: "_".join(v) if isinstance(v, list) else None)
 def test_bad_grid_seed_or_n_steps_is_rejected_before_output_exists(tmp_path, capsys, argv, key):
     out = tmp_path / "o"
@@ -429,6 +446,18 @@ def test_bad_grid_seed_or_n_steps_is_rejected_before_output_exists(tmp_path, cap
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert f"key '{key}'" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["run", "--problem", "burgers", "--mode", "imex", "--dt", "0.02", "--T", "1.0"], EXIT_DIVERGENCE),
+    (["burgers", "--nu", "1e300", "--grid", "8", "--dt-ref", "0.01"], EXIT_USAGE),
+], ids=["divergence", "library_value_error"])
+def test_failed_run_leaves_no_output(tmp_path, capsys, argv, code):
+    # the output directory appears with the first artifact, and these fail before it
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == code
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ from savbdf import (
     Field,
     Grid,
     ProblemDefinition,
+    SettingError,
     allen_cahn,
     apply_symbol,
     burgers,
@@ -105,17 +106,19 @@ INF, NAN = float("inf"), float("nan")
     (dict(c_shift=NAN), "c_shift"), (dict(c_shift=-10.0), "c_shift"), (dict(c_shift=0.0), "c_shift"),
 ])
 def test_allen_cahn_rejects_bad_settings(grid, kwargs, name):
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(SettingError, match=name) as exc:
         allen_cahn(grid, **kwargs)
+    assert exc.value.setting == name
 
 
 @pytest.mark.parametrize("kwargs, name", [
-    (dict(mobility=NAN), "mobility m0"), (dict(mobility=INF), "mobility m0"),
+    (dict(mobility=NAN), "mobility"), (dict(mobility=INF), "mobility"),
     (dict(alpha=INF), "alpha"), (dict(c_shift=-10.0), "c_shift"),
 ])
 def test_cahn_hilliard_rejects_bad_settings(grid, kwargs, name):
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(SettingError, match=name) as exc:
         cahn_hilliard(grid, **kwargs)
+    assert exc.value.setting == name
 
 
 @pytest.mark.parametrize("kwargs, name", [
@@ -124,8 +127,21 @@ def test_cahn_hilliard_rejects_bad_settings(grid, kwargs, name):
 ])
 def test_burgers_rejects_bad_settings(kwargs, name):
     # c_shift = -10 would otherwise fail only at step 1, on energy positivity
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(SettingError, match=name) as exc:
         burgers(Grid.sine1d(8), **kwargs)
+    assert exc.value.setting == name
+
+
+@pytest.mark.parametrize("build, name, value", [
+    # from zero data a zero shift fails only at step 1, on energy positivity
+    (lambda: burgers(Grid.sine1d(16), 0.1), "c_shift", 0.0),
+    # a negative stabilization would run to T
+    (lambda: allen_cahn(Grid.fourier2d(16)), "stabilization", -5.0),
+])
+def test_hand_built_problem_is_checked_at_construction(build, name, value):
+    with pytest.raises(SettingError, match=name) as exc:
+        dataclasses.replace(build(), **{name: value})
+    assert exc.value.setting == name
 
 
 # -- Allen-Cahn -------------------------------------------------------------------

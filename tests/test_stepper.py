@@ -214,13 +214,26 @@ def test_unforced_run_r_is_monotone():
         assert rep.final.r <= rep.records[0].r
 
 
-def test_eta_deviation_tracks_xi_power():
-    grid = Grid.fourier2d(32)
-    p = with_manufactured_forcing(allen_cahn(grid))
-    tab = tableau(2)
-    rep = run(p, tab, 1e-2, 0.5)
-    bound = max(10.0 * rep.max_xi_deviation ** tab.eta_exponent, 1e-14)
-    assert max(abs(1.0 - rec.eta) for rec in rep.records) <= bound
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_correction_order_at_every_k(order):
+    # xi is first order in dt, and eta = 1 - (1 - xi)^p of order p = 3, 3, 4, 5, 6:
+    # per halving of dt, max |1 - xi| shrinks by 2 and max |1 - eta| by about
+    # 2^p, which is what keeps the scheme order k.  A |1 - eta| at or below
+    # 1e-13 is rounding (at k = 5 it reaches exactly 0), so it enters no ratio.
+    p = with_manufactured_forcing(allen_cahn(Grid.fourier2d(32)))
+    tab = tableau(order)
+    xi_dev, eta_dev = [], []
+    for dt in (0.02, 0.01, 0.005):
+        rep = run(p, tab, dt, 1.0)
+        xi_dev.append(rep.max_xi_deviation)
+        eta_dev.append(max(abs(1.0 - rec.eta) for rec in rep.records))
+        assert eta_dev[-1] <= max(10.0 * xi_dev[-1] ** tab.eta_exponent, 1e-14)
+    for coarse, fine in zip(xi_dev, xi_dev[1:]):
+        assert 1.9 <= coarse / fine <= 2.1
+    rates = [coarse / fine for coarse, fine in zip(eta_dev, eta_dev[1:]) if coarse > 1e-13]
+    assert rates
+    for rate in rates:
+        assert 0.9 <= rate / 2 ** max(order + 1, 3) <= 1.15
 
 
 def test_forced_run_keeps_xi_near_one():
