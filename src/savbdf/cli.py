@@ -19,6 +19,7 @@ experiment that does not tolerate it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -134,7 +135,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
 
     A null value leaves a key unset.  A key that the experiment or its
     problem does not read (see EXPERIMENTS and PROBLEMS) is a ConfigError, as
-    are a wrong type, too many grid entries and an eta_exponent below order + 1.
+    are a wrong type, too many grid entries and an eta_exponent below order + 1,
+    checked once `tableau` has accepted the order.
     """
     data: dict = {}
     if path is not None:
@@ -197,12 +199,22 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     if len(cfg.grid) > (1 if cfg.problem == "burgers" else 2):
         takes = "one entry" if cfg.problem == "burgers" else "one or two entries"
         raise ConfigError(f"key 'grid': {cfg.problem} takes {takes}, got {cfg.grid!r}")
-    if cfg.eta_exponent is not None and cfg.eta_exponent < cfg.order + 1:
-        raise ConfigError(
-            f"key 'eta_exponent': must be at least order + 1 = {cfg.order + 1}, the smallest "
-            f"exponent that keeps order {cfg.order}; got {cfg.eta_exponent!r}"
-        )
+    if cfg.eta_exponent is not None:
+        try:  # the library accepts the order first, so a bad order is named as such
+            tableau(cfg.order)
+        except SettingError as exc:
+            raise ConfigError(_keyed(exc)) from None
+        if cfg.eta_exponent < cfg.order + 1:
+            raise ConfigError(
+                f"key 'eta_exponent': must be at least order + 1 = {cfg.order + 1}, the smallest "
+                f"exponent that keeps order {cfg.order}; got {cfg.eta_exponent!r}"
+            )
     return cfg
+
+
+def _keyed(exc: SettingError) -> str:
+    """The library's message for a setting, under the key that carries it."""
+    return f"key '{_KEY_OF_SETTING.get(exc.setting, exc.setting)}': {exc}"
 
 
 def _build_problem(cfg: RunConfig, forced: bool):
@@ -348,15 +360,10 @@ def execute(cfg: RunConfig) -> int:
     The library checks each setting where it uses it; a SettingError is
     reported under the key that carries the setting.
     """
-    out = Path(cfg.out)
+    executor = {"converge": _execute_converge, "stability": _execute_stability,
+                "burgers": _execute_burgers}.get(cfg.experiment, _execute_run)
     try:
-        if cfg.experiment == "converge":
-            return _execute_converge(cfg, out)
-        if cfg.experiment == "stability":
-            return _execute_stability(cfg, out)
-        if cfg.experiment == "burgers":
-            return _execute_burgers(cfg, out)
-        return _execute_run(cfg, out)
+        return executor(cfg, Path(cfg.out))
     except DivergenceError as exc:
         print(f"{exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -364,8 +371,7 @@ def execute(cfg: RunConfig) -> int:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
     except SettingError as exc:
-        print(f"config error: key '{_KEY_OF_SETTING.get(exc.setting, exc.setting)}': {exc}",
-              file=sys.stderr)
+        print(f"config error: {_keyed(exc)}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"invalid setting: {exc}", file=sys.stderr)
@@ -382,7 +388,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(
         prog="savbdf",
         description="Energy-stable semi-implicit BDFk experiments on spectral grids.",
@@ -400,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         overrides = {k: v for k, v in vars(args).items() if k != "config"}
         cfg = parse_config(args.config, overrides)
     except ConfigError as exc:

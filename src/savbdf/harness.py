@@ -122,9 +122,7 @@ def _fit_norm(entries: list[ConvergenceEntry], attr: str) -> Optional[float]:
     pts = [(e.dt, getattr(e, attr)) for e in entries
            if not e.diverged and getattr(e, attr) is not None
            and math.isfinite(getattr(e, attr)) and getattr(e, attr) > ERROR_FLOOR]
-    if len(pts) < 2:
-        return None
-    return fit_rate(pts)
+    return fit_rate(pts) if len(pts) >= 2 else None
 
 
 def convergence_study(problem: ProblemDefinition, order: int, dt_list=None,
@@ -175,13 +173,12 @@ def random_smooth_field(grid: Grid, seed: int = 0) -> Field:
         # Hermitian symmetry of the self-conjugate column
         for mx in range(1, span + 1):
             coeffs[nx - mx, 0] = np.conj(coeffs[mx, 0])
-        raw = Field.from_spectral(grid, coeffs)
     else:
         n = grid.extents[0]
         span = min(RANDOM_FIELD_MAX_MODE, n)
         coeffs = np.zeros(n)
         coeffs[:span] = rng.normal(0.0, 1.0, size=span)
-        raw = Field.from_spectral(grid, coeffs)
+    raw = Field.from_spectral(grid, coeffs)
     sd = float(np.std(raw.values))
     return raw if sd == 0.0 else (1.0 / sd) * raw
 

@@ -31,20 +31,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .spectral import (
-    Basis,
-    Field,
-    Grid,
-    SettingError,
-    _weighted_sum,
-    apply_symbol,
-    dealias,
-    inner,
-    integrate,
-    pointwise_map,
-    quadratic_form,  # noqa: F401 -- unused here; bound for perfbench's call-site hooks
-    sine_derivative_values,
-)
+from .spectral import Basis, Field, Grid, SettingError, _weighted_sum, dealias, inner, sine_derivative_values
+# unused here; bound for perfbench's call-site hooks
+from .spectral import apply_symbol, integrate, pointwise_map, quadratic_form  # noqa: F401
 
 __all__ = [
     "ProblemDefinition",
@@ -61,20 +50,34 @@ __all__ = [
 
 
 def double_well(v: np.ndarray) -> np.ndarray:
-    """F(v) = (v^2 - 1)^2 / 4, the canonical phase-field potential.
-
-    Computed in one scratch array, with the operations of 0.25 * (v*v - 1)**2.
-    """
-    w = v * v
-    w -= 1.0
-    w *= w
-    w *= 0.25
-    return w
+    """F(v) = (v^2 - 1)^2 / 4, the canonical phase-field potential."""
+    return 0.25 * (v * v - 1.0) ** 2
 
 
 def double_well_prime(v: np.ndarray) -> np.ndarray:
     """F'(v) = v^3 - v, as v (v^2 - 1): two multiplies, no call to pow."""
     return v * (v * v - 1.0)
+
+
+def _well_terms(v: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(F'(v), sum w, sum w^2) from one array w = v*v - 1, where F(v) = w^2 / 4.
+
+    F' = v w has the bits of `double_well_prime`.  The two sums give the
+    potential's integral at v and, in closed form, at any multiple of v;
+    sum w^2 is one dot product, with no array of squares.
+    """
+    w = v * v
+    w -= 1.0
+    return v * w, float(w.sum()), float(np.vdot(w, w))
+
+
+class _FieldTerms:
+    """What E, dE/du and K of u share: (L u, u), then on first use `_well_terms` and dE/du."""
+
+    __slots__ = ("u", "quad", "well", "grad")
+
+    def __init__(self, u, quad):
+        self.u, self.quad, self.well, self.grad = u, quad, None, None
 
 
 @dataclass(frozen=True)
@@ -99,10 +102,11 @@ class ProblemDefinition:
     Construction checks `c_shift` > 0 (so E > 0) and `stabilization` >= 0,
     both finite, each with a SettingError on its field.
 
-    For the last field seen the problem keeps dE/du and (L u, u), keyed by
-    the field's identity, which fields as value types allow.  So K and the
-    forcing power along one ubar share one dE/du, and the energy and the
-    principal norm of one u share one quadratic form.
+    For the last field u seen the problem keeps one entry, keyed by the
+    field's identity (fields are value types): (L u, u); F'(u), sum w and
+    sum w^2 for w = u^2 - 1, from one w; and dE/du.  E, dE/du, K and the
+    forcing power all read it, so `update_terms` builds each term once, and
+    `scaled_energy` gives E(eta ubar) from it with no array pass.
     """
 
     name: str
@@ -115,8 +119,7 @@ class ProblemDefinition:
     transport: Optional[Callable[[Field], Field]] = None
     forcing: Optional[Callable[[float], Field]] = None
     exact: Optional[ExactSolution] = None
-    # [(u, dE/du or None, (L u, u) or None)] for the last field u seen
-    _field_terms: list = field(default_factory=lambda: [(None, None, None)],
+    _field_terms: list = field(default_factory=lambda: [_FieldTerms(None, None)],
                                init=False, repr=False)
 
     def __post_init__(self):
@@ -155,7 +158,7 @@ class ProblemDefinition:
             well = double_well_prime(v) if self.has_double_well else 0.0
             if self.stabilization:
                 well = well - self.stabilization * v
-            g = apply_symbol(self._dealiased_mobility, Field.from_physical(self.grid, well))
+            g = Field(self.grid, spectral=self._dealiased_mobility * Field(self.grid, physical=well).coeffs)
         else:
             g = Field(self.grid, spectral=np.zeros(self.grid.spectral_shape))
         return g if self.transport is None else g + self.transport(u)
@@ -165,37 +168,49 @@ class ProblemDefinition:
         g = self.g_unforced(u)
         return g if self.forcing is None else g - self.forcing(t)
 
-    def _terms(self, u: Field) -> tuple:
-        # the entry holds u, so its id cannot pass to another field while kept
+    def _terms(self, u: Field, well: bool = False) -> _FieldTerms:
+        """u's entry, with its well terms filled when `well` and the problem has the double well."""
         terms = self._field_terms[0]
-        return terms if terms[0] is u else (u, None, None)
-
-    def _quadratic(self, u: Field) -> float:
-        """(L u, u), kept with the field."""
-        _, grad, quad = self._terms(u)
-        if quad is None:
-            quad = float(_weighted_sum(u, self._weighted_principal))
-            self._field_terms[0] = (u, grad, quad)
-        return quad
+        if terms.u is not u:  # the entry holds u, so its id cannot pass to another field while kept
+            terms = self._field_terms[0] = _FieldTerms(u, float(_weighted_sum(u, self._weighted_principal)))
+        if well and self.has_double_well and terms.well is None:
+            terms.well = _well_terms(u.values)
+        return terms
 
     def energy(self, u: Field) -> float:
         """E(u) = 1/2 (L u, u) + integral F(u) + c_shift * |Omega|."""
-        e = 0.5 * self._quadratic(u) + self.c_shift * self.grid.volume
-        if self.has_double_well:
-            e += integrate(pointwise_map(u, double_well))
+        terms = self._terms(u, well=True)
+        e = 0.5 * terms.quad + self.c_shift * self.grid.volume
+        if terms.well is not None:
+            e += 0.25 * terms.well[2] * self.grid.cell_volume  # inf where scaled_energy(u, 1) gives nan
         return e
+
+    def scaled_energy(self, u: Field, s: float) -> tuple[float, float]:
+        """(E(s u), (L s u, s u)) from u's entry, with no array pass once E(u) is known.
+
+        With w = u^2 - 1, (s u)^2 - 1 = s^2 w + d for d = s^2 - 1, so
+        integral F(s u) = 1/4 (cell (s^4 sum w^2 + 2 s^2 d sum w) + |Omega| d^2).
+        """
+        terms = self._terms(u, well=True)
+        s2 = s * s
+        quad = s2 * terms.quad
+        e = 0.5 * quad + self.c_shift * self.grid.volume
+        if terms.well is not None:
+            _, sum_w, sum_w2 = terms.well
+            d = s2 - 1.0
+            e += 0.25 * (self.grid.cell_volume * (s2 * s2 * sum_w2 + 2.0 * s2 * d * sum_w)
+                         + self.grid.volume * d * d)
+        return e, quad
 
     def energy_gradient(self, u: Field) -> Field:
         """dE/du = L u + dealias(F'(u)); for Cahn-Hilliard the chemical potential."""
-        _, grad, quad = self._terms(u)
-        if grad is None:
+        terms = self._terms(u, well=True)
+        if terms.grad is None:
             c = self.principal_symbol * u.coeffs
-            if self.has_double_well:
-                well = Field(self.grid, physical=double_well_prime(u.values))
-                c = c + well.coeffs * self.grid.dealias_mask
-            grad = Field(self.grid, spectral=c)
-            self._field_terms[0] = (u, grad, quad)
-        return grad
+            if terms.well is not None:
+                c += Field(self.grid, physical=terms.well[0]).coeffs * self.grid.dealias_mask
+            terms.grad = Field(self.grid, spectral=c)
+        return terms.grad
 
     def dissipation(self, u: Field) -> float:
         """K(u) = (G dE/du, dE/du) >= 0, the decay rate of the unforced energy law."""
@@ -203,13 +218,17 @@ class ProblemDefinition:
 
     def principal_norm_sq(self, u: Field) -> float:
         """(L u, u), the quadratic energy part controlled by the integrator."""
-        return self._quadratic(u)
+        return self._terms(u).quad
 
     def forcing_power(self, u: Field, t: float) -> float:
         """(dE/du, f(t)): rate at which the forcing feeds the energy."""
         if self.forcing is None:
             return 0.0
         return inner(self.energy_gradient(u), self.forcing(t))
+
+    def update_terms(self, u: Field, t: float) -> tuple[float, float, float]:
+        """(E(u), K(u), (dE/du, f(t))): the scalar update's inputs along u, from u's one entry."""
+        return self.energy(u), self.dissipation(u), self.forcing_power(u, t)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -274,7 +293,7 @@ def cahn_hilliard(grid: Grid, alpha: float = 0.04, mobility: float = 0.005,
 
 def _burgers_transport(u: Field) -> Field:
     # u*u_x, pseudospectral and dealiased; (u, u*u_x) = 0 with the walls
-    return dealias(Field.from_physical(u.grid, u.values * sine_derivative_values(u)))
+    return dealias(Field(u.grid, physical=u.values * sine_derivative_values(u)))
 
 
 def burgers(grid: Grid, nu: float, c_shift: float | None = None) -> ProblemDefinition:

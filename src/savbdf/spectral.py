@@ -220,16 +220,11 @@ class Field:
 
     @classmethod
     def from_spectral(cls, grid: Grid, coeffs) -> "Field":
-        if grid.basis is Basis.FOURIER2D:
-            arr = np.asarray(coeffs, dtype=complex)
-            if arr.shape != grid.spectral_shape:
-                raise ValueError(f"spectral shape {arr.shape} does not match grid {grid.spectral_shape}")
-            arr = _hermitianize(arr, grid.extents[0])
-        else:
-            arr = np.asarray(coeffs, dtype=float)
-            if arr.shape != grid.spectral_shape:
-                raise ValueError(f"spectral shape {arr.shape} does not match grid {grid.spectral_shape}")
-        return cls(grid, spectral=arr)
+        fourier = grid.basis is Basis.FOURIER2D
+        arr = np.asarray(coeffs, dtype=complex if fourier else float)
+        if arr.shape != grid.spectral_shape:
+            raise ValueError(f"spectral shape {arr.shape} does not match grid {grid.spectral_shape}")
+        return cls(grid, spectral=_hermitianize(arr, grid.extents[0]) if fourier else arr)
 
     @classmethod
     def zeros(cls, grid: Grid) -> "Field":
@@ -262,7 +257,7 @@ class Field:
         """The mean over the domain; on a Fourier grid the (0, 0) coefficient."""
         if self.grid.basis is Basis.FOURIER2D:
             return float(self.coeffs[0, 0].real)
-        return float(np.sum(self.values) * self.grid.cell_volume / self.grid.volume)
+        return float(self.values.sum() * self.grid.cell_volume / self.grid.volume)
 
     def all_finite(self) -> bool:
         arr = self._phys if self._phys is not None else self._spec
@@ -270,19 +265,17 @@ class Field:
 
     # -- arithmetic -------------------------------------------------------------
 
-    def _binary(self, other: "Field", op) -> "Field":
+    def _binary(self, other, op):
+        if not isinstance(other, Field):
+            return NotImplemented
         if self.grid != other.grid:
             raise GridMismatchError(f"fields live on different grids: {self.grid} vs {other.grid}")
         return Field(self.grid, spectral=op(self.coeffs, other.coeffs))
 
     def __add__(self, other):
-        if not isinstance(other, Field):
-            return NotImplemented
         return self._binary(other, np.add)
 
     def __sub__(self, other):
-        if not isinstance(other, Field):
-            return NotImplemented
         return self._binary(other, np.subtract)
 
     def __neg__(self):
@@ -378,7 +371,7 @@ def inner(f: Field, g: Field) -> float:
 
 def integrate(f: Field) -> float:
     """Quadrature of the field over the domain: cell_volume * sum of values."""
-    return float(np.sum(f.values) * f.grid.cell_volume)
+    return float(f.values.sum() * f.grid.cell_volume)
 
 
 # -- dealiasing and pointwise operations ------------------------------------------

@@ -108,13 +108,9 @@ class SavState(NamedTuple):
 def _sav_update(problem: ProblemDefinition, tab: BdfTableau, r: float, ubar: Field,
                 t: float, dt: float, index: int) -> tuple[float, float, float]:
     """The closed-form scalar update along ubar at time t; returns (r, xi, eta)."""
-    energy = problem.energy(ubar)
+    energy, kappa, work = problem.update_terms(ubar, t)
     if not energy > 0.0:
-        raise EnergyPositivityError(
-            f"E(ubar) = {energy!r} <= 0 at step {index}; check c_shift/potential"
-        )
-    kappa = problem.dissipation(ubar)
-    work = problem.forcing_power(ubar, t)
+        raise EnergyPositivityError(f"E(ubar) = {energy!r} <= 0 at step {index}; check c_shift/potential")
     r_new = (r + dt * work) / (1.0 + dt * kappa / energy)
     if not math.isfinite(r_new):
         raise DivergenceError(index, "scalar variable")
@@ -134,9 +130,7 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
         raise ValueError("dt must be positive")
     k = tab.order
     if len(state.u_history) < k:
-        raise ValueError(
-            f"order-{k} step needs {k} history levels, have {len(state.u_history)}"
-        )
+        raise ValueError(f"order-{k} step needs {k} history levels, have {len(state.u_history)}")
     next_index = state.step_index + 1
     t_next = state.time + dt
 
@@ -150,9 +144,9 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
         history = state.u_history[:k]
         drift = combine_history(a, [u.coeffs for u in history])
         extrapolated = Field(problem.grid, physical=combine_history(b, [u.values for u in history]))
-        explicit = problem.nonlinear(extrapolated, t_next)
-        rhs = Field(problem.grid, spectral=(1.0 / dt) * drift - explicit.coeffs)
-        ubar = solve_shifted(alpha / dt, problem.linear_symbol, rhs)
+        drift *= 1.0 / dt  # the combination is a new array: the right-hand side in place
+        drift -= problem.nonlinear(extrapolated, t_next).coeffs
+        ubar = solve_shifted(alpha / dt, problem.linear_symbol, Field(problem.grid, spectral=drift))
         if not ubar.all_finite():
             raise DivergenceError(next_index, "uncorrected solution")
 
@@ -208,10 +202,8 @@ def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
 
 
 class StepRecord(NamedTuple):
-    """Per-step diagnostics; error columns are None without an exact solution.
-
-    Immutable; a tuple, so the record costs little to build.
-    """
+    """Per-step diagnostics, an immutable tuple that costs little to build;
+    the error columns are None without an exact solution."""
 
     step: int
     t: float
@@ -237,23 +229,18 @@ def exact_errors(problem: ProblemDefinition, state: SavState) -> Optional[tuple[
         return sobolev_norm(diff, 0.0), sobolev_norm(diff, 1.0), sobolev_norm(diff, 2.0)
 
 
-def _make_record(problem: ProblemDefinition, state: SavState) -> StepRecord:
+def _make_record(problem: ProblemDefinition, state: SavState, scaled: bool = False) -> StepRecord:
+    """The state's record.  `scaled` says u = eta * ubar, as a SAV step leaves
+    it: E(u) and (L u, u) then follow from ubar's terms, kept by the scalar
+    update, with no array pass."""
     u = state.u_history[0]
-    err_l2, err_h1, err_h2 = exact_errors(problem, state) or (None, None, None)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return StepRecord(
-            step=state.step_index,
-            t=state.time,
-            r=state.r,
-            xi=state.last_xi,
-            eta=state.last_eta,
-            energy=problem.energy(u),
-            principal_norm_sq=problem.principal_norm_sq(u),
-            mean=u.mean(),
-            err_l2=err_l2,
-            err_h1=err_h1,
-            err_h2=err_h2,
-        )
+    if scaled:
+        energy, principal = problem.scaled_energy(state.ubar, state.last_eta)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy, principal = problem.energy(u), problem.principal_norm_sq(u)
+    return StepRecord(state.step_index, state.time, state.r, state.last_xi, state.last_eta, energy,
+                      principal, u.mean(), *(exact_errors(problem, state) or (None, None, None)))
 
 
 @dataclass
@@ -300,11 +287,8 @@ class RunReport:
     @property
     def monotone_violations(self) -> int:
         """Steps where r grew beyond the floating-point slack."""
-        count = 0
-        for prev, cur in zip(self.records, self.records[1:]):
-            if cur.r > prev.r * (1.0 + MONOTONE_RTOL):
-                count += 1
-        return count
+        return sum(cur.r > prev.r * (1.0 + MONOTONE_RTOL)
+                   for prev, cur in zip(self.records, self.records[1:]))
 
     @property
     def mean_drift(self) -> float:
@@ -315,9 +299,7 @@ class RunReport:
     @property
     def final_errors(self) -> Optional[tuple[float, float, float]]:
         rec = self.final
-        if rec.err_l2 is None:
-            return None
-        return (rec.err_l2, rec.err_h1, rec.err_h2)
+        return None if rec.err_l2 is None else (rec.err_l2, rec.err_h1, rec.err_h2)
 
 
 def step_count(dt: float, T: float, order: int) -> int:
@@ -351,10 +333,11 @@ def advance(problem: ProblemDefinition, tab: BdfTableau, dt: float, T: float,
     """
     n_steps = step_count(dt, T, tab.order)
     state = initialize(problem, tab, dt, u0=u0, mode=mode, record_sink=record_sink)
+    scaled = mode is StepMode.SAV  # a SAV step leaves u = eta * ubar
     while state.step_index < n_steps:
         state = step(state, problem, tab, dt, mode)
         if record_sink is not None:
-            record_sink.append(_make_record(problem, state))
+            record_sink.append(_make_record(problem, state, scaled))
     return state
 
 

@@ -124,6 +124,36 @@ def test_eta_exponent_below_order_plus_one_is_rejected():
     assert parse_config(None, {"experiment": "run", "order": 2, "eta_exponent": 3}).eta_exponent == 3
 
 
+def test_bad_order_is_named_before_the_eta_exponent_policy(tmp_path, capsys):
+    # the order + 1 rule reads the order, so the order is checked first
+    out = tmp_path / "o"
+    assert main(["converge", "--order", "9", "--eta-exponent", "4", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "key 'order'" in err[0] and "eta_exponent" not in err[0]
+    assert not out.exists()
+
+
+def test_consecutive_main_calls_behave_like_fresh_ones(tmp_path, capsys):
+    # the parser is built once per process; each call must still see only its own argv
+    calls = [
+        (["run", "--grid", "8", "--T", "0.2", "--dt", "0.05", "--order", "3"], EXIT_OK),
+        (["run", "--grid", "8", "--dt-list", "0.1"], EXIT_USAGE),
+        (["stability", "--grid", "8", "--n-steps", "6", "--dt", "0.5"], EXIT_OK),
+    ]
+
+    def invoke(argv, out):
+        code = main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+        return code, captured.out, captured.err, files
+
+    shared = [invoke(argv, tmp_path / f"shared{i}") for i, (argv, _) in enumerate(calls)]
+    for i, ((argv, code), got) in enumerate(zip(calls, shared)):
+        cli._parser.cache_clear()
+        assert got == invoke(argv, tmp_path / f"fresh{i}"), argv
+        assert got[0] == code and (got[3] is None) == (code != EXIT_OK), argv
+
+
 # (experiment, problem or None for the experiment's default, key, value)
 UNREAD = [
     ("converge", None, "mode", "imex"),

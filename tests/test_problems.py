@@ -82,10 +82,17 @@ def test_field_terms_match_a_fresh_problem_when_fields_alternate(grid, maker):
     # return the other's terms
     fields = (random_smooth_field(grid, seed=1), random_smooth_field(grid, seed=2))
     p = maker(grid)
-    for i in range(12):
-        method = ("energy", "dissipation", "principal_norm_sq")[i % 3]
+    calls = {
+        "energy": lambda q, w: q.energy(w),
+        "dissipation": lambda q, w: q.dissipation(w),
+        "principal_norm_sq": lambda q, w: q.principal_norm_sq(w),
+        "update_terms": lambda q, w: q.update_terms(w, 0.0),
+        "scaled_energy": lambda q, w: q.scaled_energy(w, -0.75),
+    }
+    for i in range(20):  # 5 entry points and 2 fields: every pairing, twice
+        name = list(calls)[i % 5]
         w = fields[i % 2]
-        assert getattr(p, method)(w) == getattr(maker(grid), method)(w), (i, method)
+        assert calls[name](p, w) == calls[name](maker(grid), w), (i, name)
 
 
 def test_wrong_basis_rejected(grid):

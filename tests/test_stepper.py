@@ -286,6 +286,51 @@ def test_advance_is_run_without_records(name, mode):
     assert sink == rep.records
 
 
+def _burgers_case(order):
+    grid = Grid.sine1d(32)
+    (x,) = grid.points
+    return lambda: burgers(grid, nu=0.05), Field.from_physical(grid, -np.sin(np.pi * x)), order, 0.01, 12
+
+
+def _phase_case(maker, n, order, dt, n_steps, seed=2):
+    grid = Grid.fourier2d(n)
+    return lambda: maker(grid), random_smooth_field(grid, seed=seed), order, dt, n_steps
+
+
+RECORD_CASES = {
+    **{f"allen_cahn_k{k}": _phase_case(allen_cahn, 16, k, 0.01, 12) for k in range(1, 6)},
+    **{f"cahn_hilliard_k{k}": _phase_case(cahn_hilliard, 16, k, 0.001, 12) for k in range(1, 6)},
+    **{f"burgers_k{k}": _burgers_case(k) for k in range(1, 6)},
+    # eta reaches -0.985 at step 72
+    "cahn_hilliard_negative_eta": _phase_case(cahn_hilliard, 64, 3, 0.001, 100, seed=0),
+    # (L u, u) collapses to about 1e-78 while IMEX stays at 0.17
+    "cahn_hilliard_collapsed": _phase_case(cahn_hilliard, 64, 3, 0.01, 200, seed=0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_CASES))
+def test_sav_record_matches_a_fresh_evaluation_of_the_new_level(case):
+    # the record derives E(u) and (L u, u) from ubar's terms with u = eta * ubar;
+    # a problem that never saw ubar must evaluate u^{n+1} to the same values
+    make, u0, order, dt, n_steps = RECORD_CASES[case]
+    p, fresh, tab = make(), make(), tableau(order)
+    records = run(p, tab, dt, n_steps * dt, u0=u0).records
+    state = initialize(p, tab, dt, u0=u0)
+    etas = []
+    while state.step_index < n_steps:
+        state = step(state, p, tab, dt)
+        rec, u = records[state.step_index], state.u_history[0]
+        etas.append(rec.eta)
+        assert rec.energy == pytest.approx(fresh.energy(u), rel=1e-13, abs=0.0), state.step_index
+        assert rec.principal_norm_sq == pytest.approx(fresh.principal_norm_sq(u), rel=1e-13, abs=0.0)
+    if case == "cahn_hilliard_negative_eta":
+        assert min(etas) < -0.9
+    elif case == "cahn_hilliard_collapsed":
+        assert records[-1].principal_norm_sq < 1e-70
+    else:
+        assert max(abs(1.0 - e) for e in etas) < 1e-2
+
+
 @pytest.mark.parametrize("dt, T", [(math.inf, 1.0), (math.nan, 1.0), (0.1, math.inf), (0.1, math.nan)])
 def test_step_count_rejects_non_finite_values(dt, T):
     with pytest.raises(ValueError, match="must be finite"):
@@ -436,7 +481,8 @@ def _count_transforms(monkeypatch):
     ("cahn_hilliard", 5, 2, 1),
 ])
 def test_steady_step_transform_budget(monkeypatch, name, order, fwd, inv):
-    # one step after the startup plus its trace record, on 32^2
+    # one step after the startup plus its trace record, on 32^2; the record
+    # alone reads ubar's terms, which the scalar update kept, and costs none
     grid = Grid.fourier2d(32)
     if name == "allen_cahn_forced":
         p, u0 = with_manufactured_forcing(allen_cahn(grid)), None
@@ -447,7 +493,10 @@ def test_steady_step_transform_budget(monkeypatch, name, order, fwd, inv):
     state = initialize(p, tab, dt, u0=u0)
     for _ in range(2):
         state = step(state, p, tab, dt)
-        _make_record(p, state)
+        _make_record(p, state, scaled=True)
     counts = _count_transforms(monkeypatch)
-    _make_record(p, step(state, p, tab, dt))
+    state = step(state, p, tab, dt)
+    stepped = dict(counts)
+    _make_record(p, state, scaled=True)
+    assert counts == stepped, "the record of a SAV step made a transform"
     assert counts["fwd"] <= fwd and counts["inv"] <= inv, counts
