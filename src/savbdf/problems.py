@@ -31,22 +31,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .spectral import Basis, Field, Grid, SettingError, _weighted_sum, dealias, inner, sine_derivative_values
+from .spectral import (Basis, Field, Grid, SettingError, _to_spectral, _weighted_sum, dealias, inner,
+                       sine_derivative_values)
 # unused here; bound for perfbench's call-site hooks
 from .spectral import apply_symbol, integrate, pointwise_map, quadratic_form  # noqa: F401
 
-__all__ = [
-    "ProblemDefinition",
-    "ExactSolution",
-    "allen_cahn",
-    "cahn_hilliard",
-    "burgers",
-    "scalar_decay",
-    "with_manufactured_forcing",
-    "exp_sine_product_solution",
-    "double_well",
-    "double_well_prime",
-]
+__all__ = ["ProblemDefinition", "ExactSolution", "allen_cahn", "cahn_hilliard", "burgers",
+           "scalar_decay", "with_manufactured_forcing", "exp_sine_product_solution", "double_well",
+           "double_well_prime"]
 
 
 def double_well(v: np.ndarray) -> np.ndarray:
@@ -55,29 +47,34 @@ def double_well(v: np.ndarray) -> np.ndarray:
 
 
 def double_well_prime(v: np.ndarray) -> np.ndarray:
-    """F'(v) = v^3 - v, as v (v^2 - 1): two multiplies, no call to pow."""
-    return v * (v * v - 1.0)
+    """F'(v) = v^3 - v, as v (v^2 - 1): two multiplies, no call to pow, one new array."""
+    w = v * v
+    w -= 1.0
+    w *= v
+    return w
 
 
 def _well_terms(v: np.ndarray) -> tuple[np.ndarray, float, float]:
     """(F'(v), sum w, sum w^2) from one array w = v*v - 1, where F(v) = w^2 / 4.
 
-    F' = v w has the bits of `double_well_prime`.  The two sums give the
-    potential's integral at v and, in closed form, at any multiple of v;
-    sum w^2 is one dot product, with no array of squares.
+    F' = v w, formed in w after the sums, has the bits of `double_well_prime`.
+    The sums give the potential's integral at v and, in closed form, at any
+    multiple of v; sum w^2 is one dot product, with no array of squares.
     """
     w = v * v
     w -= 1.0
-    return v * w, float(w.sum()), float(np.vdot(w, w))
+    sum_w, sum_w2 = float(w.sum()), float(np.vdot(w, w))
+    w *= v
+    return w, sum_w, sum_w2
 
 
 class _FieldTerms:
-    """What E, dE/du and K of u share: (L u, u), then on first use `_well_terms` and dE/du."""
+    """What E, dE/du and K of u share: (L u, u), `_well_terms`, then dE/du's coefficients."""
 
     __slots__ = ("u", "quad", "well", "grad")
 
-    def __init__(self, u, quad):
-        self.u, self.quad, self.well, self.grad = u, quad, None, None
+    def __init__(self, u, quad, well):
+        self.u, self.quad, self.well, self.grad = u, quad, well, None
 
 
 @dataclass(frozen=True)
@@ -119,7 +116,7 @@ class ProblemDefinition:
     transport: Optional[Callable[[Field], Field]] = None
     forcing: Optional[Callable[[float], Field]] = None
     exact: Optional[ExactSolution] = None
-    _field_terms: list = field(default_factory=lambda: [_FieldTerms(None, None)],
+    _field_terms: list = field(default_factory=lambda: [_FieldTerms(None, None, None)],
                                init=False, repr=False)
 
     def __post_init__(self):
@@ -132,6 +129,11 @@ class ProblemDefinition:
     def linear_symbol(self) -> np.ndarray:
         """The implicit operator A = G (L + lam)."""
         return _read_only(self.mobility_symbol * (self.principal_symbol + self.stabilization))
+
+    @cached_property
+    def _gradient_symbol(self) -> np.ndarray:
+        # L in the coefficient dtype, as it multiplies coefficients in dE/du
+        return _read_only(self.principal_symbol.astype(self.grid.coeff_dtype))
 
     @cached_property
     def _weighted_principal(self) -> np.ndarray:
@@ -152,34 +154,40 @@ class ProblemDefinition:
         return self.forcing is not None
 
     def g_unforced(self, u: Field) -> Field:
-        """The explicit term g(u) = G dealias(F'(u) - lam u) + T(u)."""
+        """The explicit term g(u) = G dealias(F'(u) - lam u) + T(u), on a new array."""
         if self.has_double_well or self.stabilization:
             v = u.values
             well = double_well_prime(v) if self.has_double_well else 0.0
             if self.stabilization:
                 well = well - self.stabilization * v
-            g = Field(self.grid, spectral=self._dealiased_mobility * Field(self.grid, physical=well).coeffs)
+            c = _to_spectral(self.grid, well)
+            c *= self._dealiased_mobility
         else:
-            g = Field(self.grid, spectral=np.zeros(self.grid.spectral_shape))
-        return g if self.transport is None else g + self.transport(u)
+            c = np.zeros(self.grid.spectral_shape, self.grid.coeff_dtype)
+        if self.transport is not None:
+            c += self.transport(u).coeffs
+        return Field(self.grid, spectral=c)
 
     def nonlinear(self, u: Field, t: float) -> Field:
         """The full explicit term of the normalized equation: g(u) - f(t)."""
         g = self.g_unforced(u)
-        return g if self.forcing is None else g - self.forcing(t)
+        if self.forcing is not None:
+            c = g.coeffs  # g's own new array: f is subtracted in place
+            c -= self.forcing(t).coeffs
+        return g
 
-    def _terms(self, u: Field, well: bool = False) -> _FieldTerms:
-        """u's entry, with its well terms filled when `well` and the problem has the double well."""
+    def _terms(self, u: Field) -> _FieldTerms:
+        """u's entry, built when u is not the field it holds."""
         terms = self._field_terms[0]
         if terms.u is not u:  # the entry holds u, so its id cannot pass to another field while kept
-            terms = self._field_terms[0] = _FieldTerms(u, float(_weighted_sum(u, self._weighted_principal)))
-        if well and self.has_double_well and terms.well is None:
-            terms.well = _well_terms(u.values)
+            well = _well_terms(u.values) if self.has_double_well else None
+            terms = self._field_terms[0] = _FieldTerms(
+                u, _weighted_sum(self.grid, u.coeffs, self._weighted_principal), well)
         return terms
 
     def energy(self, u: Field) -> float:
         """E(u) = 1/2 (L u, u) + integral F(u) + c_shift * |Omega|."""
-        terms = self._terms(u, well=True)
+        terms = self._terms(u)
         e = 0.5 * terms.quad + self.c_shift * self.grid.volume
         if terms.well is not None:
             e += 0.25 * terms.well[2] * self.grid.cell_volume  # inf where scaled_energy(u, 1) gives nan
@@ -191,7 +199,7 @@ class ProblemDefinition:
         With w = u^2 - 1, (s u)^2 - 1 = s^2 w + d for d = s^2 - 1, so
         integral F(s u) = 1/4 (cell (s^4 sum w^2 + 2 s^2 d sum w) + |Omega| d^2).
         """
-        terms = self._terms(u, well=True)
+        terms = self._terms(u)
         s2 = s * s
         quad = s2 * terms.quad
         e = 0.5 * quad + self.c_shift * self.grid.volume
@@ -202,19 +210,22 @@ class ProblemDefinition:
                          + self.grid.volume * d * d)
         return e, quad
 
-    def energy_gradient(self, u: Field) -> Field:
-        """dE/du = L u + dealias(F'(u)); for Cahn-Hilliard the chemical potential."""
-        terms = self._terms(u, well=True)
+    def _gradient(self, u: Field) -> np.ndarray:
+        """The coefficients of dE/du = L u + dealias(F'(u)), kept in u's entry;
+        for Cahn-Hilliard the chemical potential."""
+        terms = self._terms(u)
         if terms.grad is None:
-            c = self.principal_symbol * u.coeffs
+            c = self._gradient_symbol * u.coeffs
             if terms.well is not None:
-                c += Field(self.grid, physical=terms.well[0]).coeffs * self.grid.dealias_mask
-            terms.grad = Field(self.grid, spectral=c)
+                well = _to_spectral(self.grid, terms.well[0])
+                well *= self.grid.dealias_mask
+                c += well
+            terms.grad = c
         return terms.grad
 
     def dissipation(self, u: Field) -> float:
         """K(u) = (G dE/du, dE/du) >= 0, the decay rate of the unforced energy law."""
-        return float(_weighted_sum(self.energy_gradient(u), self._weighted_mobility))
+        return _weighted_sum(self.grid, self._gradient(u), self._weighted_mobility)
 
     def principal_norm_sq(self, u: Field) -> float:
         """(L u, u), the quadratic energy part controlled by the integrator."""
@@ -224,7 +235,7 @@ class ProblemDefinition:
         """(dE/du, f(t)): rate at which the forcing feeds the energy."""
         if self.forcing is None:
             return 0.0
-        return inner(self.energy_gradient(u), self.forcing(t))
+        return inner(Field(self.grid, spectral=self._gradient(u)), self.forcing(t))
 
     def update_terms(self, u: Field, t: float) -> tuple[float, float, float]:
         """(E(u), K(u), (dE/du, f(t))): the scalar update's inputs along u, from u's one entry."""

@@ -28,11 +28,15 @@ That Hermitian symmetry is enforced in one place, :meth:`Field.from_spectral`,
 the entry point for caller-supplied coefficients.  Coefficients produced
 here need no repair: ``rfft2`` of real data is Hermitian, and every diagonal
 operator (``k2``, the dealias mask, the symbols built from them) is real
-and even in kx, so multiplying or dividing by it keeps the symmetry; and
-``irfft2`` reads only the Hermitian part in any case.
+(held as r + 0j where it meets complex coefficients) and even in kx, so
+multiplying or dividing by it keeps the symmetry; and ``irfft2`` reads only
+the Hermitian part in any case.
 
 Grids precompute wavenumber tables, quadrature weights and dealiasing masks
 at construction and are immutable afterwards, hence safe for concurrent use.
+The tables that multiply coefficients are held in the coefficient dtype:
+numpy casts a real table to r + 0j on each product anyway, so the bits are
+the same and the cast is gone.
 """
 
 from __future__ import annotations
@@ -42,23 +46,12 @@ import enum
 import numpy as np
 from scipy import fft as _fft
 
-__all__ = [
-    "Basis",
-    "Grid",
-    "Field",
-    "SettingError",
-    "GridMismatchError",
-    "IndefiniteOperatorError",
-    "apply_symbol",
-    "solve_shifted",
-    "sobolev_norm",
-    "quadratic_form",
-    "dealias",
-    "pointwise_map",
-    "inner",
-    "integrate",
-    "sine_derivative_values",
-]
+__all__ = ["Basis", "Grid", "Field", "SettingError", "GridMismatchError", "IndefiniteOperatorError",
+           "apply_symbol", "solve_shifted", "sobolev_norm", "quadratic_form", "dealias",
+           "pointwise_map", "inner", "integrate", "sine_derivative_values"]
+
+
+_COMPLEX = np.dtype(np.complex128)
 
 
 class SettingError(ValueError):
@@ -88,11 +81,12 @@ class Grid:
     The domain is fixed by the basis: the square (0, 2)^2 for FOURIER2D, the
     interval (-1, 1) for SINE1D.  Use the :meth:`fourier2d` / :meth:`sine1d`
     constructors.  All derived arrays (points, wavenumbers, multiplicities,
-    dealias mask) are computed once here and must be treated as read-only.
+    dealias mask) are computed once here and must be treated as read-only;
+    `coeff_dtype` is complex128 on FOURIER2D and float64 on SINE1D.
     """
 
     __slots__ = (
-        "basis", "extents", "points", "spectral_shape", "cell_volume", "volume",
+        "basis", "extents", "points", "spectral_shape", "coeff_dtype", "cell_volume", "volume",
         "k2", "dealias_mask", "_mult", "_norm_factor", "_sobolev_weights",
     )
 
@@ -115,15 +109,16 @@ class Grid:
             ky = 2.0 * np.pi * _fft.rfftfreq(ny, d=hy)
             self.k2 = kx[:, None] ** 2 + ky[None, :] ** 2
             self.spectral_shape = (nx, ny // 2 + 1)
+            self.coeff_dtype = _COMPLEX
             # conjugate-pair multiplicity of the rfft2 layout
-            mult = np.ones(self.spectral_shape)
+            mult = np.ones(self.spectral_shape, dtype=self.coeff_dtype)
             mult[:, 1:-1] = 2.0
             self._mult = mult
             ix = np.abs(np.rint(_fft.fftfreq(nx) * nx)).astype(int)
             iy = np.arange(ny // 2 + 1)
             cut_x = 2.0 * (nx // 2) / 3.0
             cut_y = 2.0 * (ny // 2) / 3.0
-            self.dealias_mask = (ix[:, None] <= cut_x) & (iy[None, :] <= cut_y)
+            mask = (ix[:, None] <= cut_x) & (iy[None, :] <= cut_y)
             self.cell_volume = hx * hy
             self.volume = lx * ly
             self.points = np.meshgrid(hx * np.arange(nx), hy * np.arange(ny), indexing="ij")
@@ -138,14 +133,15 @@ class Grid:
             kj = j * np.pi / length
             self.k2 = kj ** 2
             self.spectral_shape = self.extents
+            self.coeff_dtype = np.dtype(np.float64)
             self._mult = np.ones(n)
-            cut = 2.0 * n / 3.0
-            self.dealias_mask = j <= cut
+            mask = j <= 2.0 * n / 3.0
             self.cell_volume = h
             self.volume = length
             self.points = (a + h * np.arange(1, n + 1),)
             # L2 norm of each basis function: integral of sin^2 over (-1, 1)
             self._norm_factor = length / 2.0
+        self.dealias_mask = mask.astype(self.coeff_dtype)
         for arr in (self.k2, self.dealias_mask, self._mult):
             arr.setflags(write=False)
         self._sobolev_weights = {}
@@ -194,6 +190,13 @@ def _hermitianize(coeffs: np.ndarray, nx: int) -> np.ndarray:
     return out
 
 
+def _to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """The coefficients of physical values, a new array."""
+    if grid.basis is Basis.FOURIER2D:
+        return _fft.rfft2(values, norm="forward")
+    return _fft.dst(values, type=1) / (grid.extents[0] + 1)
+
+
 class Field:
     """A real grid function with lazily synchronized physical and spectral data.
 
@@ -221,7 +224,7 @@ class Field:
     @classmethod
     def from_spectral(cls, grid: Grid, coeffs) -> "Field":
         fourier = grid.basis is Basis.FOURIER2D
-        arr = np.asarray(coeffs, dtype=complex if fourier else float)
+        arr = np.asarray(coeffs, dtype=grid.coeff_dtype)
         if arr.shape != grid.spectral_shape:
             raise ValueError(f"spectral shape {arr.shape} does not match grid {grid.spectral_shape}")
         return cls(grid, spectral=_hermitianize(arr, grid.extents[0]) if fourier else arr)
@@ -235,9 +238,9 @@ class Field:
     @property
     def values(self) -> np.ndarray:
         if self._phys is None:
-            g = self.grid
-            if g.basis is Basis.FOURIER2D:
-                self._phys = _fft.irfft2(self._spec, s=g.extents, norm="forward")
+            if self.grid.basis is Basis.FOURIER2D:
+                # even extents make irfft2's default output shape the grid's
+                self._phys = _fft.irfft2(self._spec, norm="forward")
             else:
                 self._phys = _fft.dst(self._spec, type=1) / 2.0
         return self._phys
@@ -245,22 +248,19 @@ class Field:
     @property
     def coeffs(self) -> np.ndarray:
         if self._spec is None:
-            g = self.grid
-            if g.basis is Basis.FOURIER2D:
-                self._spec = _fft.rfft2(self._phys, norm="forward")
-            else:
-                n = g.extents[0]
-                self._spec = _fft.dst(self._phys, type=1) / (n + 1)
+            self._spec = _to_spectral(self.grid, self._phys)
         return self._spec
 
     def mean(self) -> float:
         """The mean over the domain; on a Fourier grid the (0, 0) coefficient."""
         if self.grid.basis is Basis.FOURIER2D:
-            return float(self.coeffs[0, 0].real)
+            return self.coeffs.item(0).real
         return float(self.values.sum() * self.grid.cell_volume / self.grid.volume)
 
     def all_finite(self) -> bool:
         arr = self._phys if self._phys is not None else self._spec
+        if arr.dtype is _COMPLEX and arr.flags.c_contiguous:
+            arr = arr.view(np.float64)  # the same predicate on the (re, im) pairs, a faster loop
         return bool(np.isfinite(arr).all())
 
     # -- arithmetic -------------------------------------------------------------
@@ -311,50 +311,58 @@ def apply_symbol(symbol, f: Field) -> Field:
     return Field(f.grid, spectral=symbol * f.coeffs)
 
 
-#: (shift, symbol, shift + symbol) of the last positive solve of a read-only symbol
-_last_solve: tuple = (None, None, None)
+#: (shift, symbol, coefficient dtype, factor, ufunc) of the last positive solve of a read-only symbol
+_last_solve: tuple = (None, None, None, None, None)
 
 
-def solve_shifted(shift: float, op_symbol, rhs: Field) -> Field:
+def solve_shifted(shift: float, op_symbol, rhs: Field, overwrite_rhs: bool = False) -> Field:
     """Solve (shift + A) x = rhs for a diagonal operator A given by its symbol.
 
-    Every mode denominator shift + symbol must be strictly positive.  A time
-    loop solves with one shift and one symbol step after step, so the
-    checked denominator of the last solve is kept when the symbol is a
-    read-only array, which cannot change under it.  The entry holds the
-    symbol, so its identity cannot pass to another array; a hit returns
-    what a fresh solve would, and the one entry bounds what is kept.
+    Every mode denominator d = shift + symbol must be strictly positive.
+    Complex coefficients are multiplied by fl(1/d) + 0j: numpy divides
+    a + bi by a real d as (a + b*0) * fl(1/d), so only the sign of a zero
+    part can differ.  Real ones are divided, as a * fl(1/d) != a / d there.
+    A time loop solves with one shift and one symbol step after step, so
+    that factor, checked positive, is kept for the last read-only symbol,
+    which cannot change under it; the entry holds the symbol, so its
+    identity cannot pass to another array.  With `overwrite_rhs` the
+    solution is written into rhs's coefficients, which the caller owns.
     """
     global _last_solve
-    last_shift, last_symbol, denom = _last_solve
-    if op_symbol is not last_symbol or shift != last_shift:
+    c = rhs.coeffs
+    last_shift, last_symbol, last_dtype, factor, apply = _last_solve
+    if op_symbol is not last_symbol or shift != last_shift or c.dtype is not last_dtype:
         denom = shift + np.asarray(op_symbol)
         if np.min(denom) <= 0.0:
             raise IndefiniteOperatorError(
                 f"indefinite operator: min(shift + symbol) = {np.min(denom):g} <= 0"
             )
+        if c.dtype.kind == "c":
+            factor, apply = (1.0 / denom).astype(c.dtype), np.multiply
+        else:
+            factor, apply = denom, np.divide
         if isinstance(op_symbol, np.ndarray) and not op_symbol.flags.writeable:
-            _last_solve = (shift, op_symbol, denom)
-    return Field(rhs.grid, spectral=rhs.coeffs / denom)
+            factor.setflags(write=False)
+            _last_solve = (shift, op_symbol, c.dtype, factor, apply)
+    return Field(rhs.grid, spectral=apply(c, factor, out=c if overwrite_rhs else None))
 
 
 # -- norms and inner products ------------------------------------------------------
 
 
-def _weighted_sum(f: Field, weight) -> float:
+def _weighted_sum(grid: Grid, c: np.ndarray, weight) -> float:
     """factor * sum(weight * |c|^2) over the stored modes, as one dot product."""
-    c = f.coeffs
-    return f.grid._norm_factor * np.vdot(c, weight * c).real
+    return float(grid._norm_factor * np.vdot(c, weight * c).real)
 
 
 def sobolev_norm(f: Field, s: float = 0.0) -> float:
     """Spectral H^s norm: sqrt(sum (1 + |k|^2)^s |f_hat|^2), L2 at s = 0."""
-    return float(np.sqrt(_weighted_sum(f, f.grid._sobolev_weight(s))))
+    return float(np.sqrt(_weighted_sum(f.grid, f.coeffs, f.grid._sobolev_weight(s))))
 
 
 def quadratic_form(symbol, f: Field) -> float:
     """(S f, f) for a diagonal operator S given by its (real) symbol."""
-    return float(_weighted_sum(f, f.grid._mult * symbol))
+    return _weighted_sum(f.grid, f.coeffs, f.grid._mult * symbol)
 
 
 def inner(f: Field, g: Field) -> float:

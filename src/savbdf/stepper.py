@@ -34,21 +34,9 @@ from .problems import ProblemDefinition
 from .spectral import Field, SettingError, sobolev_norm, solve_shifted
 from .tableau import MAX_ORDER, BdfTableau, combine_history, tableau
 
-__all__ = [
-    "StepMode",
-    "SavState",
-    "StepRecord",
-    "RunReport",
-    "DivergenceError",
-    "EnergyPositivityError",
-    "MonotonicityError",
-    "step",
-    "initialize",
-    "advance",
-    "run",
-    "exact_errors",
-    "step_count",
-]
+__all__ = ["StepMode", "SavState", "StepRecord", "RunReport", "DivergenceError",
+           "EnergyPositivityError", "MonotonicityError", "step", "initialize", "advance", "run",
+           "exact_errors", "step_count"]
 
 #: relative slack for the floating-point monotonicity check of r
 MONOTONE_RTOL = 1e-14
@@ -114,7 +102,7 @@ def _sav_update(problem: ProblemDefinition, tab: BdfTableau, r: float, ubar: Fie
     r_new = (r + dt * work) / (1.0 + dt * kappa / energy)
     if not math.isfinite(r_new):
         raise DivergenceError(index, "scalar variable")
-    if not problem.is_forced and not 0.0 <= r_new <= r * (1.0 + MONOTONE_RTOL):
+    if problem.forcing is None and not 0.0 <= r_new <= r * (1.0 + MONOTONE_RTOL):
         raise MonotonicityError(index, r, r_new)
     xi = r_new / energy
     try:  # a huge finite xi overflows the float power, which raises rather than give inf
@@ -123,9 +111,11 @@ def _sav_update(problem: ProblemDefinition, tab: BdfTableau, r: float, ubar: Fie
         raise DivergenceError(index, "correction factor") from None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float,
          mode: StepMode = StepMode.SAV) -> SavState:
-    """Advance one step of size dt; returns the new state."""
+    """Advance one step of size dt; returns the new state.  Overflow in a diverging
+    trajectory raises DivergenceError at a finiteness guard, not an arithmetic warning."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     k = tab.order
@@ -134,32 +124,27 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
     next_index = state.step_index + 1
     t_next = state.time + dt
 
-    # overflow in a diverging trajectory is detected by the finiteness
-    # guards below, not reported as arithmetic warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        # each history level holds values and coefficients (E(ubar) evaluated
-        # ubar's values), so the drift combines coefficients, the input of the
-        # solve, and the extrapolation values, the input of the pointwise F'
-        alpha, a, b = tab.floats
-        history = state.u_history[:k]
-        drift = combine_history(a, [u.coeffs for u in history])
-        extrapolated = Field(problem.grid, physical=combine_history(b, [u.values for u in history]))
-        drift *= 1.0 / dt  # the combination is a new array: the right-hand side in place
-        drift -= problem.nonlinear(extrapolated, t_next).coeffs
-        ubar = solve_shifted(alpha / dt, problem.linear_symbol, Field(problem.grid, spectral=drift))
-        if not ubar.all_finite():
-            raise DivergenceError(next_index, "uncorrected solution")
+    # each history level holds values and coefficients (E(ubar) evaluated
+    # ubar's values), so the drift combines coefficients, the input of the
+    # solve, and the extrapolation values, the input of the pointwise F'
+    alpha, a, b = tab.floats
+    history = state.u_history[:k]
+    rhs = combine_history(a, [u.coeffs for u in history])
+    rhs *= 1.0 / dt  # the combination is a new array: the right-hand side in place
+    extrapolated = Field(problem.grid, physical=combine_history(b, [u.values for u in history]))
+    rhs -= problem.nonlinear(extrapolated, t_next).coeffs
+    ubar = solve_shifted(alpha / dt, problem.linear_symbol, Field(problem.grid, spectral=rhs),
+                         overwrite_rhs=True)
+    if not ubar.all_finite():
+        raise DivergenceError(next_index, "uncorrected solution")
+    if mode is StepMode.IMEX:
+        return SavState(next_index, t_next, (ubar,) + state.u_history[: MAX_ORDER - 1], ubar, state.r)
 
-        if mode is StepMode.IMEX:
-            u_new, r_new, xi, eta = ubar, state.r, 1.0, 1.0
-        else:
-            r_new, xi, eta = _sav_update(problem, tab, state.r, ubar, t_next, dt, next_index)
-            u_new = eta * ubar
-            if not u_new.all_finite():
-                raise DivergenceError(next_index, "corrected solution")
-
-    return SavState(next_index, t_next, (u_new,) + state.u_history[: MAX_ORDER - 1],
-                    ubar, r_new, xi, eta)
+    r_new, xi, eta = _sav_update(problem, tab, state.r, ubar, t_next, dt, next_index)
+    u_new = eta * ubar
+    if not u_new.all_finite():
+        raise DivergenceError(next_index, "corrected solution")
+    return SavState(next_index, t_next, (u_new,) + state.u_history[: MAX_ORDER - 1], ubar, r_new, xi, eta)
 
 
 def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
@@ -233,14 +218,15 @@ def _make_record(problem: ProblemDefinition, state: SavState, scaled: bool = Fal
     """The state's record.  `scaled` says u = eta * ubar, as a SAV step leaves
     it: E(u) and (L u, u) then follow from ubar's terms, kept by the scalar
     update, with no array pass."""
-    u = state.u_history[0]
+    index, time, history, ubar, r, xi, eta = state
+    u = history[0]
     if scaled:
-        energy, principal = problem.scaled_energy(state.ubar, state.last_eta)
+        energy, principal = problem.scaled_energy(ubar, eta)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             energy, principal = problem.energy(u), problem.principal_norm_sq(u)
-    return StepRecord(state.step_index, state.time, state.r, state.last_xi, state.last_eta, energy,
-                      principal, u.mean(), *(exact_errors(problem, state) or (None, None, None)))
+    errors = () if problem.exact is None else exact_errors(problem, state)
+    return StepRecord(index, time, r, xi, eta, energy, principal, u.mean(), *errors)
 
 
 @dataclass

@@ -331,6 +331,187 @@ def test_sav_record_matches_a_fresh_evaluation_of_the_new_level(case):
         assert max(abs(1.0 - e) for e in etas) < 1e-2
 
 
+# -- the step against the scheme written out in plain numpy ---------------------------
+
+
+def _plain_transforms(grid):
+    """(forward, inverse) in the library's normalization, as plain scipy calls."""
+    if grid.basis is savbdf.Basis.FOURIER2D:
+        return (lambda v: fft.rfft2(v, norm="forward"),
+                lambda c: fft.irfft2(c, s=grid.extents, norm="forward"))
+    n = grid.extents[0]
+    return lambda v: fft.dst(v, type=1) / (n + 1), lambda c: fft.dst(c, type=1) / 2.0
+
+
+def _plain_forcing(p, forward):
+    """f(t) of `with_manufactured_forcing`: cos t P + sin t (A - (lam + 1) G_d) P + sin^3 t G_d (p^3)^."""
+    x, y = p.grid.points
+    profile = np.exp(np.sin(np.pi * x) * np.sin(np.pi * y))
+    big_p = forward(profile)
+    g_d = p.mobility_symbol * (p.grid.dealias_mask.real != 0)
+    linear = (p.linear_symbol - (p.stabilization + 1.0) * g_d) * big_p
+    cubic = g_d * forward(profile ** 3)
+
+    def forcing(t):
+        c = math.cos(t) * big_p + math.sin(t) * linear
+        c += math.sin(t) ** 3 * cubic
+        return c
+
+    return forcing, lambda t: math.sin(t) * big_p
+
+
+def _plain_sav_steps(p, tab, dt, state, n_steps):
+    """n_steps SAV steps and their records from `state`, as the formulas read.
+
+    The symbols are the real ones, products mix real symbols with complex
+    coefficients, and the solve divides.  The operation order is the
+    scheme's: the drift is multiplied by 1/dt, g - f is formed before it is
+    subtracted, and the record's E(eta ubar) is the closed form in the sums
+    of w = ubar^2 - 1.  A level's values are eta times ubar's on the
+    double well, where E(ubar) computed them, and its own transform else.
+    """
+    grid = p.grid
+    forward, inverse = _plain_transforms(grid)
+    fourier = grid.basis is savbdf.Basis.FOURIER2D
+    mask = grid.dealias_mask.real != 0
+    mult = grid._mult.real
+    norm = grid.volume if fourier else grid.volume / 2.0  # Parseval's factor
+    cell, vol, c_shift = grid.cell_volume, grid.volume, p.c_shift
+    L, G, A = p.principal_symbol, p.mobility_symbol, p.linear_symbol
+    alpha, a, b = tab.floats
+    forcing, exact = _plain_forcing(p, forward) if p.is_forced else (None, None)
+
+    def quadratic(weight, c):
+        return float(norm * np.vdot(c, weight * c).real)
+
+    values = [u.values for u in state.u_history]
+    coeffs = [u.coeffs for u in state.u_history]
+    r, t = state.r, state.time
+    out = []
+    for _ in range(n_steps):
+        t = t + dt
+        drift, ext = a[0] * coeffs[0], b[0] * values[0]
+        for i in range(1, tab.order):
+            drift = drift + a[i] * coeffs[i]
+            ext = ext + b[i] * values[i]
+        if p.has_double_well:
+            g = (G * mask) * forward(ext * (ext * ext - 1.0))
+        else:  # Burgers: G = 0 on F' - lam u, and the transport u u_x
+            ext_c = forward(ext)
+            padded = np.zeros(grid.extents[0] + 2)
+            padded[1:-1] = ext_c * np.sqrt(grid.k2) / 2.0
+            u_x = fft.dct(padded, type=1)[1:-1]
+            g = np.zeros(grid.spectral_shape) + forward(ext * u_x) * mask
+        if forcing is not None:
+            g = g - forcing(t)
+        ubar = (drift * (1.0 / dt) - g) / (alpha / dt + A)
+
+        quad = quadratic(mult * L, ubar)
+        energy = 0.5 * quad + c_shift * vol
+        grad = L * ubar
+        if p.has_double_well:
+            v = inverse(ubar)
+            w = v * v - 1.0
+            sum_w, sum_w2 = float(w.sum()), float(np.vdot(w, w))
+            energy += 0.25 * sum_w2 * cell
+            grad = grad + forward(v * w) * mask
+        kappa = quadratic(mult * G, grad)
+        work = 0.0 if forcing is None else float(norm * np.vdot(grad, mult * forcing(t)).real)
+        r = (r + dt * work) / (1.0 + dt * kappa / energy)
+        xi = r / energy
+        eta = 1.0 - (1.0 - xi) ** tab.eta_exponent
+
+        u_c = eta * ubar
+        u_v = eta * v if p.has_double_well else inverse(u_c)
+        s2 = eta * eta
+        rec_energy = 0.5 * (s2 * quad) + c_shift * vol
+        if p.has_double_well:
+            d = s2 - 1.0
+            rec_energy += 0.25 * (cell * (s2 * s2 * sum_w2 + 2.0 * s2 * d * sum_w) + vol * d * d)
+        mean = u_c[0, 0].real if fourier else float(u_v.sum() * cell / vol)
+        errors = (None, None, None)
+        if exact is not None:
+            diff = u_c - exact(t)
+            errors = tuple(float(np.sqrt(quadratic(mult * (1.0 + grid.k2) ** s, diff)))
+                           for s in (0.0, 1.0, 2.0))
+        out.append((ubar, u_c, u_v, (t, r, xi, eta, rec_energy, s2 * quad, mean, *errors)))
+        values, coeffs = [u_v] + values, [u_c] + coeffs
+    return out
+
+
+def _oracle_case(name, order, dt):
+    if name == "burgers":
+        grid = Grid.sine1d(32)
+        (x,) = grid.points
+        return burgers(grid, nu=0.05), Field.from_physical(grid, -np.sin(np.pi * x)), order, dt
+    grid = Grid.fourier2d(16)
+    if name == "allen_cahn_forced":
+        return with_manufactured_forcing(allen_cahn(grid)), None, order, dt
+    maker = allen_cahn if name == "allen_cahn" else cahn_hilliard
+    return maker(grid), random_smooth_field(grid, seed=3), order, dt
+
+
+ORACLE_CASES = {
+    **{f"{name}_k{k}_dt{dt}": (name, k, dt)
+       for name in ("allen_cahn", "cahn_hilliard") for k in range(1, 6) for dt in (0.01, 1.0)},
+    "allen_cahn_forced_k3_dt0.01": ("allen_cahn_forced", 3, 0.01),
+    "burgers_k2_dt0.01": ("burgers", 2, 0.01),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_sav_step_matches_the_scheme_in_plain_numpy(case):
+    # the library stores its step-path symbols in the coefficient dtype and
+    # solves by a reciprocal multiply; numpy casts a real operand to r + 0j
+    # and divides a + bi by d as (a + b*0) * fl(1/d), so both give the
+    # formulas' values exactly.  array_equal counts +0 and -0 as equal: the
+    # sign of a zero part is all the reciprocal may change.
+    p, u0, order, dt = _oracle_case(*ORACLE_CASES[case])
+    tab, n_steps = tableau(order), 6
+    state = initialize(p, tab, dt, u0=u0)
+    want = _plain_sav_steps(p, tab, dt, state, n_steps)
+    for ubar, u_c, u_v, scalars in want:
+        state = step(state, p, tab, dt)
+        rec = _make_record(p, state, scaled=True)
+        u = state.u_history[0]
+        assert np.array_equal(state.ubar.coeffs, ubar), state.step_index
+        assert np.array_equal(u.coeffs, u_c) and np.array_equal(u.values, u_v), state.step_index
+        assert (rec.t, rec.r, rec.xi, rec.eta, rec.energy, rec.principal_norm_sq, rec.mean,
+                rec.err_l2, rec.err_h1, rec.err_h2) == scalars, state.step_index
+        assert (state.r, state.last_xi, state.last_eta) == scalars[1:4]
+
+
+@pytest.mark.parametrize("name", ["allen_cahn", "cahn_hilliard", "allen_cahn_forced", "burgers"])
+def test_step_path_arrays_are_read_only_in_the_coefficient_dtype(name):
+    # every cached array that multiplies coefficients on the step and record
+    # path is built once in the grid's coefficient dtype, so no product
+    # casts it; a sine grid stays real, so Burgers keeps float64 coefficients
+    p, u0, _, dt = _oracle_case(name, 2, 0.01)
+    tab = tableau(2)
+    state = initialize(p, tab, dt, u0=u0)
+    for _ in range(2):
+        state = step(state, p, tab, dt)
+        _make_record(p, state, scaled=True)
+    grid = p.grid
+    dtype = np.complex128 if grid.basis is savbdf.Basis.FOURIER2D else np.float64
+    assert grid.coeff_dtype == dtype
+    solved_shift, solved_symbol, _, factor, _ = savbdf.spectral._last_solve
+    assert solved_symbol is p.linear_symbol and solved_shift == tab.floats[0] / dt
+    cached = {
+        "dealias_mask": grid.dealias_mask,
+        "_mult": grid._mult,
+        **{f"_sobolev_weight({s})": grid._sobolev_weight(s) for s in (0.0, 1.0, 2.0)},
+        **{attr: getattr(p, attr) for attr in ("_gradient_symbol", "_dealiased_mobility",
+                                                "_weighted_principal", "_weighted_mobility")},
+        "solve factor": factor,
+    }
+    for label, arr in cached.items():
+        assert arr.dtype == dtype, label
+        assert not arr.flags.writeable, label
+    for u in (*state.u_history, state.ubar):
+        assert u.coeffs.dtype == dtype
+
+
 @pytest.mark.parametrize("dt, T", [(math.inf, 1.0), (math.nan, 1.0), (0.1, math.inf), (0.1, math.nan)])
 def test_step_count_rejects_non_finite_values(dt, T):
     with pytest.raises(ValueError, match="must be finite"):
