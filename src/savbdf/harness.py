@@ -23,10 +23,21 @@ from .stepper import (MAX_STEPS, DivergenceError, RunReport, StepMode, advance, 
                       step_count)
 from .tableau import tableau
 
-__all__ = ["ConvergenceEntry", "ConvergenceReport", "StabilityResult", "BurgersComparison",
-           "fit_rate", "default_dt_ladder", "check_dt_ladder", "burgers_horizon",
-           "convergence_study", "stability_probe", "burgers_compare", "random_smooth_field",
-           "ERROR_FLOOR"]
+__all__ = [
+    "ConvergenceEntry",
+    "ConvergenceReport",
+    "StabilityResult",
+    "BurgersComparison",
+    "fit_rate",
+    "default_dt_ladder",
+    "check_dt_ladder",
+    "burgers_horizon",
+    "convergence_study",
+    "stability_probe",
+    "burgers_compare",
+    "random_smooth_field",
+    "ERROR_FLOOR",
+]
 
 #: errors at or below this are treated as rounding floor and excluded from fits
 ERROR_FLOOR = 1e-11

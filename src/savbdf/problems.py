@@ -36,9 +36,18 @@ from .spectral import (Basis, Field, Grid, SettingError, _to_spectral, _weighted
 # unused here; bound for perfbench's call-site hooks
 from .spectral import apply_symbol, integrate, pointwise_map, quadratic_form  # noqa: F401
 
-__all__ = ["ProblemDefinition", "ExactSolution", "allen_cahn", "cahn_hilliard", "burgers",
-           "scalar_decay", "with_manufactured_forcing", "exp_sine_product_solution", "double_well",
-           "double_well_prime"]
+__all__ = [
+    "ProblemDefinition",
+    "ExactSolution",
+    "allen_cahn",
+    "cahn_hilliard",
+    "burgers",
+    "scalar_decay",
+    "with_manufactured_forcing",
+    "exp_sine_product_solution",
+    "double_well",
+    "double_well_prime",
+]
 
 
 def double_well(v: np.ndarray) -> np.ndarray:

@@ -46,12 +46,23 @@ import enum
 import numpy as np
 from scipy import fft as _fft
 
-__all__ = ["Basis", "Grid", "Field", "SettingError", "GridMismatchError", "IndefiniteOperatorError",
-           "apply_symbol", "solve_shifted", "sobolev_norm", "quadratic_form", "dealias",
-           "pointwise_map", "inner", "integrate", "sine_derivative_values"]
-
-
-_COMPLEX = np.dtype(np.complex128)
+__all__ = [
+    "Basis",
+    "Grid",
+    "Field",
+    "SettingError",
+    "GridMismatchError",
+    "IndefiniteOperatorError",
+    "apply_symbol",
+    "solve_shifted",
+    "sobolev_norm",
+    "quadratic_form",
+    "dealias",
+    "pointwise_map",
+    "inner",
+    "integrate",
+    "sine_derivative_values",
+]
 
 
 class SettingError(ValueError):
@@ -109,7 +120,7 @@ class Grid:
             ky = 2.0 * np.pi * _fft.rfftfreq(ny, d=hy)
             self.k2 = kx[:, None] ** 2 + ky[None, :] ** 2
             self.spectral_shape = (nx, ny // 2 + 1)
-            self.coeff_dtype = _COMPLEX
+            self.coeff_dtype = np.dtype(np.complex128)
             # conjugate-pair multiplicity of the rfft2 layout
             mult = np.ones(self.spectral_shape, dtype=self.coeff_dtype)
             mult[:, 1:-1] = 2.0
@@ -259,7 +270,7 @@ class Field:
 
     def all_finite(self) -> bool:
         arr = self._phys if self._phys is not None else self._spec
-        if arr.dtype is _COMPLEX and arr.flags.c_contiguous:
+        if arr.dtype == np.complex128 and arr.flags.c_contiguous:
             arr = arr.view(np.float64)  # the same predicate on the (re, im) pairs, a faster loop
         return bool(np.isfinite(arr).all())
 

@@ -34,9 +34,21 @@ from .problems import ProblemDefinition
 from .spectral import Field, SettingError, sobolev_norm, solve_shifted
 from .tableau import MAX_ORDER, BdfTableau, combine_history, tableau
 
-__all__ = ["StepMode", "SavState", "StepRecord", "RunReport", "DivergenceError",
-           "EnergyPositivityError", "MonotonicityError", "step", "initialize", "advance", "run",
-           "exact_errors", "step_count"]
+__all__ = [
+    "StepMode",
+    "SavState",
+    "StepRecord",
+    "RunReport",
+    "DivergenceError",
+    "EnergyPositivityError",
+    "MonotonicityError",
+    "step",
+    "initialize",
+    "advance",
+    "run",
+    "exact_errors",
+    "step_count",
+]
 
 #: relative slack for the floating-point monotonicity check of r
 MONOTONE_RTOL = 1e-14
@@ -129,22 +141,25 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
     # solve, and the extrapolation values, the input of the pointwise F'
     alpha, a, b = tab.floats
     history = state.u_history[:k]
-    rhs = combine_history(a, [u.coeffs for u in history])
-    rhs *= 1.0 / dt  # the combination is a new array: the right-hand side in place
+    drift = combine_history(a, [u.coeffs for u in history])
     extrapolated = Field(problem.grid, physical=combine_history(b, [u.values for u in history]))
-    rhs -= problem.nonlinear(extrapolated, t_next).coeffs
-    ubar = solve_shifted(alpha / dt, problem.linear_symbol, Field(problem.grid, spectral=rhs),
+    drift *= 1.0 / dt  # the combination is a new array: the right-hand side in place
+    drift -= problem.nonlinear(extrapolated, t_next).coeffs
+    ubar = solve_shifted(alpha / dt, problem.linear_symbol, Field(problem.grid, spectral=drift),
                          overwrite_rhs=True)
     if not ubar.all_finite():
         raise DivergenceError(next_index, "uncorrected solution")
-    if mode is StepMode.IMEX:
-        return SavState(next_index, t_next, (ubar,) + state.u_history[: MAX_ORDER - 1], ubar, state.r)
 
-    r_new, xi, eta = _sav_update(problem, tab, state.r, ubar, t_next, dt, next_index)
-    u_new = eta * ubar
-    if not u_new.all_finite():
-        raise DivergenceError(next_index, "corrected solution")
-    return SavState(next_index, t_next, (u_new,) + state.u_history[: MAX_ORDER - 1], ubar, r_new, xi, eta)
+    if mode is StepMode.IMEX:
+        u_new, r_new, xi, eta = ubar, state.r, 1.0, 1.0
+    else:
+        r_new, xi, eta = _sav_update(problem, tab, state.r, ubar, t_next, dt, next_index)
+        u_new = eta * ubar
+        if not u_new.all_finite():
+            raise DivergenceError(next_index, "corrected solution")
+
+    return SavState(next_index, t_next, (u_new,) + state.u_history[: MAX_ORDER - 1],
+                    ubar, r_new, xi, eta)
 
 
 def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
