@@ -56,9 +56,8 @@ def double_well(v: np.ndarray) -> np.ndarray:
 
 
 def double_well_prime(v: np.ndarray) -> np.ndarray:
-    """F'(v) = v^3 - v, as v (v^2 - 1): two multiplies, no call to pow, one new array."""
-    w = v * v
-    w -= 1.0
+    """F'(v) = v^3 - v, as v (v^2 - 1): two multiplies, no call to pow."""
+    w = v * v - 1.0
     w *= v
     return w
 

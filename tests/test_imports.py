@@ -70,8 +70,10 @@ def _fft_bindings(source: str, filename: str = "<source>") -> list[str]:
     import fft as m`) and must be called where it is read.  Flagged:
     `from scipy.fft import f`, and any other read of such an attribute:
     an alias `f = m.f` at module or function scope, a default argument, an
-    argument passed on.  A transform bound so escapes the patches on the
-    module's attributes that count transforms.
+    argument passed on.  A transform bound so escapes perfbench's tracer,
+    which patches `scipy.fft`'s attributes, and
+    `test_steady_step_transform_budget`, which swaps the module `spectral`
+    reads them from.
     """
     tree = ast.parse(source)
     modules = set()
