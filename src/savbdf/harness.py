@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .problems import ProblemDefinition, burgers
-from .spectral import Basis, Field, Grid, SettingError
+from .spectral import Basis, Field, Grid, SettingError, _check_positive
 from .stepper import (MAX_STEPS, DivergenceError, RunReport, StepMode, advance, exact_errors, run,
                       step_count)
 from .tableau import tableau
@@ -259,8 +259,7 @@ def burgers_horizon(dt: float, dt_ref: float, T: float, order: int) -> tuple[flo
     """
     # an infinite dt_ref would round to the compared run, its own reference
     for name, value in (("dt", dt), ("T", T), ("dt_ref", dt_ref)):
-        if not 0 < value < math.inf:  # false for nan too
-            raise SettingError(name, f"{name} must be positive and finite, got {value!r}")
+        _check_positive(name, value)
     # an infinite ratio cannot be rounded: clamped, it fails the cap instead
     n_cmp = max(round(min(T / dt, sys.float_info.max)), order)
     t_end = n_cmp * dt

@@ -25,14 +25,14 @@ cancels in their sum: it changes only the splitting, never E, dE/du or K.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .spectral import (Basis, Field, Grid, SettingError, _to_spectral, _weighted_sum, dealias, inner,
-                       sine_derivative_values)
+from .spectral import (Basis, Field, Grid, _check_non_negative, _check_positive, _to_spectral,
+                       _weighted_sum, dealias, inner, sine_derivative_values)
 # unused here; bound for perfbench's call-site hooks
 from .spectral import apply_symbol, integrate, pointwise_map, quadratic_form  # noqa: F401
 
@@ -67,22 +67,14 @@ def _well_terms(v: np.ndarray) -> tuple[np.ndarray, float, float]:
 
     F' = v w, formed in w after the sums, has the bits of `double_well_prime`.
     The sums give the potential's integral at v and, in closed form, at any
-    multiple of v; sum w^2 is one dot product, with no array of squares.
+    multiple of v; sum w^2 is one dot product, with no array of squares, as
+    in `ProblemDefinition.energy`.
     """
     w = v * v
     w -= 1.0
     sum_w, sum_w2 = float(w.sum()), float(np.vdot(w, w))
     w *= v
     return w, sum_w, sum_w2
-
-
-class _FieldTerms:
-    """What E, dE/du and K of u share: (L u, u), `_well_terms`, then dE/du's coefficients."""
-
-    __slots__ = ("u", "quad", "well", "grad")
-
-    def __init__(self, u, quad, well):
-        self.u, self.quad, self.well, self.grad = u, quad, well, None
 
 
 @dataclass(frozen=True)
@@ -107,11 +99,10 @@ class ProblemDefinition:
     Construction checks `c_shift` > 0 (so E > 0) and `stabilization` >= 0,
     both finite, each with a SettingError on its field.
 
-    For the last field u seen the problem keeps one entry, keyed by the
-    field's identity (fields are value types): (L u, u); F'(u), sum w and
-    sum w^2 for w = u^2 - 1, from one w; and dE/du.  E, dE/du, K and the
-    forcing power all read it, so `update_terms` builds each term once, and
-    `scaled_energy` gives E(eta ubar) from it with no array pass.
+    `energy`, `dissipation`, `principal_norm_sq` and `forcing_power` each
+    evaluate their field afresh.  `update_terms` builds what the scalar
+    update needs of one field, each term once, and `scaled_energy` gives
+    E(eta ubar) from its terms with no array pass.
     """
 
     name: str
@@ -124,8 +115,6 @@ class ProblemDefinition:
     transport: Optional[Callable[[Field], Field]] = None
     forcing: Optional[Callable[[float], Field]] = None
     exact: Optional[ExactSolution] = None
-    _field_terms: list = field(default_factory=lambda: [_FieldTerms(None, None, None)],
-                               init=False, repr=False)
 
     def __post_init__(self):
         _check_positive("c_shift", self.c_shift)
@@ -184,52 +173,41 @@ class ProblemDefinition:
             c -= self.forcing(t).coeffs
         return g
 
-    def _terms(self, u: Field) -> _FieldTerms:
-        """u's entry, built when u is not the field it holds."""
-        terms = self._field_terms[0]
-        if terms.u is not u:  # the entry holds u, so its id cannot pass to another field while kept
-            well = _well_terms(u.values) if self.has_double_well else None
-            terms = self._field_terms[0] = _FieldTerms(
-                u, _weighted_sum(self.grid, u.coeffs, self._weighted_principal), well)
-        return terms
-
     def energy(self, u: Field) -> float:
         """E(u) = 1/2 (L u, u) + integral F(u) + c_shift * |Omega|."""
-        terms = self._terms(u)
-        e = 0.5 * terms.quad + self.c_shift * self.grid.volume
-        if terms.well is not None:
-            e += 0.25 * terms.well[2] * self.grid.cell_volume  # inf where scaled_energy(u, 1) gives nan
+        e = 0.5 * self.principal_norm_sq(u) + self.c_shift * self.grid.volume
+        if self.has_double_well:
+            w = u.values * u.values
+            w -= 1.0
+            # inf where scaled_energy(terms, 1) gives nan
+            e += 0.25 * float(np.vdot(w, w)) * self.grid.cell_volume
         return e
 
-    def scaled_energy(self, u: Field, s: float) -> tuple[float, float]:
-        """(E(s u), (L s u, s u)) from u's entry, with no array pass once E(u) is known.
+    def scaled_energy(self, terms: tuple, s: float) -> tuple[float, float]:
+        """(E(s u), (L s u, s u)) from u's `update_terms` terms, with no array pass.
 
         With w = u^2 - 1, (s u)^2 - 1 = s^2 w + d for d = s^2 - 1, so
         integral F(s u) = 1/4 (cell (s^4 sum w^2 + 2 s^2 d sum w) + |Omega| d^2).
         """
-        terms = self._terms(u)
+        quad, sum_w, sum_w2 = terms
         s2 = s * s
-        quad = s2 * terms.quad
+        quad = s2 * quad
         e = 0.5 * quad + self.c_shift * self.grid.volume
-        if terms.well is not None:
-            _, sum_w, sum_w2 = terms.well
+        if self.has_double_well:
             d = s2 - 1.0
             e += 0.25 * (self.grid.cell_volume * (s2 * s2 * sum_w2 + 2.0 * s2 * d * sum_w)
                          + self.grid.volume * d * d)
         return e, quad
 
-    def _gradient(self, u: Field) -> np.ndarray:
-        """The coefficients of dE/du = L u + dealias(F'(u)), kept in u's entry;
-        for Cahn-Hilliard the chemical potential."""
-        terms = self._terms(u)
-        if terms.grad is None:
-            c = self._gradient_symbol * u.coeffs
-            if terms.well is not None:
-                well = _to_spectral(self.grid, terms.well[0])
-                well *= self.grid.dealias_mask
-                c += well
-            terms.grad = c
-        return terms.grad
+    def _gradient(self, u: Field, prime: Optional[np.ndarray] = None) -> np.ndarray:
+        """The coefficients of dE/du = L u + dealias(F'(u)), from F'(u)'s values
+        when given; for Cahn-Hilliard the chemical potential."""
+        c = self._gradient_symbol * u.coeffs
+        if self.has_double_well:
+            well = _to_spectral(self.grid, double_well_prime(u.values) if prime is None else prime)
+            well *= self.grid.dealias_mask
+            c += well
+        return c
 
     def dissipation(self, u: Field) -> float:
         """K(u) = (G dE/du, dE/du) >= 0, the decay rate of the unforced energy law."""
@@ -237,7 +215,7 @@ class ProblemDefinition:
 
     def principal_norm_sq(self, u: Field) -> float:
         """(L u, u), the quadratic energy part controlled by the integrator."""
-        return self._terms(u).quad
+        return _weighted_sum(self.grid, u.coeffs, self._weighted_principal)
 
     def forcing_power(self, u: Field, t: float) -> float:
         """(dE/du, f(t)): rate at which the forcing feeds the energy."""
@@ -245,24 +223,26 @@ class ProblemDefinition:
             return 0.0
         return inner(Field(self.grid, spectral=self._gradient(u)), self.forcing(t))
 
-    def update_terms(self, u: Field, t: float) -> tuple[float, float, float]:
-        """(E(u), K(u), (dE/du, f(t))): the scalar update's inputs along u, from u's one entry."""
-        return self.energy(u), self.dissipation(u), self.forcing_power(u, t)
+    def update_terms(self, u: Field, t: float) -> tuple[float, float, float, tuple]:
+        """(E(u), K(u), (dE/du, f(t)), terms): the scalar update's inputs along u,
+        each term built once, with the bits of `energy`, `dissipation` and
+        `forcing_power`; terms = ((L u, u), sum w, sum w^2) feeds `scaled_energy`."""
+        quad = _weighted_sum(self.grid, u.coeffs, self._weighted_principal)
+        energy = 0.5 * quad + self.c_shift * self.grid.volume
+        prime, sum_w, sum_w2 = None, 0.0, 0.0
+        if self.has_double_well:
+            prime, sum_w, sum_w2 = _well_terms(u.values)
+            energy += 0.25 * sum_w2 * self.grid.cell_volume
+        gradient = self._gradient(u, prime)
+        kappa = _weighted_sum(self.grid, gradient, self._weighted_mobility)
+        work = (0.0 if self.forcing is None
+                else inner(Field(self.grid, spectral=gradient), self.forcing(t)))
+        return energy, kappa, work, (quad, sum_w, sum_w2)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-def _check_positive(name: str, value: float) -> None:
-    if not (0 < value < math.inf):  # false for nan too
-        raise SettingError(name, f"{name} must be positive and finite, got {value!r}")
-
-
-def _check_non_negative(name: str, value: float) -> None:
-    if not (0 <= value < math.inf):  # false for nan too
-        raise SettingError(name, f"{name} must be non-negative and finite, got {value!r}")
 
 
 def _default_shift(grid: Grid, c_shift: float | None) -> float:

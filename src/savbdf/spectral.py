@@ -42,6 +42,7 @@ the same and the cast is gone.
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 from scipy import fft as _fft
@@ -73,6 +74,21 @@ class SettingError(ValueError):
         self.setting = setting
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (0 < value < math.inf):  # false for nan too
+        raise SettingError(name, f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_non_negative(name: str, value: float) -> None:
+    if not (0 <= value < math.inf):  # false for nan too
+        raise SettingError(name, f"{name} must be non-negative and finite, got {value!r}")
+
+
+def _is_integer(n) -> bool:
+    """True for a Python or numpy integer, false for a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 class GridMismatchError(ValueError):
     """Raised when an operation mixes fields living on different grids."""
 
@@ -102,8 +118,7 @@ class Grid:
     )
 
     def __init__(self, basis: Basis, extents: tuple[int, ...]):
-        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n > 0
-                   for n in extents):
+        if not all(_is_integer(n) and n > 0 for n in extents):
             raise SettingError("extents", f"extents must be positive integers, got {extents}")
         self.basis = basis
         self.extents = tuple(int(n) for n in extents)

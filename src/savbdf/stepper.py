@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .problems import ProblemDefinition
-from .spectral import Field, SettingError, sobolev_norm, solve_shifted
+from .spectral import Field, SettingError, _check_positive, sobolev_norm, solve_shifted
 from .tableau import MAX_ORDER, BdfTableau, combine_history, tableau
 
 __all__ = [
@@ -89,7 +89,8 @@ class MonotonicityError(RuntimeError):
 
 
 class SavState(NamedTuple):
-    """State after step n: corrected history (most recent first), last ubar, r.
+    """State after step n: corrected history (most recent first), last ubar, r,
+    the last update's xi and eta, and E(u) and (L u, u) of the newest level u.
 
     `u_history` keeps the newest MAX_ORDER levels whatever the order; a step
     of order k reads only the first k.  At a startup level `ubar` is that
@@ -101,14 +102,17 @@ class SavState(NamedTuple):
     u_history: tuple[Field, ...]
     ubar: Field
     r: float
-    last_xi: float = 1.0
-    last_eta: float = 1.0
+    last_xi: float
+    last_eta: float
+    energy: float
+    principal_norm_sq: float
 
 
 def _sav_update(problem: ProblemDefinition, tab: BdfTableau, r: float, ubar: Field,
-                t: float, dt: float, index: int) -> tuple[float, float, float]:
-    """The closed-form scalar update along ubar at time t; returns (r, xi, eta)."""
-    energy, kappa, work = problem.update_terms(ubar, t)
+                t: float, dt: float, index: int) -> tuple[float, float, float, tuple]:
+    """The closed-form scalar update along ubar at time t; returns (r, xi, eta)
+    and ubar's terms for `ProblemDefinition.scaled_energy`."""
+    energy, kappa, work, terms = problem.update_terms(ubar, t)
     if not energy > 0.0:
         raise EnergyPositivityError(f"E(ubar) = {energy!r} <= 0 at step {index}; check c_shift/potential")
     r_new = (r + dt * work) / (1.0 + dt * kappa / energy)
@@ -118,7 +122,7 @@ def _sav_update(problem: ProblemDefinition, tab: BdfTableau, r: float, ubar: Fie
         raise MonotonicityError(index, r, r_new)
     xi = r_new / energy
     try:  # a huge finite xi overflows the float power, which raises rather than give inf
-        return r_new, xi, 1.0 - (1.0 - xi) ** tab.eta_exponent
+        return r_new, xi, 1.0 - (1.0 - xi) ** tab.eta_exponent, terms
     except OverflowError:
         raise DivergenceError(index, "correction factor") from None
 
@@ -128,8 +132,7 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
          mode: StepMode = StepMode.SAV) -> SavState:
     """Advance one step of size dt; returns the new state.  Overflow in a diverging
     trajectory raises DivergenceError at a finiteness guard, not an arithmetic warning."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_positive("dt", dt)
     k = tab.order
     if len(state.u_history) < k:
         raise ValueError(f"order-{k} step needs {k} history levels, have {len(state.u_history)}")
@@ -152,14 +155,16 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
 
     if mode is StepMode.IMEX:
         u_new, r_new, xi, eta = ubar, state.r, 1.0, 1.0
+        energy, principal = problem.energy(ubar), problem.principal_norm_sq(ubar)
     else:
-        r_new, xi, eta = _sav_update(problem, tab, state.r, ubar, t_next, dt, next_index)
+        r_new, xi, eta, terms = _sav_update(problem, tab, state.r, ubar, t_next, dt, next_index)
         u_new = eta * ubar
         if not u_new.all_finite():
             raise DivergenceError(next_index, "corrected solution")
+        energy, principal = problem.scaled_energy(terms, eta)  # u = eta ubar: no array pass
 
     return SavState(next_index, t_next, (u_new,) + state.u_history[: MAX_ORDER - 1],
-                    ubar, r_new, xi, eta)
+                    ubar, r_new, xi, eta, energy, principal)
 
 
 def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
@@ -172,15 +177,15 @@ def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
     them.  Otherwise a cascade start is used: level i is produced by
     CASCADE_SUBSTEPS substeps of size dt/CASCADE_SUBSTEPS at order i, run as
     one continuous fine trajectory so each stage has enough fine history.
+    Every level's E(u) and (L u, u) are evaluated on that level.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_positive("dt", dt)
     if u0 is None:
         if problem.exact is None:
             raise ValueError("u0 is required for problems without an exact solution")
         u0 = problem.exact.field(0.0)
     r = problem.energy(u0)
-    state = fine = SavState(0, 0.0, (u0,), u0, r)
+    state = fine = SavState(0, 0.0, (u0,), u0, r, 1.0, 1.0, r, problem.principal_norm_sq(u0))
     if record_sink is not None:
         record_sink.append(_make_record(problem, state))
     for level in range(1, tab.order):
@@ -189,13 +194,15 @@ def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
             u = problem.exact.field(t)
             r, xi, eta = state.r, 1.0, 1.0
             if mode is StepMode.SAV:
-                r, xi, eta = _sav_update(problem, tab, r, u, t, dt, level)
+                r, xi, eta, _ = _sav_update(problem, tab, r, u, t, dt, level)
         else:
             sub_tab = tableau(level)
             for _ in range(CASCADE_SUBSTEPS):
                 fine = step(fine, problem, sub_tab, dt / CASCADE_SUBSTEPS, mode)
             u, r, xi, eta = fine.u_history[0], fine.r, fine.last_xi, fine.last_eta
-        state = SavState(level, t, (u,) + state.u_history, u, r, xi, eta)
+        with np.errstate(over="ignore", invalid="ignore"):  # diagnostics: inf, not a warning
+            energy, principal = problem.energy(u), problem.principal_norm_sq(u)
+        state = SavState(level, t, (u,) + state.u_history, u, r, xi, eta, energy, principal)
         if record_sink is not None:
             record_sink.append(_make_record(problem, state))
     return state
@@ -229,19 +236,11 @@ def exact_errors(problem: ProblemDefinition, state: SavState) -> Optional[tuple[
         return sobolev_norm(diff, 0.0), sobolev_norm(diff, 1.0), sobolev_norm(diff, 2.0)
 
 
-def _make_record(problem: ProblemDefinition, state: SavState, scaled: bool = False) -> StepRecord:
-    """The state's record.  `scaled` says u = eta * ubar, as a SAV step leaves
-    it: E(u) and (L u, u) then follow from ubar's terms, kept by the scalar
-    update, with no array pass."""
-    index, time, history, ubar, r, xi, eta = state
-    u = history[0]
-    if scaled:
-        energy, principal = problem.scaled_energy(ubar, eta)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            energy, principal = problem.energy(u), problem.principal_norm_sq(u)
+def _make_record(problem: ProblemDefinition, state: SavState) -> StepRecord:
+    """The state's record: its scalars, the mean of its newest level and its exact errors."""
+    index, time, history, _, r, xi, eta, energy, principal = state
     errors = () if problem.exact is None else exact_errors(problem, state)
-    return StepRecord(index, time, r, xi, eta, energy, principal, u.mean(), *errors)
+    return StepRecord(index, time, r, xi, eta, energy, principal, history[0].mean(), *errors)
 
 
 @dataclass
@@ -334,11 +333,10 @@ def advance(problem: ProblemDefinition, tab: BdfTableau, dt: float, T: float,
     """
     n_steps = step_count(dt, T, tab.order)
     state = initialize(problem, tab, dt, u0=u0, mode=mode, record_sink=record_sink)
-    scaled = mode is StepMode.SAV  # a SAV step leaves u = eta * ubar
     while state.step_index < n_steps:
         state = step(state, problem, tab, dt, mode)
         if record_sink is not None:
-            record_sink.append(_make_record(problem, state, scaled))
+            record_sink.append(_make_record(problem, state))
     return state
 
 

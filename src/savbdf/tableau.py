@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from .spectral import SettingError
+from .spectral import SettingError, _is_integer
 
 __all__ = ["BdfTableau", "tableau", "combine_history", "UnsupportedOrderError"]
 
@@ -82,13 +82,15 @@ class BdfTableau:
 
 
 def tableau(order: int, eta_exponent: int | None = None) -> BdfTableau:
-    """Return the order-`order` tableau, optionally overriding the eta exponent."""
-    if not isinstance(order, int) or isinstance(order, bool) or not 1 <= order <= MAX_ORDER:
+    """Return the order-`order` tableau, optionally overriding the eta exponent;
+    either may be a numpy integer, held as a plain int."""
+    if not _is_integer(order) or not 1 <= order <= MAX_ORDER:
         raise UnsupportedOrderError("order",
                                     f"unsupported order {order!r}: must be an integer in 1..{MAX_ORDER}")
+    order = int(order)
     if eta_exponent is None:
         eta_exponent = 3 if order == 1 else order + 1
-    elif not isinstance(eta_exponent, int) or isinstance(eta_exponent, bool) or eta_exponent < 1:
+    elif not _is_integer(eta_exponent) or eta_exponent < 1:
         raise SettingError("eta_exponent",
                            f"eta_exponent must be an integer >= 1, got {eta_exponent!r}")
     terms = range(1, order + 1)
@@ -98,7 +100,7 @@ def tableau(order: int, eta_exponent: int | None = None) -> BdfTableau:
         a_weights=tuple((-1) ** (i + 1) * sum(Fraction(comb(j, i), j) for j in range(i, order + 1))
                         for i in terms),
         b_weights=tuple((-1) ** (i + 1) * Fraction(comb(order, i)) for i in terms),
-        eta_exponent=eta_exponent,
+        eta_exponent=int(eta_exponent),
     )
 
 

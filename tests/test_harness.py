@@ -221,6 +221,14 @@ def test_stability_probe_zero_data_is_constant():
     assert max(rs) == min(rs)
 
 
+def test_stability_probe_accepts_numpy_integers():
+    grid = Grid.fourier2d(16)
+    p = allen_cahn(grid)
+    result = stability_probe(p, np.int64(2), 0.1, np.int64(10), seed=1, eta_exponent=np.int64(3))
+    want = stability_probe(p, 2, 0.1, 10, seed=1, eta_exponent=3)
+    assert result.report.order == 2 and result.report.records == want.report.records
+
+
 def test_stability_probe_rejects_forced():
     grid = Grid.fourier2d(16)
     p = with_manufactured_forcing(allen_cahn(grid))

@@ -78,21 +78,26 @@ def test_problem_symbols_are_read_only(make):
 
 @pytest.mark.parametrize("maker", [allen_cahn, cahn_hilliard])
 def test_field_terms_match_a_fresh_problem_when_fields_alternate(grid, maker):
-    # the per-field cache keeps one field; alternating two must never
-    # return the other's terms
+    # no evaluation depends on the field evaluated before it, and the scalar
+    # update's terms have the bits of the plain evaluations
     fields = (random_smooth_field(grid, seed=1), random_smooth_field(grid, seed=2))
-    p = maker(grid)
+    p = with_manufactured_forcing(maker(grid))
     calls = {
         "energy": lambda q, w: q.energy(w),
         "dissipation": lambda q, w: q.dissipation(w),
         "principal_norm_sq": lambda q, w: q.principal_norm_sq(w),
-        "update_terms": lambda q, w: q.update_terms(w, 0.0),
-        "scaled_energy": lambda q, w: q.scaled_energy(w, -0.75),
+        "update_terms": lambda q, w: q.update_terms(w, 0.5),
+        "scaled_energy": lambda q, w: q.scaled_energy(q.update_terms(w, 0.5)[3], -0.75),
     }
     for i in range(20):  # 5 entry points and 2 fields: every pairing, twice
         name = list(calls)[i % 5]
         w = fields[i % 2]
-        assert calls[name](p, w) == calls[name](maker(grid), w), (i, name)
+        assert calls[name](p, w) == calls[name](with_manufactured_forcing(maker(grid)), w), (i, name)
+    for w in fields:
+        energy, kappa, work, (quad, _, _) = p.update_terms(w, 0.5)
+        assert (energy, kappa, work, quad) == (p.energy(w), p.dissipation(w), p.forcing_power(w, 0.5),
+                                               p.principal_norm_sq(w))
+        assert work != 0.0
 
 
 def test_wrong_basis_rejected(grid):

@@ -2,8 +2,9 @@
 
 import math
 import types
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from savbdf import (
     DivergenceError,
     Field,
     Grid,
+    ProblemDefinition,
     StepMode,
     advance,
     allen_cahn,
@@ -105,6 +107,21 @@ def test_step_rejects_bad_dt():
     state = initialize(p, tableau(1), 0.1)
     with pytest.raises(ValueError):
         step(state, p, tableau(1), 0.0)
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.1])
+def test_step_and_initialize_reject_non_finite_dt(dt):
+    # nan and inf once reached the scheme and failed there, as a divergence,
+    # an indefinite solve, a math domain error or a non-positive energy
+    grid = Grid.fourier2d(16)
+    p, tab = allen_cahn(grid), tableau(2)
+    state = initialize(p, tab, 0.01, u0=random_smooth_field(grid, seed=1))
+    with pytest.raises(savbdf.SettingError, match="dt must be positive and finite") as exc:
+        step(state, p, tab, dt)
+    assert exc.value.setting == "dt"
+    with pytest.raises(savbdf.SettingError, match="dt must be positive and finite") as exc:
+        initialize(with_manufactured_forcing(p), tableau(3), dt)
+    assert exc.value.setting == "dt"
 
 
 def test_imex_mode_reports_unit_factors():
@@ -286,17 +303,25 @@ def test_advance_is_run_without_records(name, mode):
     assert sink == rep.records
 
 
-def _burgers_case(order):
+def _burgers_case(order, mode=StepMode.SAV):
     grid = Grid.sine1d(32)
     (x,) = grid.points
-    return lambda: burgers(grid, nu=0.05), Field.from_physical(grid, -np.sin(np.pi * x)), order, 0.01, 12
+    return (lambda: burgers(grid, nu=0.05), Field.from_physical(grid, -np.sin(np.pi * x)), order, 0.01, 12,
+            mode)
 
 
-def _phase_case(maker, n, order, dt, n_steps, seed=2):
+def _phase_case(maker, n, order, dt, n_steps, seed=2, mode=StepMode.SAV):
     grid = Grid.fourier2d(n)
-    return lambda: maker(grid), random_smooth_field(grid, seed=seed), order, dt, n_steps
+    return lambda: maker(grid), random_smooth_field(grid, seed=seed), order, dt, n_steps, mode
 
 
+def _forced_case(maker, order, mode=StepMode.SAV):
+    # startup levels are exact samples
+    grid = Grid.fourier2d(16)
+    return lambda: with_manufactured_forcing(maker(grid)), None, order, 0.01, 8, mode
+
+
+IMEX = StepMode.IMEX
 RECORD_CASES = {
     **{f"allen_cahn_k{k}": _phase_case(allen_cahn, 16, k, 0.01, 12) for k in range(1, 6)},
     **{f"cahn_hilliard_k{k}": _phase_case(cahn_hilliard, 16, k, 0.001, 12) for k in range(1, 6)},
@@ -305,24 +330,43 @@ RECORD_CASES = {
     "cahn_hilliard_negative_eta": _phase_case(cahn_hilliard, 64, 3, 0.001, 100, seed=0),
     # (L u, u) collapses to about 1e-78 while IMEX stays at 0.17
     "cahn_hilliard_collapsed": _phase_case(cahn_hilliard, 64, 3, 0.01, 200, seed=0),
+    "allen_cahn_k3_imex": _phase_case(allen_cahn, 16, 3, 0.01, 12, mode=IMEX),
+    "cahn_hilliard_k5_imex": _phase_case(cahn_hilliard, 16, 5, 0.001, 12, mode=IMEX),
+    "cahn_hilliard_collapsed_imex": _phase_case(cahn_hilliard, 64, 3, 0.01, 200, seed=0, mode=IMEX),
+    "burgers_k4_imex": _burgers_case(4, IMEX),
+    "allen_cahn_forced_k3": _forced_case(allen_cahn, 3),
+    "cahn_hilliard_forced_k5": _forced_case(cahn_hilliard, 5),
+    "allen_cahn_forced_k4_imex": _forced_case(allen_cahn, 4, IMEX),
 }
 
 
 @pytest.mark.parametrize("case", sorted(RECORD_CASES))
 def test_sav_record_matches_a_fresh_evaluation_of_the_new_level(case):
-    # the record derives E(u) and (L u, u) from ubar's terms with u = eta * ubar;
-    # a problem that never saw ubar must evaluate u^{n+1} to the same values
-    make, u0, order, dt, n_steps = RECORD_CASES[case]
+    # E(u) and (L u, u) are computed where a level is made: evaluated on it at
+    # a startup level (exact sample or cascade) and on an IMEX step, in closed
+    # form from ubar's terms with u = eta * ubar on a SAV step.  A problem that
+    # never saw the level must give the same values: the same bits where the
+    # level was evaluated, rel 1e-13 for the closed form
+    make, u0, order, dt, n_steps, mode = RECORD_CASES[case]
     p, fresh, tab = make(), make(), tableau(order)
-    records = run(p, tab, dt, n_steps * dt, u0=u0).records
-    state = initialize(p, tab, dt, u0=u0)
-    etas = []
+    records = run(p, tab, dt, n_steps * dt, mode, u0).records
+    state = initialize(p, tab, dt, u0=u0, mode=mode)
+    levels = [*reversed(state.u_history)]
     while state.step_index < n_steps:
-        state = step(state, p, tab, dt)
-        rec, u = records[state.step_index], state.u_history[0]
-        etas.append(rec.eta)
-        assert rec.energy == pytest.approx(fresh.energy(u), rel=1e-13, abs=0.0), state.step_index
-        assert rec.principal_norm_sq == pytest.approx(fresh.principal_norm_sq(u), rel=1e-13, abs=0.0)
+        state = step(state, p, tab, dt, mode)
+        levels.append(state.u_history[0])
+    assert len(levels) == len(records) == n_steps + 1
+    for rec, u in zip(records, levels):
+        want = (fresh.energy(u), fresh.principal_norm_sq(u))
+        if rec.step < order or mode is IMEX:
+            assert (rec.energy, rec.principal_norm_sq) == want, rec.step
+        else:
+            assert rec.energy == pytest.approx(want[0], rel=1e-13, abs=0.0), rec.step
+            assert rec.principal_norm_sq == pytest.approx(want[1], rel=1e-13, abs=0.0), rec.step
+    # the problem keeps nothing of the fields it evaluated: its fields and cached symbols
+    cached = {name for name, attr in vars(ProblemDefinition).items() if isinstance(attr, cached_property)}
+    assert set(vars(p)) <= {f.name for f in fields(p) if f.init} | cached
+    etas = [rec.eta for rec in records[order:]]
     if case == "cahn_hilliard_negative_eta":
         assert min(etas) < -0.9
     elif case == "cahn_hilliard_collapsed":
@@ -472,7 +516,7 @@ def test_sav_step_matches_the_scheme_in_plain_numpy(case):
     want = _plain_sav_steps(p, tab, dt, state, n_steps)
     for ubar, u_c, u_v, scalars in want:
         state = step(state, p, tab, dt)
-        rec = _make_record(p, state, scaled=True)
+        rec = _make_record(p, state)
         u = state.u_history[0]
         assert np.array_equal(state.ubar.coeffs, ubar), state.step_index
         assert np.array_equal(u.coeffs, u_c) and np.array_equal(u.values, u_v), state.step_index
@@ -491,7 +535,7 @@ def test_step_path_arrays_are_read_only_in_the_coefficient_dtype(name):
     state = initialize(p, tab, dt, u0=u0)
     for _ in range(2):
         state = step(state, p, tab, dt)
-        _make_record(p, state, scaled=True)
+        _make_record(p, state)
     grid = p.grid
     dtype = np.complex128 if grid.basis is savbdf.Basis.FOURIER2D else np.float64
     assert grid.coeff_dtype == dtype
@@ -663,7 +707,7 @@ def _count_transforms(monkeypatch):
 ])
 def test_steady_step_transform_budget(monkeypatch, name, order, fwd, inv):
     # one step after the startup plus its trace record, on 32^2; the record
-    # alone reads ubar's terms, which the scalar update kept, and costs none
+    # reads the energy terms the step put in the state, and costs none
     grid = Grid.fourier2d(32)
     if name == "allen_cahn_forced":
         p, u0 = with_manufactured_forcing(allen_cahn(grid)), None
@@ -674,10 +718,10 @@ def test_steady_step_transform_budget(monkeypatch, name, order, fwd, inv):
     state = initialize(p, tab, dt, u0=u0)
     for _ in range(2):
         state = step(state, p, tab, dt)
-        _make_record(p, state, scaled=True)
+        _make_record(p, state)
     counts = _count_transforms(monkeypatch)
     state = step(state, p, tab, dt)
     stepped = dict(counts)
-    _make_record(p, state, scaled=True)
+    _make_record(p, state)
     assert counts == stepped, "the record of a SAV step made a transform"
     assert counts["fwd"] <= fwd and counts["inv"] <= inv, counts

@@ -71,6 +71,17 @@ def test_non_integer_order_rejected():
         tableau(2.0)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_numpy_integers_are_accepted_and_stored_as_int(k):
+    # as `Grid` accepts them; a config read through numpy yields np.int64
+    assert tableau(np.int64(k)) == tableau(k)
+    tab = tableau(np.int64(k), np.int64(k + 2))
+    assert tab == tableau(k, k + 2)
+    assert type(tab.order) is int and type(tab.eta_exponent) is int
+    with pytest.raises(UnsupportedOrderError):
+        tableau(np.bool_(True))
+
+
 @pytest.mark.parametrize("k", ORDERS)
 @pytest.mark.parametrize("degree", range(5))
 def test_extrapolation_exact_on_low_degree_polynomials(k, degree):
