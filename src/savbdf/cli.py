@@ -117,17 +117,24 @@ def _settable_keys(experiment: str, problems) -> list[str]:
 
 
 def _parse_list(key: str, raw, kind) -> tuple:
-    """A list setting: a JSON list, or a string split at ',' (grid: also at 'x', or one integer)."""
-    items = raw
+    """A non-empty list setting: a string split at ',' (grid: also at 'x'), or a
+    JSON list (grid: or one integer) whose entries follow the scalar type rule."""
     if isinstance(raw, str):
         text = raw.lower().replace("x", ",") if key == "grid" else raw
         items = [p for p in text.split(",") if p]
-    elif key == "grid" and isinstance(raw, int) and not isinstance(raw, bool):
-        items = [raw]
+    else:
+        items = [raw] if key == "grid" and isinstance(raw, int) else raw
+        expected = (int, float) if kind is float else kind
+        if not isinstance(items, (list, tuple)) or any(
+                isinstance(v, bool) or not isinstance(v, expected) for v in items):
+            raise ConfigError(f"key '{key}': expected a list of {kind.__name__}, got {raw!r}")
     try:
-        return tuple(kind(v) for v in items)
-    except (TypeError, ValueError):
+        values = tuple(kind(v) for v in items)
+    except ValueError:
         raise ConfigError(f"key '{key}': cannot interpret {raw!r}") from None
+    if not values:
+        raise ConfigError(f"key '{key}': expected at least one entry, got {raw!r}")
+    return values
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:

@@ -31,8 +31,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .spectral import (Basis, Field, Grid, _check_non_negative, _check_positive, _to_spectral,
-                       _weighted_sum, dealias, inner, sine_derivative_values)
+from .spectral import (Basis, Field, Grid, SettingError, _check_non_negative, _check_positive,
+                       _to_spectral, _weighted_sum, dealias, inner, sine_derivative_values)
 # unused here; bound for perfbench's call-site hooks
 from .spectral import apply_symbol, integrate, pointwise_map, quadratic_form  # noqa: F401
 
@@ -62,21 +62,6 @@ def double_well_prime(v: np.ndarray) -> np.ndarray:
     return w
 
 
-def _well_terms(v: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """(F'(v), sum w, sum w^2) from one array w = v*v - 1, where F(v) = w^2 / 4.
-
-    F' = v w, formed in w after the sums, has the bits of `double_well_prime`.
-    The sums give the potential's integral at v and, in closed form, at any
-    multiple of v; sum w^2 is one dot product, with no array of squares, as
-    in `ProblemDefinition.energy`.
-    """
-    w = v * v
-    w -= 1.0
-    sum_w, sum_w2 = float(w.sum()), float(np.vdot(w, w))
-    w *= v
-    return w, sum_w, sum_w2
-
-
 @dataclass(frozen=True)
 class ExactSolution:
     """A closed-form space-time solution sampled onto a grid."""
@@ -97,12 +82,13 @@ class ProblemDefinition:
     which lets the solve and the weighted symbols below be built once.
 
     Construction checks `c_shift` > 0 (so E > 0) and `stabilization` >= 0,
-    both finite, each with a SettingError on its field.
+    both finite, and that each symbol is a real, finite, non-negative array
+    of the grid's spectral shape, each with a SettingError on its field.
 
-    `energy`, `dissipation`, `principal_norm_sq` and `forcing_power` each
-    evaluate their field afresh.  `update_terms` builds what the scalar
-    update needs of one field, each term once, and `scaled_energy` gives
-    E(eta ubar) from its terms with no array pass.
+    `energy_terms` alone makes a field's array passes and `scaled_energy`
+    is the one formula for E; `update_terms` adds dE/du, built once, for K
+    and the forcing power.  `energy`, `principal_norm_sq`,
+    `dissipation` and `forcing_power` are projections of these.
     """
 
     name: str
@@ -119,8 +105,8 @@ class ProblemDefinition:
     def __post_init__(self):
         _check_positive("c_shift", self.c_shift)
         _check_non_negative("stabilization", self.stabilization)
-        _read_only(self.principal_symbol)
-        _read_only(self.mobility_symbol)
+        for name in ("principal_symbol", "mobility_symbol"):
+            _read_only(_check_symbol(name, getattr(self, name), self.grid))
 
     @cached_property
     def linear_symbol(self) -> np.ndarray:
@@ -173,21 +159,27 @@ class ProblemDefinition:
             c -= self.forcing(t).coeffs
         return g
 
-    def energy(self, u: Field) -> float:
-        """E(u) = 1/2 (L u, u) + integral F(u) + c_shift * |Omega|."""
-        e = 0.5 * self.principal_norm_sq(u) + self.c_shift * self.grid.volume
-        if self.has_double_well:
-            w = u.values * u.values
-            w -= 1.0
-            # inf where scaled_energy(terms, 1) gives nan
-            e += 0.25 * float(np.vdot(w, w)) * self.grid.cell_volume
-        return e
+    def energy_terms(self, u: Field) -> tuple[tuple[float, float, float], Optional[np.ndarray]]:
+        """(((L u, u), sum w, sum w^2), F'(u)'s values or None) from one w = u^2 - 1:
+        sum w^2 is one dot product, and F'(u) = u w, formed in w after the sums,
+        has the bits of `double_well_prime`.  The terms feed `scaled_energy`."""
+        quad = _weighted_sum(self.grid, u.coeffs, self._weighted_principal)
+        if not self.has_double_well:
+            return (quad, 0.0, 0.0), None
+        v = u.values
+        w = v * v
+        w -= 1.0
+        sum_w, sum_w2 = float(w.sum()), float(np.vdot(w, w))
+        w *= v
+        return (quad, sum_w, sum_w2), w
 
     def scaled_energy(self, terms: tuple, s: float) -> tuple[float, float]:
-        """(E(s u), (L s u, s u)) from u's `update_terms` terms, with no array pass.
+        """(E(s u), (L s u, s u)) from u's `energy_terms` terms, with no array pass:
+        the one formula for E = 1/2 (L u, u) + integral F(u) + c_shift * |Omega|.
 
         With w = u^2 - 1, (s u)^2 - 1 = s^2 w + d for d = s^2 - 1, so
         integral F(s u) = 1/4 (cell (s^4 sum w^2 + 2 s^2 d sum w) + |Omega| d^2).
+        At d = 0 the sum w term is skipped: it is 0, or nan where sum w overflowed.
         """
         quad, sum_w, sum_w2 = terms
         s2 = s * s
@@ -195,49 +187,52 @@ class ProblemDefinition:
         e = 0.5 * quad + self.c_shift * self.grid.volume
         if self.has_double_well:
             d = s2 - 1.0
-            e += 0.25 * (self.grid.cell_volume * (s2 * s2 * sum_w2 + 2.0 * s2 * d * sum_w)
-                         + self.grid.volume * d * d)
+            well = s2 * s2 * sum_w2
+            if d != 0.0:
+                well += 2.0 * s2 * d * sum_w
+            e += 0.25 * (self.grid.cell_volume * well + self.grid.volume * d * d)
         return e, quad
-
-    def _gradient(self, u: Field, prime: Optional[np.ndarray] = None) -> np.ndarray:
-        """The coefficients of dE/du = L u + dealias(F'(u)), from F'(u)'s values
-        when given; for Cahn-Hilliard the chemical potential."""
-        c = self._gradient_symbol * u.coeffs
-        if self.has_double_well:
-            well = _to_spectral(self.grid, double_well_prime(u.values) if prime is None else prime)
-            well *= self.grid.dealias_mask
-            c += well
-        return c
-
-    def dissipation(self, u: Field) -> float:
-        """K(u) = (G dE/du, dE/du) >= 0, the decay rate of the unforced energy law."""
-        return _weighted_sum(self.grid, self._gradient(u), self._weighted_mobility)
-
-    def principal_norm_sq(self, u: Field) -> float:
-        """(L u, u), the quadratic energy part controlled by the integrator."""
-        return _weighted_sum(self.grid, u.coeffs, self._weighted_principal)
-
-    def forcing_power(self, u: Field, t: float) -> float:
-        """(dE/du, f(t)): rate at which the forcing feeds the energy."""
-        if self.forcing is None:
-            return 0.0
-        return inner(Field(self.grid, spectral=self._gradient(u)), self.forcing(t))
 
     def update_terms(self, u: Field, t: float) -> tuple[float, float, float, tuple]:
         """(E(u), K(u), (dE/du, f(t)), terms): the scalar update's inputs along u,
-        each term built once, with the bits of `energy`, `dissipation` and
-        `forcing_power`; terms = ((L u, u), sum w, sum w^2) feeds `scaled_energy`."""
-        quad = _weighted_sum(self.grid, u.coeffs, self._weighted_principal)
-        energy = 0.5 * quad + self.c_shift * self.grid.volume
-        prime, sum_w, sum_w2 = None, 0.0, 0.0
-        if self.has_double_well:
-            prime, sum_w, sum_w2 = _well_terms(u.values)
-            energy += 0.25 * sum_w2 * self.grid.cell_volume
-        gradient = self._gradient(u, prime)
+        from `energy_terms` and dE/du = L u + dealias(F'(u)) (for Cahn-Hilliard
+        the chemical potential), built once; terms feeds `scaled_energy`."""
+        terms, prime = self.energy_terms(u)
+        gradient = self._gradient_symbol * u.coeffs
+        if prime is not None:
+            well = _to_spectral(self.grid, prime)
+            well *= self.grid.dealias_mask
+            gradient += well
         kappa = _weighted_sum(self.grid, gradient, self._weighted_mobility)
         work = (0.0 if self.forcing is None
                 else inner(Field(self.grid, spectral=gradient), self.forcing(t)))
-        return energy, kappa, work, (quad, sum_w, sum_w2)
+        return self.scaled_energy(terms, 1.0)[0], kappa, work, terms
+
+    def energy(self, u: Field) -> float:
+        """E(u) = 1/2 (L u, u) + integral F(u) + c_shift * |Omega|."""
+        return self.scaled_energy(self.energy_terms(u)[0], 1.0)[0]
+
+    def principal_norm_sq(self, u: Field) -> float:
+        """(L u, u), the quadratic energy part controlled by the integrator."""
+        return self.energy_terms(u)[0][0]
+
+    def dissipation(self, u: Field) -> float:
+        """K(u) = (G dE/du, dE/du) >= 0, the decay rate of the unforced energy law."""
+        return self.update_terms(u, 0.0)[1]
+
+    def forcing_power(self, u: Field, t: float) -> float:
+        """(dE/du, f(t)): rate at which the forcing feeds the energy."""
+        return self.update_terms(u, t)[2]
+
+
+def _check_symbol(name: str, symbol, grid: Grid) -> np.ndarray:
+    """The symbol, if it is a real array of the grid's spectral shape, finite and >= 0."""
+    if not (isinstance(symbol, np.ndarray) and symbol.dtype.kind in "iuf"
+            and symbol.shape == grid.spectral_shape and np.isfinite(symbol).all()
+            and (symbol >= 0).all()):
+        raise SettingError(name, f"{name} must be a real, finite, non-negative array "
+                                 f"of shape {grid.spectral_shape}")
+    return symbol
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

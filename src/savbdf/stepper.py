@@ -31,7 +31,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .problems import ProblemDefinition
-from .spectral import Field, SettingError, _check_positive, sobolev_norm, solve_shifted
+from .spectral import (Field, GridMismatchError, SettingError, _check_positive, sobolev_norm,
+                       solve_shifted)
 from .tableau import MAX_ORDER, BdfTableau, combine_history, tableau
 
 __all__ = [
@@ -155,13 +156,13 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
 
     if mode is StepMode.IMEX:
         u_new, r_new, xi, eta = ubar, state.r, 1.0, 1.0
-        energy, principal = problem.energy(ubar), problem.principal_norm_sq(ubar)
+        terms = problem.energy_terms(ubar)[0]
     else:
         r_new, xi, eta, terms = _sav_update(problem, tab, state.r, ubar, t_next, dt, next_index)
         u_new = eta * ubar
         if not u_new.all_finite():
             raise DivergenceError(next_index, "corrected solution")
-        energy, principal = problem.scaled_energy(terms, eta)  # u = eta ubar: no array pass
+    energy, principal = problem.scaled_energy(terms, eta)  # of u = eta ubar, from ubar's terms
 
     return SavState(next_index, t_next, (u_new,) + state.u_history[: MAX_ORDER - 1],
                     ubar, r_new, xi, eta, energy, principal)
@@ -184,8 +185,10 @@ def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
         if problem.exact is None:
             raise ValueError("u0 is required for problems without an exact solution")
         u0 = problem.exact.field(0.0)
-    r = problem.energy(u0)
-    state = fine = SavState(0, 0.0, (u0,), u0, r, 1.0, 1.0, r, problem.principal_norm_sq(u0))
+    elif u0.grid != problem.grid:
+        raise GridMismatchError(f"u0 lives on {u0.grid}, the problem on {problem.grid}")
+    r, principal = problem.scaled_energy(problem.energy_terms(u0)[0], 1.0)
+    state = fine = SavState(0, 0.0, (u0,), u0, r, 1.0, 1.0, r, principal)
     if record_sink is not None:
         record_sink.append(_make_record(problem, state))
     for level in range(1, tab.order):
@@ -201,7 +204,7 @@ def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
                 fine = step(fine, problem, sub_tab, dt / CASCADE_SUBSTEPS, mode)
             u, r, xi, eta = fine.u_history[0], fine.r, fine.last_xi, fine.last_eta
         with np.errstate(over="ignore", invalid="ignore"):  # diagnostics: inf, not a warning
-            energy, principal = problem.energy(u), problem.principal_norm_sq(u)
+            energy, principal = problem.scaled_energy(problem.energy_terms(u)[0], 1.0)
         state = SavState(level, t, (u,) + state.u_history, u, r, xi, eta, energy, principal)
         if record_sink is not None:
             record_sink.append(_make_record(problem, state))

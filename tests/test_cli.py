@@ -87,6 +87,11 @@ def test_rejects_unknown_problem_and_mode(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("T", "abc"), ("out", 5), ("order", True), ("grid", "abc"), ("grid", 16.5), ("dt_list", "a,b"),
+    # list entries from a file follow the scalar type rule
+    ("grid", [16.7]), ("grid", [True, True]), ("grid", ["16"]), ("grid", [[16]]),
+    ("dt_list", [True, 0.5, 0.25]), ("dt_list", ["0.5", 0.25, 0.125]),
+    # an empty list is no grid, not the default one
+    ("grid", "x"), ("grid", ","), ("grid", ""), ("grid", []), ("dt_list", []), ("dt_list", ","),
 ])
 def test_malformed_values_are_config_errors(tmp_path, key, value):
     experiment = "converge" if key == "dt_list" else "run"
@@ -116,6 +121,16 @@ def test_grid_string_forms(tmp_path):
 def test_dt_list_string_form():
     cfg = parse_config(None, {"experiment": "converge", "dt_list": "0.1,0.05,0.025"})
     assert cfg.dt_list == (0.1, 0.05, 0.025)
+
+
+def test_list_forms_from_a_file(tmp_path):
+    cfg = parse_config(write_config(tmp_path, {"experiment": "run", "grid": [32, 16]}))
+    assert cfg.grid == (32, 16)
+    cfg = parse_config(write_config(tmp_path, {"experiment": "run", "grid": 48}))
+    assert cfg.grid == (48,)
+    # an integer entry is a float too, as for a scalar setting
+    cfg = parse_config(write_config(tmp_path, {"experiment": "converge", "dt_list": [1, 0.5, 0.25]}))
+    assert cfg.dt_list == (1.0, 0.5, 0.25) and all(type(dt) is float for dt in cfg.dt_list)
 
 
 def test_eta_exponent_below_order_plus_one_is_rejected():

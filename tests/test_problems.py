@@ -149,6 +149,15 @@ def test_burgers_rejects_bad_settings(kwargs, name):
     (lambda: burgers(Grid.sine1d(16), 0.1), "c_shift", 0.0),
     # a negative stabilization would run to T
     (lambda: allen_cahn(Grid.fourier2d(16)), "stabilization", -5.0),
+    # a symbol on the physical shape (8, 8), not the spectral (8, 5), would
+    # fail at step 1 on a numpy broadcast; a NaN one as a divergence
+    (lambda: allen_cahn(Grid.fourier2d(8)), "principal_symbol", np.ones((8, 8))),
+    (lambda: allen_cahn(Grid.fourier2d(8)), "mobility_symbol", np.full((8, 5), np.nan)),
+    (lambda: allen_cahn(Grid.fourier2d(8)), "principal_symbol", np.full((8, 5), np.inf)),
+    (lambda: allen_cahn(Grid.fourier2d(8)), "principal_symbol", -np.ones((8, 5))),
+    (lambda: cahn_hilliard(Grid.fourier2d(8)), "mobility_symbol", np.ones((8, 5), complex)),
+    (lambda: burgers(Grid.sine1d(16), 0.1), "mobility_symbol", [1.0] * 16),
+    (lambda: burgers(Grid.sine1d(16), 0.1), "principal_symbol", np.ones(16, bool)),
 ])
 def test_hand_built_problem_is_checked_at_construction(build, name, value):
     with pytest.raises(SettingError, match=name) as exc:
@@ -389,6 +398,18 @@ def test_energy_invariant_under_round_trip(ac, grid):
     u = random_smooth_field(grid, seed=11)
     again = Field.from_spectral(grid, Field.from_physical(grid, u.values).coeffs)
     assert ac.energy(again) == pytest.approx(ac.energy(u), rel=1e-12)
+
+
+def test_energy_of_an_overflowing_spike_is_inf():
+    # w = u^2 - 1 overflows at the spike, so sum w is inf: the closed form at
+    # s = 1 must skip its 2 s^2 (s^2 - 1) sum w term, which is 0 * inf = nan
+    p = allen_cahn(Grid.fourier2d(8))
+    v = np.zeros(p.grid.extents)
+    v[3, 5] = 2e154
+    u = Field.from_physical(p.grid, v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert p.energy(u) == np.inf
+        assert p.scaled_energy(p.energy_terms(u)[0], 1.0)[0] == np.inf
 
 
 def test_reference_run_energy_non_increasing(grid):

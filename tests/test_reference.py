@@ -1,4 +1,4 @@
-"""Frozen numerical reference: four short runs checked against golden traces.
+"""Frozen numerical reference: five short runs checked against golden traces.
 
 A rerun compared with itself (criterion 9) cannot see numerical drift that
 a refactor introduces in both runs alike; these golden files can.  Each
@@ -7,7 +7,10 @@ covers about 40 steps of one start-up and stepping path:
 * Allen-Cahn 32^2, order 3, manufactured forcing (exact-sample start);
 * Cahn-Hilliard 32^2, order 5, unforced, dt = 1 (cascade start);
 * Allen-Cahn 32^2, order 2, manufactured forcing, IMEX mode;
-* Burgers with 64 sine modes, order 2, from -sin(pi x).
+* Burgers with 64 sine modes, order 2, from -sin(pi x);
+* the same Burgers problem in IMEX mode at dt = 0.01 to T = 0.4 (at
+  dt = 0.025 IMEX diverges at step 40): IMEX on a problem without the
+  double well.
 
 Per step, r, xi, eta, energy and principal_norm_sq must match to rel 1e-12;
 so must the final solution's L2/H1/H2 norms.  Final errors against an
@@ -57,18 +60,19 @@ def _cahn_hilliard_cascade():
     return run(cahn_hilliard(grid), tableau(5), 1.0, 40.0, u0=u0)
 
 
-def _burgers():
+def _burgers(dt, T, mode):
     grid = Grid.sine1d(64)
     (x,) = grid.points
     u0 = Field.from_physical(grid, -np.sin(np.pi * x))
-    return run(burgers(grid, 1.0 / 314.0), tableau(2), 0.025, 1.0, u0=u0)
+    return run(burgers(grid, 1.0 / 314.0), tableau(2), dt, T, mode=mode, u0=u0)
 
 
 CASES = {
     "allen_cahn_o3_forced": lambda: _allen_cahn_forced(3, StepMode.SAV),
     "cahn_hilliard_o5_cascade": _cahn_hilliard_cascade,
     "allen_cahn_o2_imex": lambda: _allen_cahn_forced(2, StepMode.IMEX),
-    "burgers_n64": _burgers,
+    "burgers_n64": lambda: _burgers(0.025, 1.0, StepMode.SAV),
+    "burgers_n64_imex": lambda: _burgers(0.01, 0.4, StepMode.IMEX),
 }
 
 

@@ -16,6 +16,7 @@ from savbdf import (
     DivergenceError,
     Field,
     Grid,
+    GridMismatchError,
     ProblemDefinition,
     StepMode,
     advance,
@@ -26,6 +27,7 @@ from savbdf import (
     initialize,
     run,
     scalar_decay,
+    stability_probe,
     step,
     tableau,
     with_manufactured_forcing,
@@ -598,6 +600,19 @@ def test_initialize_requires_u0_without_exact():
     p = allen_cahn(grid)
     with pytest.raises(ValueError, match="u0"):
         initialize(p, tableau(2), 0.1)
+
+
+def test_u0_on_another_grid_is_a_grid_mismatch():
+    # rather than a numpy broadcast error at the first product
+    ac = allen_cahn(Grid.fourier2d(16))
+    coarse = random_smooth_field(Grid.fourier2d(8))
+    for mode in StepMode:
+        with pytest.raises(GridMismatchError, match="u0"):
+            run(ac, tableau(2), 0.1, 1.0, mode, u0=coarse)
+    with pytest.raises(GridMismatchError, match="u0"):
+        stability_probe(ac, 2, 0.1, 10, u0=coarse)
+    with pytest.raises(GridMismatchError, match="u0"):
+        run(burgers(Grid.sine1d(16), 0.1), tableau(2), 0.1, 1.0, u0=random_smooth_field(ac.grid))
 
 
 def test_cascade_startup_keeps_second_order():
