@@ -216,11 +216,31 @@ def _hermitianize(coeffs: np.ndarray, nx: int) -> np.ndarray:
     return out
 
 
+# the transforms, one per basis and direction plus the derivative's DCT-I; each looks
+# `_fft` up when it runs, so a patched `scipy.fft` sees every call
+def _fourier_forward(values: np.ndarray) -> np.ndarray:
+    return _fft.rfft2(values, norm="forward")
+
+
+def _fourier_inverse(coeffs: np.ndarray) -> np.ndarray:
+    return _fft.irfft2(coeffs, norm="forward")  # even extents: the grid's shape
+
+
+def _sine_forward(values: np.ndarray) -> np.ndarray:
+    return _fft.dst(values, type=1) / (values.shape[0] + 1)
+
+
+def _sine_inverse(coeffs: np.ndarray) -> np.ndarray:
+    return _fft.dst(coeffs, type=1) / 2.0
+
+
+def _cosine_values(padded: np.ndarray) -> np.ndarray:
+    return _fft.dct(padded, type=1)
+
+
 def _to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
     """The coefficients of physical values, a new array."""
-    if grid.basis is Basis.FOURIER2D:
-        return _fft.rfft2(values, norm="forward")
-    return _fft.dst(values, type=1) / (grid.extents[0] + 1)
+    return (_fourier_forward if grid.basis is Basis.FOURIER2D else _sine_forward)(values)
 
 
 class Field:
@@ -257,18 +277,16 @@ class Field:
 
     @classmethod
     def zeros(cls, grid: Grid) -> "Field":
-        return cls(grid, physical=np.zeros(grid.extents))
+        """Exact zeros in both representations, so neither costs a transform."""
+        return cls(grid, np.zeros(grid.extents), np.zeros(grid.spectral_shape, grid.coeff_dtype))
 
     # -- representation access -------------------------------------------------
 
     @property
     def values(self) -> np.ndarray:
         if self._phys is None:
-            if self.grid.basis is Basis.FOURIER2D:
-                # even extents make irfft2's default output shape the grid's
-                self._phys = _fft.irfft2(self._spec, norm="forward")
-            else:
-                self._phys = _fft.dst(self._spec, type=1) / 2.0
+            fourier = self.grid.basis is Basis.FOURIER2D
+            self._phys = (_fourier_inverse if fourier else _sine_inverse)(self._spec)
         return self._phys
 
     @property
@@ -283,11 +301,12 @@ class Field:
             return self.coeffs.item(0).real
         return float(self.values.sum() * self.grid.cell_volume / self.grid.volume)
 
-    def all_finite(self) -> bool:
+    def max_abs(self) -> float:
+        """The held array's largest |entry|, or |re| or |im| if complex; nan if it holds a nan."""
         arr = self._phys if self._phys is not None else self._spec
         if arr.dtype == np.complex128 and arr.flags.c_contiguous:
-            arr = arr.view(np.float64)  # the same predicate on the (re, im) pairs, a faster loop
-        return bool(np.isfinite(arr).all())
+            arr = arr.view(np.float64)  # a real loop, not a hypot per entry
+        return float(np.abs(arr).max())
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -435,4 +454,4 @@ def sine_derivative_values(f: Field) -> np.ndarray:
     kj = np.sqrt(g.k2)
     padded = np.zeros(n + 2)
     padded[1:-1] = f.coeffs * kj / 2.0
-    return _fft.dct(padded, type=1)[1:-1]
+    return _cosine_values(padded)[1:-1]

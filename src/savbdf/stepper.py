@@ -19,6 +19,7 @@ identical order and identical scalar stability), only the corrected one keeps
 the uncorrected iterate representable in floating point at very large steps,
 because the solution correction then bounds what enters the cubic term.  The
 state keeps the last uncorrected iterate ubar for diagnostics only.
+A new level below ZERO_LEVEL in magnitude is stored as exact zeros, with the same records.
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ CASCADE_SUBSTEPS = 8
 #: the most steps one run may take; a step costs hundreds of microseconds,
 #: so a run at the cap takes hours, while a tiny dt would otherwise step forever
 MAX_STEPS = 10 ** 7
+
+#: a new level below this magnitude (2^-970, the smallest normal over eps) is stored as
+#: exact zeros: its quadratic terms underflow to 0 anyway, and no later step meets a subnormal
+ZERO_LEVEL = float(np.finfo(float).tiny / np.finfo(float).eps)
 
 
 class StepMode(enum.Enum):
@@ -128,6 +133,14 @@ def _sav_update(problem: ProblemDefinition, tab: BdfTableau, r: float, ubar: Fie
         raise DivergenceError(index, "correction factor") from None
 
 
+def _checked_level(u: Field, index: int, what: str) -> Field:
+    """u, or zeros if it is below ZERO_LEVEL; DivergenceError if its maximum is not finite."""
+    peak = u.max_abs()
+    if not math.isfinite(peak):
+        raise DivergenceError(index, what)
+    return u if peak >= ZERO_LEVEL else Field.zeros(u.grid)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float,
          mode: StepMode = StepMode.SAV) -> SavState:
@@ -151,17 +164,14 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
     drift -= problem.nonlinear(extrapolated, t_next).coeffs
     ubar = solve_shifted(alpha / dt, problem.linear_symbol, Field(problem.grid, spectral=drift),
                          overwrite_rhs=True)
-    if not ubar.all_finite():
-        raise DivergenceError(next_index, "uncorrected solution")
-
     if mode is StepMode.IMEX:
-        u_new, r_new, xi, eta = ubar, state.r, 1.0, 1.0
-        terms = problem.energy_terms(ubar)[0]
+        u_new = ubar = _checked_level(ubar, next_index, "uncorrected solution")
+        r_new, xi, eta, terms = state.r, 1.0, 1.0, problem.energy_terms(ubar)[0]
     else:
+        if not math.isfinite(ubar.max_abs()):
+            raise DivergenceError(next_index, "uncorrected solution")
         r_new, xi, eta, terms = _sav_update(problem, tab, state.r, ubar, t_next, dt, next_index)
-        u_new = eta * ubar
-        if not u_new.all_finite():
-            raise DivergenceError(next_index, "corrected solution")
+        u_new = _checked_level(eta * ubar, next_index, "corrected solution")
     energy, principal = problem.scaled_energy(terms, eta)  # of u = eta ubar, from ubar's terms
 
     return SavState(next_index, t_next, (u_new,) + state.u_history[: MAX_ORDER - 1],
@@ -195,16 +205,16 @@ def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
         t = level * dt
         if problem.exact is not None:
             u = problem.exact.field(t)
-            r, xi, eta = state.r, 1.0, 1.0
-            if mode is StepMode.SAV:
-                r, xi, eta, _ = _sav_update(problem, tab, r, u, t, dt, level)
+            r, xi, eta, terms = state.r, 1.0, 1.0, None
+            if mode is StepMode.SAV:  # the update's terms are u's own: eta is not applied to u
+                r, xi, eta, terms = _sav_update(problem, tab, r, u, t, dt, level)
         else:
             sub_tab = tableau(level)
             for _ in range(CASCADE_SUBSTEPS):
                 fine = step(fine, problem, sub_tab, dt / CASCADE_SUBSTEPS, mode)
-            u, r, xi, eta = fine.u_history[0], fine.r, fine.last_xi, fine.last_eta
+            u, r, xi, eta, terms = fine.u_history[0], fine.r, fine.last_xi, fine.last_eta, None
         with np.errstate(over="ignore", invalid="ignore"):  # diagnostics: inf, not a warning
-            energy, principal = problem.scaled_energy(problem.energy_terms(u)[0], 1.0)
+            energy, principal = problem.scaled_energy(terms or problem.energy_terms(u)[0], 1.0)
         state = SavState(level, t, (u,) + state.u_history, u, r, xi, eta, energy, principal)
         if record_sink is not None:
             record_sink.append(_make_record(problem, state))

@@ -9,6 +9,7 @@ import dataclasses
 import importlib
 import importlib.util
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -66,3 +67,36 @@ def test_exact_solution_is_replaceable_on_its_samples(tracing):
     copy.field(0.5)
     copy.time_derivative(0.5)
     assert calls == ["field", "time_derivative"]
+
+
+# short 16^2 versions of the two workloads' invocations: (argv, outer steps)
+TRACED_INVOCATIONS = {
+    "converge": (("converge", "--problem", "allen_cahn", "--order", "3", "--grid", "16",
+                  "--dt-list", "0.25,0.125,0.0625"), 4 + 8 + 16),
+    "stability": (("stability", "--problem", "allen_cahn", "--order", "5", "--dt", "1.0",
+                   "--n-steps", "20", "--grid", "16"), 20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_INVOCATIONS))
+def test_traced_pass_reports_every_metric(tracing, tmp_path, name):
+    # a traced benchmark run whose hooks lose the transforms, or a name they
+    # wrap, reports null metrics and fails to give a result; here it fails.
+    # Metrics that read 0 on working code are not asserted non-zero
+    import savbdf
+    from savbdf import cli
+
+    argv, steps = TRACED_INVOCATIONS[name]
+    tracer = tracing.Tracer()
+    with tracing.Hooks(tracer) as hooks:
+        start = time.perf_counter_ns()
+        code = tracer.wrap("cli.main", cli.main)([*argv, "--out", str(tmp_path / "out")])
+        wall = time.perf_counter_ns() - start
+    assert code == 0
+    assert not hooks.missing
+    traced = tracing.summarize_pass(tracer, wall, 0)
+    assert traced.fwd > 0 and traced.inv > 0
+    metrics = tracing.layer_metrics([traced], [wall], steps, hooks.installed,
+                                    tracing.forcing_probe(savbdf, 16), tracing.transform_probe(savbdf))
+    assert set(metrics) == set(tracing.LAYER_METRICS)
+    assert [m for m, value in metrics.items() if value is None] == []

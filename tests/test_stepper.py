@@ -33,7 +33,7 @@ from savbdf import (
     with_manufactured_forcing,
 )
 from savbdf.harness import random_smooth_field
-from savbdf.stepper import MAX_STEPS, _make_record, step_count
+from savbdf.stepper import MAX_STEPS, ZERO_LEVEL, _make_record, step_count
 
 
 # Frozen oracle, derived independently with exact rational arithmetic for
@@ -527,6 +527,58 @@ def test_sav_step_matches_the_scheme_in_plain_numpy(case):
         assert (state.r, state.last_xi, state.last_eta) == scalars[1:4]
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_collapsed_levels_are_exact_zeros_with_the_oracles_records(order):
+    # at dt = 1 the correction drives Allen-Cahn to 0 geometrically (seed 1 reaches
+    # the cut at every order within 300 steps).  A level below ZERO_LEVEL, where
+    # max|u| * eps < tiny, is stored as exact zeros in both representations; the
+    # unflushed oracle carries on in subnormals, and the trace columns match it
+    # bit for bit.  The mean is no trace column: it may differ below the cut
+    p = allen_cahn(Grid.fourier2d(16))
+    tab, dt = tableau(order), 1.0
+    state = initialize(p, tab, dt, u0=random_smooth_field(p.grid, seed=1))
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    assert ZERO_LEVEL * eps == tiny
+    zeros = 0
+    for ubar, u_c, u_v, scalars in _plain_sav_steps(p, tab, dt, state, 300):
+        state = step(state, p, tab, dt)
+        rec, u = _make_record(p, state), state.u_history[0]
+        assert (rec.t, rec.r, rec.xi, rec.eta, rec.energy, rec.principal_norm_sq) == scalars[:6], rec.step
+        assert abs(rec.mean - scalars[6]) <= ZERO_LEVEL, rec.step
+        if np.abs(u.values).max() * eps < tiny or np.abs(u_v).max() * eps < tiny:
+            assert u._phys is not None and u._spec is not None, rec.step
+            assert not u._phys.any() and not u._spec.any(), rec.step
+            zeros += 1
+    assert zeros > 0
+
+
+def test_non_finite_history_is_an_uncorrected_divergence():
+    # a nan in the history reaches ubar through the solve; both modes stop at
+    # the next step's index before the scalar update sees it
+    grid = Grid.fourier2d(16)
+    p, tab = allen_cahn(grid), tableau(2)
+    for mode in StepMode:
+        state = initialize(p, tab, 0.1, u0=random_smooth_field(grid, seed=1), mode=mode)
+        values = state.u_history[0].values.copy()
+        values[3, 5] = np.nan
+        state = state._replace(step_index=7, u_history=(Field.from_physical(grid, values),
+                                                        *state.u_history[1:]))
+        with pytest.raises(DivergenceError, match="non-finite uncorrected solution") as exc:
+            step(state, p, tab, 0.1, mode)
+        assert exc.value.step_index == 8
+
+
+def test_overflowing_correction_is_a_corrected_divergence():
+    # r far above E(ubar): xi ~ 1e100, so (1 - xi)^3 ~ -1e300 and eta ~ 1e300 are
+    # finite, and ubar ~ 1e10 is finite, but eta * ubar overflows
+    p, tab = scalar_decay(), tableau(1)
+    state = initialize(p, tab, 0.1, u0=Field.from_spectral(p.grid, np.array([1e10])))
+    state = state._replace(step_index=4, r=1e120)
+    with pytest.raises(DivergenceError, match="non-finite corrected solution") as exc:
+        step(state, p, tab, 0.1)
+    assert exc.value.step_index == 5
+
+
 @pytest.mark.parametrize("name", ["allen_cahn", "cahn_hilliard", "allen_cahn_forced", "burgers"])
 def test_step_path_arrays_are_read_only_in_the_coefficient_dtype(name):
     # every cached array that multiplies coefficients on the step and record
@@ -593,6 +645,18 @@ def test_initialize_with_exact_samples():
         t_i = (2 - i) * dt
         diff = u - p.exact.field(t_i)
         assert np.max(np.abs(diff.values)) == 0.0
+
+
+@pytest.mark.parametrize("mode", list(StepMode))
+def test_initialize_makes_one_energy_pass_per_exact_level(monkeypatch, mode):
+    # an exact-sample level is u itself: in SAV mode its E and (L u, u) come
+    # from the terms of the scalar update along it, with no second pass
+    p = with_manufactured_forcing(allen_cahn(Grid.fourier2d(16)))
+    calls = []
+    terms = ProblemDefinition.energy_terms
+    monkeypatch.setattr(ProblemDefinition, "energy_terms", lambda self, u: calls.append(u) or terms(self, u))
+    state = initialize(p, tableau(3), 0.01, mode=mode)
+    assert len(calls) == len(state.u_history) == 3
 
 
 def test_initialize_requires_u0_without_exact():
@@ -694,7 +758,9 @@ def test_unforced_invariants_hold_for_any_dt(name, order, log10_dt, seed):
 
 
 def _count_transforms(monkeypatch):
-    counts = {"fwd": 0, "inv": 0}
+    """Counts of every scipy.fft call by name, made through the `_fft` proxy, and
+    of the package's transforms by direction."""
+    counts = dict.fromkeys(("rfft2", "irfft2", "dst", "dct", "fwd", "inv"), 0)
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -702,10 +768,13 @@ def _count_transforms(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    proxy = types.SimpleNamespace(dst=fft.dst, dct=fft.dct,
-                                  rfft2=counted(fft.rfft2, "fwd"),
-                                  irfft2=counted(fft.irfft2, "inv"))
-    monkeypatch.setattr(savbdf.spectral, "_fft", proxy)
+    spectral = savbdf.spectral
+    proxy = types.SimpleNamespace(**{name: counted(getattr(fft, name), name)
+                                     for name in ("rfft2", "irfft2", "dst", "dct")})
+    monkeypatch.setattr(spectral, "_fft", proxy)
+    for name, key in (("_fourier_forward", "fwd"), ("_sine_forward", "fwd"),
+                      ("_fourier_inverse", "inv"), ("_sine_inverse", "inv")):
+        monkeypatch.setattr(spectral, name, counted(getattr(spectral, name), key))
     return counts
 
 
@@ -719,16 +788,28 @@ def _count_transforms(monkeypatch):
     ("allen_cahn", 5, 2, 1),
     ("cahn_hilliard", 1, 2, 1),
     ("cahn_hilliard", 5, 2, 1),
+    # the extrapolation's coefficients and the dealiased u u_x, with the
+    # derivative's DCT between them
+    ("burgers", 1, 2, 0),
+    ("burgers", 3, 2, 0),
+    ("burgers", 5, 2, 0),
 ])
 def test_steady_step_transform_budget(monkeypatch, name, order, fwd, inv):
-    # one step after the startup plus its trace record, on 32^2; the record
-    # reads the energy terms the step put in the state, and costs none
-    grid = Grid.fourier2d(32)
-    if name == "allen_cahn_forced":
-        p, u0 = with_manufactured_forcing(allen_cahn(grid)), None
+    # one step after the startup plus its trace record.  On 32^2 the record
+    # reads the energy terms the step put in the state, and costs none; on
+    # Burgers its mean takes the new level's values, one inverse DST that
+    # the next step's extrapolation would make anyway
+    sine = name == "burgers"
+    if sine:
+        make, u0, *_ = _burgers_case(order)
+        p = make()
     else:
-        p = allen_cahn(grid) if name == "allen_cahn" else cahn_hilliard(grid)
-        u0 = random_smooth_field(grid, seed=2)
+        grid = Grid.fourier2d(32)
+        if name == "allen_cahn_forced":
+            p, u0 = with_manufactured_forcing(allen_cahn(grid)), None
+        else:
+            p = allen_cahn(grid) if name == "allen_cahn" else cahn_hilliard(grid)
+            u0 = random_smooth_field(grid, seed=2)
     tab, dt = tableau(order), 0.01
     state = initialize(p, tab, dt, u0=u0)
     for _ in range(2):
@@ -736,7 +817,11 @@ def test_steady_step_transform_budget(monkeypatch, name, order, fwd, inv):
         _make_record(p, state)
     counts = _count_transforms(monkeypatch)
     state = step(state, p, tab, dt)
-    stepped = dict(counts)
+    stepped = (counts["fwd"], counts["inv"], counts["dct"])
     _make_record(p, state)
-    assert counts == stepped, "the record of a SAV step made a transform"
-    assert counts["fwd"] <= fwd and counts["inv"] <= inv, counts
+    assert stepped == (fwd, inv, int(sine)), counts
+    assert (counts["fwd"], counts["inv"], counts["dct"]) == (fwd, inv + int(sine), int(sine)), counts
+    # every transform went through `_fft`, where the benchmark's tracer counts it
+    assert counts["dst"] + counts["rfft2"] + counts["irfft2"] == counts["fwd"] + counts["inv"]
+    if not sine:
+        assert (counts["rfft2"], counts["irfft2"]) == (counts["fwd"], counts["inv"])
