@@ -132,6 +132,12 @@ class ProblemDefinition:
         # G after the dealiasing projection, applied to F'(u) - lam u in one pass
         return _read_only(self.mobility_symbol * self.grid.dealias_mask)
 
+    @cached_property
+    def zero_update(self) -> tuple[Field, tuple]:
+        """The zero level and its `update_terms`, for steps at the equilibrium u = 0."""
+        zero = Field.zeros(self.grid)
+        return zero, self.update_terms(zero, 0.0)
+
     @property
     def is_forced(self) -> bool:
         return self.forcing is not None

@@ -277,8 +277,11 @@ class Field:
 
     @classmethod
     def zeros(cls, grid: Grid) -> "Field":
-        """Exact zeros in both representations, so neither costs a transform."""
-        return cls(grid, np.zeros(grid.extents), np.zeros(grid.spectral_shape, grid.coeff_dtype))
+        """Exact zeros in both representations, so neither costs a transform; read-only, to share."""
+        phys, spec = np.zeros(grid.extents), np.zeros(grid.spectral_shape, grid.coeff_dtype)
+        phys.setflags(write=False)
+        spec.setflags(write=False)
+        return cls(grid, phys, spec)
 
     # -- representation access -------------------------------------------------
 

@@ -20,6 +20,7 @@ the uncorrected iterate representable in floating point at very large steps,
 because the solution correction then bounds what enters the cubic term.  The
 state keeps the last uncorrected iterate ubar for diagnostics only.
 A new level below ZERO_LEVEL in magnitude is stored as exact zeros, with the same records.
+A step from exact zeros, unforced and without transport, is at the equilibrium u = 0: no solve.
 """
 
 from __future__ import annotations
@@ -114,11 +115,11 @@ class SavState(NamedTuple):
     principal_norm_sq: float
 
 
-def _sav_update(problem: ProblemDefinition, tab: BdfTableau, r: float, ubar: Field,
-                t: float, dt: float, index: int) -> tuple[float, float, float, tuple]:
-    """The closed-form scalar update along ubar at time t; returns (r, xi, eta)
-    and ubar's terms for `ProblemDefinition.scaled_energy`."""
-    energy, kappa, work, terms = problem.update_terms(ubar, t)
+def _sav_update(problem: ProblemDefinition, tab: BdfTableau, r: float, update: tuple,
+                dt: float, index: int) -> tuple[float, float, float, tuple]:
+    """The closed-form scalar update from `ProblemDefinition.update_terms` along ubar;
+    returns (r, xi, eta) and ubar's terms for `ProblemDefinition.scaled_energy`."""
+    energy, kappa, work, terms = update
     if not energy > 0.0:
         raise EnergyPositivityError(f"E(ubar) = {energy!r} <= 0 at step {index}; check c_shift/potential")
     r_new = (r + dt * work) / (1.0 + dt * kappa / energy)
@@ -133,12 +134,11 @@ def _sav_update(problem: ProblemDefinition, tab: BdfTableau, r: float, ubar: Fie
         raise DivergenceError(index, "correction factor") from None
 
 
-def _checked_level(u: Field, index: int, what: str) -> Field:
-    """u, or zeros if it is below ZERO_LEVEL; DivergenceError if its maximum is not finite."""
-    peak = u.max_abs()
+def _checked_level(u: Field, s: float, peak: float, index: int, what: str) -> Field:
+    """s u given its largest |entry| `peak`: zeros below ZERO_LEVEL, DivergenceError if not finite."""
     if not math.isfinite(peak):
         raise DivergenceError(index, what)
-    return u if peak >= ZERO_LEVEL else Field.zeros(u.grid)
+    return Field.zeros(u.grid) if peak < ZERO_LEVEL else u if s == 1.0 else s * u
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -153,25 +153,35 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
     next_index = state.step_index + 1
     t_next = state.time + dt
 
-    # each history level holds values and coefficients (E(ubar) evaluated
-    # ubar's values), so the drift combines coefficients, the input of the
-    # solve, and the extrapolation values, the input of the pointwise F'
-    alpha, a, b = tab.floats
     history = state.u_history[:k]
-    drift = combine_history(a, [u.coeffs for u in history])
-    extrapolated = Field(problem.grid, physical=combine_history(b, [u.values for u in history]))
-    drift *= 1.0 / dt  # the combination is a new array: the right-hand side in place
-    drift -= problem.nonlinear(extrapolated, t_next).coeffs
-    ubar = solve_shifted(alpha / dt, problem.linear_symbol, Field(problem.grid, spectral=drift),
-                         overwrite_rhs=True)
-    if mode is StepMode.IMEX:
-        u_new = ubar = _checked_level(ubar, next_index, "uncorrected solution")
-        r_new, xi, eta, terms = state.r, 1.0, 1.0, problem.energy_terms(ubar)[0]
+    if (state.principal_norm_sq == 0.0 and problem.forcing is None and problem.transport is None
+            and all(u.max_abs() == 0.0 for u in history)):
+        # the equilibrium u = 0, as F'(0) = 0 and lam 0 = 0: ubar is the problem's zero
+        # level, whose update terms it built once, and the new level is zeros again
+        (ubar, update), peak = problem.zero_update, 0.0
     else:
-        if not math.isfinite(ubar.max_abs()):
+        # each history level holds values and coefficients (E(ubar) evaluated
+        # ubar's values), so the drift combines coefficients, the input of the
+        # solve, and the extrapolation values, the input of the pointwise F'
+        alpha, a, b = tab.floats
+        drift = combine_history(a, [u.coeffs for u in history])
+        extrapolated = Field(problem.grid, physical=combine_history(b, [u.values for u in history]))
+        drift *= 1.0 / dt  # the combination is a new array: the right-hand side in place
+        drift -= problem.nonlinear(extrapolated, t_next).coeffs
+        ubar = solve_shifted(alpha / dt, problem.linear_symbol, Field(problem.grid, spectral=drift),
+                             overwrite_rhs=True)
+        update = None if mode is StepMode.IMEX else problem.update_terms(ubar, t_next)
+        peak = ubar.max_abs()  # after the update: ubar's values on a phase field
+    if mode is StepMode.IMEX:
+        u_new = ubar = _checked_level(ubar, 1.0, peak, next_index, "uncorrected solution")
+        r_new, xi, eta = state.r, 1.0, 1.0
+        terms = problem.energy_terms(ubar)[0] if update is None else update[3]
+    else:
+        if not math.isfinite(peak):
             raise DivergenceError(next_index, "uncorrected solution")
-        r_new, xi, eta, terms = _sav_update(problem, tab, state.r, ubar, t_next, dt, next_index)
-        u_new = _checked_level(eta * ubar, next_index, "corrected solution")
+        r_new, xi, eta, terms = _sav_update(problem, tab, state.r, update, dt, next_index)
+        # max|fl(eta v)| = fl(|eta| max|v|), as rounding is monotone and odd: no second scan
+        u_new = _checked_level(ubar, eta, abs(eta) * peak, next_index, "corrected solution")
     energy, principal = problem.scaled_energy(terms, eta)  # of u = eta ubar, from ubar's terms
 
     return SavState(next_index, t_next, (u_new,) + state.u_history[: MAX_ORDER - 1],
@@ -207,7 +217,7 @@ def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
             u = problem.exact.field(t)
             r, xi, eta, terms = state.r, 1.0, 1.0, None
             if mode is StepMode.SAV:  # the update's terms are u's own: eta is not applied to u
-                r, xi, eta, terms = _sav_update(problem, tab, r, u, t, dt, level)
+                r, xi, eta, terms = _sav_update(problem, tab, r, problem.update_terms(u, t), dt, level)
         else:
             sub_tab = tableau(level)
             for _ in range(CASCADE_SUBSTEPS):

@@ -69,24 +69,34 @@ def test_exact_solution_is_replaceable_on_its_samples(tracing):
     assert calls == ["field", "time_derivative"]
 
 
-# short 16^2 versions of the two workloads' invocations: (argv, outer steps)
+# short 16^2 versions of the two workloads' invocations: (argv, outer steps, calls of
+# `step`, which makes the levels past an exact or a cascade start of 8 substeps a level)
 TRACED_INVOCATIONS = {
     "converge": (("converge", "--problem", "allen_cahn", "--order", "3", "--grid", "16",
-                  "--dt-list", "0.25,0.125,0.0625"), 4 + 8 + 16),
+                  "--dt-list", "0.25,0.125,0.0625"), 4 + 8 + 16, 2 + 6 + 14),
     "stability": (("stability", "--problem", "allen_cahn", "--order", "5", "--dt", "1.0",
-                   "--n-steps", "20", "--grid", "16"), 20),
+                   "--n-steps", "20", "--grid", "16"), 20, 16 + 4 * 8),
+    # collapses to exact zeros, so its last steps are at the equilibrium u = 0
+    "stability_collapse": (("stability", "--problem", "allen_cahn", "--grid", "16", "--dt", "1.0",
+                            "--n-steps", "300", "--seed", "1"), 300, 299 + 8),
 }
 
 
 @pytest.mark.parametrize("name", sorted(TRACED_INVOCATIONS))
-def test_traced_pass_reports_every_metric(tracing, tmp_path, name):
+def test_traced_pass_reports_every_metric(tracing, tmp_path, monkeypatch, name):
     # a traced benchmark run whose hooks lose the transforms, or a name they
     # wrap, reports null metrics and fails to give a result; here it fails.
     # Metrics that read 0 on working code are not asserted non-zero
     import savbdf
     from savbdf import cli
 
-    argv, steps = TRACED_INVOCATIONS[name]
+    made = {"fwd": 0, "inv": 0}  # the package's own transforms, which the tracer must all see
+    for attr, key in (("_fourier_forward", "fwd"), ("_fourier_inverse", "inv")):
+        def counted(x, _fn=getattr(savbdf.spectral, attr), _key=key):
+            made[_key] += 1
+            return _fn(x)
+        monkeypatch.setattr(savbdf.spectral, attr, counted)
+    argv, steps, step_calls = TRACED_INVOCATIONS[name]
     tracer = tracing.Tracer()
     with tracing.Hooks(tracer) as hooks:
         start = time.perf_counter_ns()
@@ -96,6 +106,11 @@ def test_traced_pass_reports_every_metric(tracing, tmp_path, name):
     assert not hooks.missing
     traced = tracing.summarize_pass(tracer, wall, 0)
     assert traced.fwd > 0 and traced.inv > 0
+    assert (traced.fwd, traced.inv) == (made["fwd"], made["inv"])
+    # every step, the equilibrium's too, is a call of the hooked `stepper.step`
+    assert traced.calls["stepper.step"] == step_calls
+    if name == "stability_collapse":  # the equilibrium's steps evaluate no nonlinearity
+        assert traced.calls["problems.double_well_prime"] < step_calls
     metrics = tracing.layer_metrics([traced], [wall], steps, hooks.installed,
                                     tracing.forcing_probe(savbdf, 16), tracing.transform_probe(savbdf))
     assert set(metrics) == set(tracing.LAYER_METRICS)

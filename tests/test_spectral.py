@@ -117,6 +117,18 @@ def test_zero_field_zero_coefficients(fgrid):
     assert np.max(np.abs(f.coeffs)) == 0.0
 
 
+def test_zero_field_arrays_are_read_only(fgrid, sgrid):
+    # steps at the equilibrium u = 0 share one zero level, so no write may reach it
+    for grid in (fgrid, sgrid):
+        f = Field.zeros(grid)
+        for arr in (f.values, f.coeffs):
+            with pytest.raises(ValueError, match="read-only"):
+                arr += 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+            assert not arr.any()
+
+
 def test_from_spectral_enforces_hermitian_symmetry(fgrid):
     rng = np.random.default_rng(5)
     raw = rng.normal(size=fgrid.spectral_shape) + 1j * rng.normal(size=fgrid.spectral_shape)

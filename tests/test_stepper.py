@@ -552,6 +552,69 @@ def test_collapsed_levels_are_exact_zeros_with_the_oracles_records(order):
     assert zeros > 0
 
 
+def _held_zeros(levels):
+    """True if every level holds both representations and both are exact zeros."""
+    return all(u._phys is not None and u._spec is not None and not u._phys.any() and not u._spec.any()
+               for u in levels)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_equilibrium_steps_make_no_transform(monkeypatch, order):
+    # the collapse test's setup.  Once every level a step reads is exact zeros, the
+    # step is at the equilibrium u = 0 of the unforced problem: it and its record make
+    # no transform, except that the first may build the problem's zero terms (one
+    # forward transform), and the scalars stay the oracle's, bit for bit
+    p = allen_cahn(Grid.fourier2d(16))
+    tab, dt = tableau(order), 1.0
+    state = initialize(p, tab, dt, u0=random_smooth_field(p.grid, seed=1))
+    want = _plain_sav_steps(p, tab, dt, state, 300)
+    counts = _count_transforms(monkeypatch)
+    resting = []
+    for *_, scalars in want:
+        at_rest = _held_zeros(state.u_history[:order])
+        before = dict(counts)
+        state = step(state, p, tab, dt)
+        rec = _make_record(p, state)
+        assert (rec.t, rec.r, rec.xi, rec.eta, rec.energy, rec.principal_norm_sq) == scalars[:6], rec.step
+        if at_rest:
+            assert _held_zeros(state.u_history[:1]), rec.step
+            resting.append((counts["fwd"] - before["fwd"], counts["inv"] - before["inv"]))
+    assert len(resting) > 1
+    assert resting[0] in ((0, 0), (1, 0)) and set(resting[1:]) == {(0, 0)}, resting[:3]
+
+
+@pytest.mark.parametrize("order", [1, 3, 5])
+def test_forced_run_from_zeros_is_no_equilibrium(monkeypatch, order):
+    # a forcing drives u = 0 away: each step is the scheme's, with its steady budget
+    grid = Grid.fourier2d(16)
+    p, tab, dt = with_manufactured_forcing(allen_cahn(grid)), tableau(order), 0.01
+    state = initialize(p, tab, dt, u0=Field.zeros(grid))
+    want = _plain_sav_steps(p, tab, dt, state, 6)
+    counts = _count_transforms(monkeypatch)
+    for ubar, u_c, u_v, scalars in want:
+        before = dict(counts)
+        state = step(state, p, tab, dt)
+        assert (counts["fwd"] - before["fwd"], counts["inv"] - before["inv"]) == (2, 1), state.step_index
+        rec = _make_record(p, state)
+        assert np.array_equal(state.ubar.coeffs, ubar) and np.array_equal(state.u_history[0].coeffs, u_c)
+        assert (rec.t, rec.r, rec.xi, rec.eta, rec.energy, rec.principal_norm_sq, rec.mean,
+                rec.err_l2, rec.err_h1, rec.err_h2) == scalars, state.step_index
+        assert rec.principal_norm_sq > 0.0
+
+
+@pytest.mark.parametrize("mode", list(StepMode))
+@pytest.mark.parametrize("maker", [allen_cahn, cahn_hilliard])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_zero_start_stays_at_the_equilibrium(maker, order, mode):
+    # the cascade start and every step from u = 0 read zeros only: they keep r and make zeros
+    p, tab, dt = maker(Grid.fourier2d(16)), tableau(order), 0.1
+    rep = run(p, tab, dt, 10 * dt, mode, Field.zeros(p.grid))
+    state = rep.final_state
+    assert _held_zeros(state.u_history) and _held_zeros([state.ubar])
+    assert {rec.r for rec in rep.records} == {rep.records[0].r}
+    assert all(rec.principal_norm_sq == 0.0 and rec.mean == 0.0 for rec in rep.records)
+
+
 def test_non_finite_history_is_an_uncorrected_divergence():
     # a nan in the history reaches ubar through the solve; both modes stop at
     # the next step's index before the scalar update sees it
