@@ -5,6 +5,7 @@ settings it reads (EXPERIMENTS, PROBLEMS), as flags or as keys of a flat
 JSON config file; flags override the file.  All artifacts are plain
 CSV/JSON with '.'-decimal floats printed to 17 significant digits, no
 timestamps, and fixed row order, so a repeated invocation is byte-identical.
+A non-finite float is null in summary.json, strict JSON, and inf or nan in a CSV.
 
 A value's range is checked once, by the library function that uses it,
 whose SettingError `execute` reports under the value's key; the output
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from operator import attrgetter
@@ -259,7 +261,9 @@ def _write_text(path: Path, text: str):
 
 
 def _write_summary(out: Path, summary: dict):
-    """summary.json: one key per line of a flat object of scalars and lists of strings."""
+    """summary.json: one key per line of a flat object of scalars and lists of strings;
+    JSON has no inf or nan, so a non-finite float is null."""
+    summary = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in summary.items()}
     items = ",\n".join(f'  "{k}": {_fmt(v) if isinstance(v, float) else json.dumps(v)}'
                         for k, v in summary.items())
     _write_text(out / "summary.json", "{\n" + items + "\n}\n")

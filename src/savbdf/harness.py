@@ -206,7 +206,7 @@ def stability_probe(problem: ProblemDefinition, order: int, dt: float, n_steps: 
     not: the principal quadratic (L u, u) staying within 10x the largest
     value seen over the first ten steps.  Settings are checked before any work.
     """
-    if problem.is_forced:
+    if problem.forcing is not None:
         raise ValueError("stability_probe requires an unforced problem")
     tab = tableau(order, eta_exponent)
     if not order <= n_steps <= MAX_STEPS:

@@ -86,8 +86,9 @@ class ProblemDefinition:
     of the grid's spectral shape, each with a SettingError on its field.
 
     `energy_terms` alone makes a field's array passes and `scaled_energy`
-    is the one formula for E; `update_terms` adds dE/du, built once, for K
-    and the forcing power.  `energy`, `principal_norm_sq`,
+    is the one formula for E; `update_terms(u, f)` adds dE/du, built once,
+    for K and the work (dE/du, f).  It and `nonlinear(u, f)` take the value
+    of f, or None: the step evaluates f(t) once.  `energy`, `principal_norm_sq`,
     `dissipation` and `forcing_power` are projections of these.
     """
 
@@ -134,16 +135,13 @@ class ProblemDefinition:
 
     @cached_property
     def zero_update(self) -> tuple[Field, tuple]:
-        """The zero level and its `update_terms`, for steps at the equilibrium u = 0."""
+        """The zero level and its unforced `update_terms`, for steps at the equilibrium u = 0."""
         zero = Field.zeros(self.grid)
-        return zero, self.update_terms(zero, 0.0)
+        return zero, self.update_terms(zero, None)
 
-    @property
-    def is_forced(self) -> bool:
-        return self.forcing is not None
-
-    def g_unforced(self, u: Field) -> Field:
-        """The explicit term g(u) = G dealias(F'(u) - lam u) + T(u), on a new array."""
+    def nonlinear(self, u: Field, f: Optional[Field]) -> Field:
+        """The explicit term of the normalized equation, g(u) - f with
+        g(u) = G dealias(F'(u) - lam u) + T(u), on a new array; g(u) when f is None."""
         if self.has_double_well or self.stabilization:
             v = u.values
             well = double_well_prime(v) if self.has_double_well else 0.0
@@ -155,15 +153,9 @@ class ProblemDefinition:
             c = np.zeros(self.grid.spectral_shape, self.grid.coeff_dtype)
         if self.transport is not None:
             c += self.transport(u).coeffs
+        if f is not None:
+            c -= f.coeffs
         return Field(self.grid, spectral=c)
-
-    def nonlinear(self, u: Field, t: float) -> Field:
-        """The full explicit term of the normalized equation: g(u) - f(t)."""
-        g = self.g_unforced(u)
-        if self.forcing is not None:
-            c = g.coeffs  # g's own new array: f is subtracted in place
-            c -= self.forcing(t).coeffs
-        return g
 
     def energy_terms(self, u: Field) -> tuple[tuple[float, float, float], Optional[np.ndarray]]:
         """(((L u, u), sum w, sum w^2), F'(u)'s values or None) from one w = u^2 - 1:
@@ -199,9 +191,9 @@ class ProblemDefinition:
             e += 0.25 * (self.grid.cell_volume * well + self.grid.volume * d * d)
         return e, quad
 
-    def update_terms(self, u: Field, t: float) -> tuple[float, float, float, tuple]:
-        """(E(u), K(u), (dE/du, f(t)), terms): the scalar update's inputs along u,
-        from `energy_terms` and dE/du = L u + dealias(F'(u)) (for Cahn-Hilliard
+    def update_terms(self, u: Field, f: Optional[Field]) -> tuple[float, float, float, tuple]:
+        """(E(u), K(u), (dE/du, f) or 0 if f is None, terms): the scalar update's inputs
+        along u, from `energy_terms` and dE/du = L u + dealias(F'(u)) (for Cahn-Hilliard
         the chemical potential), built once; terms feeds `scaled_energy`."""
         terms, prime = self.energy_terms(u)
         gradient = self._gradient_symbol * u.coeffs
@@ -210,8 +202,9 @@ class ProblemDefinition:
             well *= self.grid.dealias_mask
             gradient += well
         kappa = _weighted_sum(self.grid, gradient, self._weighted_mobility)
-        work = (0.0 if self.forcing is None
-                else inner(Field(self.grid, spectral=gradient), self.forcing(t)))
+        if math.isnan(kappa) and prime is not None and not np.isnan(prime).any():
+            kappa = math.inf  # F'(u) overflowed, its transform formed inf - inf: K >= 0 overflowed
+        work = 0.0 if f is None else inner(Field(self.grid, spectral=gradient), f)
         return self.scaled_energy(terms, 1.0)[0], kappa, work, terms
 
     def energy(self, u: Field) -> float:
@@ -224,11 +217,11 @@ class ProblemDefinition:
 
     def dissipation(self, u: Field) -> float:
         """K(u) = (G dE/du, dE/du) >= 0, the decay rate of the unforced energy law."""
-        return self.update_terms(u, 0.0)[1]
+        return self.update_terms(u, None)[1]
 
     def forcing_power(self, u: Field, t: float) -> float:
-        """(dE/du, f(t)): rate at which the forcing feeds the energy."""
-        return self.update_terms(u, t)[2]
+        """(dE/du, f(t)): rate at which the forcing feeds the energy, 0 when unforced."""
+        return self.update_terms(u, None if self.forcing is None else self.forcing(t))[2]
 
 
 def _check_symbol(name: str, symbol, grid: Grid) -> np.ndarray:
@@ -373,9 +366,9 @@ def with_manufactured_forcing(problem: ProblemDefinition) -> ProblemDefinition:
     dealiased mobility, f(t) = cos t P + sin t (A - (lam + 1) Gd) P
     + sin^3 t Gd (p^3)^, P the profile's coefficients (no cubic term and no 1
     without the double well).  Both products are built once per problem, so
-    a rebuild costs no transform.  Raises ValueError for a problem with
-    transport, which does not separate so, and on a grid other than
-    FOURIER2D, where the solution family does not live.
+    f(t), a pure function of t, costs no transform.  Raises ValueError for a
+    problem with transport, which does not separate so, and on a grid other
+    than FOURIER2D, where the solution family does not live.
     """
     if problem.transport is not None:
         raise ValueError("manufactured forcing needs a problem without transport")
@@ -384,19 +377,12 @@ def with_manufactured_forcing(problem: ProblemDefinition) -> ProblemDefinition:
     gd, well = problem._dealiased_mobility, float(problem.has_double_well)
     linear = (problem.linear_symbol - (problem.stabilization + well) * gd) * profile.coeffs
     cubic = gd * Field.from_physical(problem.grid, profile.values ** 3).coeffs if well else None
-    cache: dict[float, Field] = {}
 
     def forcing(t: float) -> Field:
-        hit = cache.get(t)
-        if hit is not None:
-            return hit
         s = math.sin(t)
         c = math.cos(t) * profile.coeffs + s * linear
         if cubic is not None:
             c += s ** 3 * cubic
-        f = Field(problem.grid, spectral=c)
-        cache.clear()
-        cache[t] = f
-        return f
+        return Field(problem.grid, spectral=c)
 
     return replace(problem, forcing=forcing, exact=exact)

@@ -399,8 +399,14 @@ def solve_shifted(shift: float, op_symbol, rhs: Field, overwrite_rhs: bool = Fal
 
 
 def _weighted_sum(grid: Grid, c: np.ndarray, weight) -> float:
-    """factor * sum(weight * |c|^2) over the stored modes, as one dot product."""
-    return float(grid._norm_factor * np.vdot(c, weight * c).real)
+    """factor * sum(weight * |c|^2) over the stored modes, as one dot product; where
+    that overflows, inf - inf in its cross terms reads nan, so the real and imaginary
+    parts, whose terms weight * part^2 are >= 0, are summed apart and read inf."""
+    wc = weight * c
+    total = np.vdot(c, wc).real
+    if not math.isfinite(total):
+        total = np.vdot(c.real, wc.real) + np.vdot(c.imag, wc.imag)
+    return float(grid._norm_factor * total)
 
 
 def sobolev_norm(f: Field, s: float = 0.0) -> float:

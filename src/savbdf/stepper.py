@@ -163,14 +163,15 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
         # each history level holds values and coefficients (E(ubar) evaluated
         # ubar's values), so the drift combines coefficients, the input of the
         # solve, and the extrapolation values, the input of the pointwise F'
+        f = None if problem.forcing is None else problem.forcing(t_next)  # for g - f and the work
         alpha, a, b = tab.floats
         drift = combine_history(a, [u.coeffs for u in history])
         extrapolated = Field(problem.grid, physical=combine_history(b, [u.values for u in history]))
         drift *= 1.0 / dt  # the combination is a new array: the right-hand side in place
-        drift -= problem.nonlinear(extrapolated, t_next).coeffs
+        drift -= problem.nonlinear(extrapolated, f).coeffs
         ubar = solve_shifted(alpha / dt, problem.linear_symbol, Field(problem.grid, spectral=drift),
                              overwrite_rhs=True)
-        update = None if mode is StepMode.IMEX else problem.update_terms(ubar, t_next)
+        update = None if mode is StepMode.IMEX else problem.update_terms(ubar, f)
         peak = ubar.max_abs()  # after the update: ubar's values on a phase field
     if mode is StepMode.IMEX:
         u_new = ubar = _checked_level(ubar, 1.0, peak, next_index, "uncorrected solution")
@@ -217,7 +218,8 @@ def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
             u = problem.exact.field(t)
             r, xi, eta, terms = state.r, 1.0, 1.0, None
             if mode is StepMode.SAV:  # the update's terms are u's own: eta is not applied to u
-                r, xi, eta, terms = _sav_update(problem, tab, r, problem.update_terms(u, t), dt, level)
+                f = None if problem.forcing is None else problem.forcing(t)
+                r, xi, eta, terms = _sav_update(problem, tab, r, problem.update_terms(u, f), dt, level)
         else:
             sub_tab = tableau(level)
             for _ in range(CASCADE_SUBSTEPS):

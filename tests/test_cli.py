@@ -345,6 +345,30 @@ def test_byte_identical_reruns(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def strict_json(raw):
+    """The parsed JSON text; a non-finite literal (Infinity, NaN), which is not JSON, fails."""
+    def reject(name):
+        raise AssertionError(f"non-finite literal {name} in JSON")
+    return json.loads(raw, parse_constant=reject)
+
+
+@pytest.mark.parametrize("T, nulls", [
+    ("3.5", ["final_energy"]),
+    ("4.0", ["final_energy", "final_err_l2", "final_err_h1", "final_err_h2"]),
+])
+def test_non_finite_summary_values_are_null(tmp_path, T, nulls):
+    # the IMEX baseline at dt = 0.5 grows to about 1e296: its energy and errors overflow,
+    # while the solution itself stays finite
+    out = tmp_path / "o"
+    argv = ["run", "--problem", "allen_cahn", "--mode", "imex", "--order", "1", "--grid", "8",
+            "--dt", "0.5", "--T", T, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    summary = strict_json((out / "summary.json").read_bytes())
+    assert [k for k, v in summary.items() if v is None] == nulls
+    last = (out / "trace.csv").read_text().splitlines()[-1].split(",")
+    assert last[TRACE_LINE.split(",").index("energy")] == "inf"  # a CSV keeps inf and nan
+
+
 TRACE_LINE = "step,t,r,xi,eta,energy,principal_norm_sq,err_l2,err_h1,err_h2"
 RUN_KEYS = ["problem", "order", "dt", "mode", "max_xi_deviation", "min_eta", "max_eta",
             "final_r", "final_energy"]
@@ -378,7 +402,7 @@ SNAPSHOTS = dict.fromkeys(("snapshot_ref.csv", "snapshot_sav.csv"), "x,u")
                  {"trace.csv": TRACE_LINE}, RUN_KEYS, id="run_burgers"),
 ])
 def test_artifact_format(tmp_path, argv, headers, keys):
-    """Header lines, summary key order, '\n' endings, floats printed as '.17g'."""
+    """Header lines, summary key order, '\n' endings, floats printed as '.17g', strict JSON."""
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == EXIT_OK
     assert sorted(p.name for p in out.iterdir()) == sorted([*headers, "summary.json"])
@@ -399,6 +423,7 @@ def test_artifact_format(tmp_path, argv, headers, keys):
 
     raw = (out / "summary.json").read_bytes()
     assert raw.endswith(b"}\n") and b"\r" not in raw
+    strict_json(raw)
     lines = raw.decode().split("\n")[:-1]
     assert lines[0] == "{" and lines[-1] == "}"
     pairs = [line.rstrip(",").split(": ", 1) for line in lines[1:-1]]

@@ -1,6 +1,7 @@
 """Model-problem contracts: energies, dissipation rates, forcing construction."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -86,18 +87,32 @@ def test_field_terms_match_a_fresh_problem_when_fields_alternate(grid, maker):
         "energy": lambda q, w: q.energy(w),
         "dissipation": lambda q, w: q.dissipation(w),
         "principal_norm_sq": lambda q, w: q.principal_norm_sq(w),
-        "update_terms": lambda q, w: q.update_terms(w, 0.5),
-        "scaled_energy": lambda q, w: q.scaled_energy(q.update_terms(w, 0.5)[3], -0.75),
+        "update_terms": lambda q, w: q.update_terms(w, q.forcing(0.5)),
+        "scaled_energy": lambda q, w: q.scaled_energy(q.update_terms(w, q.forcing(0.5))[3], -0.75),
     }
     for i in range(20):  # 5 entry points and 2 fields: every pairing, twice
         name = list(calls)[i % 5]
         w = fields[i % 2]
         assert calls[name](p, w) == calls[name](with_manufactured_forcing(maker(grid)), w), (i, name)
     for w in fields:
-        energy, kappa, work, (quad, _, _) = p.update_terms(w, 0.5)
+        energy, kappa, work, (quad, _, _) = p.update_terms(w, p.forcing(0.5))
         assert (energy, kappa, work, quad) == (p.energy(w), p.dissipation(w), p.forcing_power(w, 0.5),
                                                p.principal_norm_sq(w))
         assert work != 0.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: allen_cahn(Grid.fourier2d(8)),
+    lambda: burgers(Grid.sine1d(8), nu=0.1),
+])
+def test_overflowing_quadratic_forms_read_inf(make):
+    # on a Fourier grid the complex dot forms inf - inf where |c|^2 overflows:
+    # (L u, u), E, K and the norm, sums of terms >= 0, read inf on both bases
+    p = make()
+    u = 1e200 * random_smooth_field(p.grid, seed=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (p.principal_norm_sq(u), p.energy(u), p.dissipation(u), sobolev_norm(u))
+    assert values == (math.inf,) * 4
 
 
 def test_wrong_basis_rejected(grid):
@@ -176,7 +191,7 @@ def test_ac_zero_field_energy(ac, grid):
 
 
 def test_ac_g_vanishes_at_zero(ac, grid):
-    g0 = ac.g_unforced(Field.zeros(grid))
+    g0 = ac.nonlinear(Field.zeros(grid), None)
     assert sobolev_norm(g0) <= 1e-14
 
 
@@ -216,13 +231,13 @@ def test_ch_symbol_values(grid):
 def test_ch_constant_state_has_zero_dissipation(ch, grid):
     c = Field.from_physical(grid, np.full(grid.extents, 0.4))
     assert ch.dissipation(c) <= 1e-20
-    g = ch.g_unforced(c)
+    g = ch.nonlinear(c, None)
     assert sobolev_norm(g) <= 1e-13
 
 
 def test_ch_nonlinear_term_has_zero_mean(ch, grid):
     u = random_smooth_field(grid, seed=9)
-    g = ch.g_unforced(u)
+    g = ch.nonlinear(u, None)
     assert abs(g.coeffs[0, 0]) <= 1e-14
 
 
@@ -233,7 +248,7 @@ def test_burgers_zero_state():
     grid = Grid.sine1d(64)
     p = burgers(grid, nu=0.05)
     zero = Field.zeros(grid)
-    assert sobolev_norm(p.g_unforced(zero)) == 0.0
+    assert sobolev_norm(p.nonlinear(zero, None)) == 0.0
     assert p.dissipation(zero) == 0.0
     assert p.energy(zero) == pytest.approx(1.0, rel=1e-13)  # c_shift*|Omega|
 
@@ -243,7 +258,7 @@ def test_burgers_skew_symmetry():
     p = burgers(grid, nu=0.05)
     for seed in (0, 1, 2):
         u = dealias(random_smooth_field(grid, seed=seed))
-        g = p.g_unforced(u)
+        g = p.nonlinear(u, None)
         norm_u = sobolev_norm(u)
         assert abs(inner(g, u)) <= 1e-8 * max(norm_u ** 3, 1e-8)
 
@@ -309,7 +324,7 @@ def test_manufactured_residual_vanishes(grid, maker):
     for t in rng.uniform(0.0, 1.0, size=10):
         u = exact.field(t)
         residual = exact.time_derivative(t) + apply_symbol(forced.linear_symbol, u) \
-            + forced.nonlinear(u, t)
+            + forced.nonlinear(u, forced.forcing(t))
         assert sobolev_norm(residual) <= 1e-8
 
 
@@ -352,9 +367,17 @@ def test_forcing_matches_its_assembly_from_the_exact_sample(maker, lam):
     for t in np.linspace(-1.0, 4.0, 10):
         u = exact.field(t)
         expected = exact.time_derivative(t) + apply_symbol(forced.linear_symbol, u) \
-            + forced.g_unforced(u)
+            + forced.nonlinear(u, None)
         scale = np.max(np.abs(expected.coeffs))
         assert np.max(np.abs(forced.forcing(t).coeffs - expected.coeffs)) <= 1e-13 * scale
+
+
+def test_forcing_keeps_no_memo(ac):
+    # f(t) is a pure function of t: each call builds its own field, with the same bits
+    forcing = with_manufactured_forcing(ac).forcing
+    f = forcing(0.3)
+    again = forcing(0.3)
+    assert again is not f and np.array_equal(again.coeffs, f.coeffs)
 
 
 def test_manufactured_forcing_rejects_transport():

@@ -255,6 +255,20 @@ def test_correction_order_at_every_k(order):
         assert 0.9 <= rate / 2 ** max(order + 1, 3) <= 1.15
 
 
+@pytest.mark.parametrize("order", [1, 3, 5])
+def test_forcing_is_evaluated_once_per_level(order):
+    # f(t^{n+1}) feeds both g - f and the scalar update's work: one evaluation serves both
+    q = with_manufactured_forcing(allen_cahn(Grid.fourier2d(16)))
+    times = []
+
+    def counted(t, forcing=q.forcing):
+        times.append(t)
+        return forcing(t)
+
+    advance(replace(q, forcing=counted), tableau(order), 0.1, 1.0)
+    assert len(times) == len(set(times)) == 10
+
+
 def test_forced_run_keeps_xi_near_one():
     grid = Grid.fourier2d(32)
     p = with_manufactured_forcing(allen_cahn(grid))
@@ -425,7 +439,7 @@ def _plain_sav_steps(p, tab, dt, state, n_steps):
     cell, vol, c_shift = grid.cell_volume, grid.volume, p.c_shift
     L, G, A = p.principal_symbol, p.mobility_symbol, p.linear_symbol
     alpha, a, b = tab.floats
-    forcing, exact = _plain_forcing(p, forward) if p.is_forced else (None, None)
+    forcing, exact = _plain_forcing(p, forward) if p.forcing is not None else (None, None)
 
     def quadratic(weight, c):
         return float(norm * np.vdot(c, weight * c).real)
