@@ -8,13 +8,12 @@ timestamps, and fixed row order, so a repeated invocation is byte-identical.
 A non-finite float is null in summary.json, strict JSON, and inf or nan in a CSV.
 
 A value's range is checked once, by the library function that uses it,
-whose SettingError `execute` reports under the value's key; the output
+whose SettingError is reported under the value's key; the output
 directory appears with the first artifact, so a failure before it leaves
-no --out.  Exit codes: 0 success, 1 usage or I/O failure (including a
-malformed command line, a setting the experiment does not read, and a
-ValueError the library raises on a bad setting), 2 invariant-check failure
-(also EnergyPositivityError and MonotonicityError), 3 divergence in an
-experiment that does not tolerate it.
+no --out.  A failure is a SavError, printed on stderr, whose `exit_code`
+is the exit code: 0 success, 1 usage (ConfigError and the package's
+ValueErrors) or I/O failure (OSError), 2 a failed check (CheckFailed,
+EnergyPositivityError, MonotonicityError), 3 divergence (DivergenceError).
 """
 
 from __future__ import annotations
@@ -33,11 +32,11 @@ import numpy as np
 
 from .harness import burgers_compare, convergence_study, default_dt_ladder, stability_probe
 from .problems import allen_cahn, burgers, cahn_hilliard, with_manufactured_forcing
-from .spectral import Field, Grid, SettingError
-from .stepper import DivergenceError, EnergyPositivityError, MonotonicityError, StepMode, run
+from .spectral import Field, Grid, SavError, SettingError
+from .stepper import StepMode, run
 from .tableau import tableau
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "execute", "main", "console_main"]
+__all__ = ["RunConfig", "ConfigError", "CheckFailed", "parse_config", "execute", "main", "console_main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,8 +79,14 @@ TRACE_HEADER = ",".join(TRACE_COLUMNS)
 _trace_row = attrgetter(*TRACE_COLUMNS)
 
 
-class ConfigError(ValueError):
+class ConfigError(SavError, ValueError):
     """Invalid or unknown configuration; message names the offending key."""
+
+
+class CheckFailed(SavError):
+    """A completed experiment failed its own check, after writing its artifacts."""
+
+    exit_code = EXIT_ASSERTION
 
 
 @dataclass
@@ -154,7 +159,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a flat JSON object")
@@ -209,21 +214,13 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
         takes = "one entry" if cfg.problem == "burgers" else "one or two entries"
         raise ConfigError(f"key 'grid': {cfg.problem} takes {takes}, got {cfg.grid!r}")
     if cfg.eta_exponent is not None:
-        try:  # the library accepts the order first, so a bad order is named as such
-            tableau(cfg.order)
-        except SettingError as exc:
-            raise ConfigError(_keyed(exc)) from None
+        tableau(cfg.order)  # the library accepts the order first, so a bad order is named as such
         if cfg.eta_exponent < cfg.order + 1:
             raise ConfigError(
                 f"key 'eta_exponent': must be at least order + 1 = {cfg.order + 1}, the smallest "
                 f"exponent that keeps order {cfg.order}; got {cfg.eta_exponent!r}"
             )
     return cfg
-
-
-def _keyed(exc: SettingError) -> str:
-    """The library's message for a setting, under the key that carries it."""
-    return f"key '{_KEY_OF_SETTING.get(exc.setting, exc.setting)}': {exc}"
 
 
 def _build_problem(cfg: RunConfig, forced: bool):
@@ -279,7 +276,7 @@ def _write_csv(path: Path, header, rows):
 # -- experiment execution -------------------------------------------------------------
 
 
-def _execute_converge(cfg: RunConfig, out: Path) -> int:
+def _execute_converge(cfg: RunConfig, out: Path) -> None:
     problem = _build_problem(cfg, forced=True)
     report = convergence_study(problem, cfg.order, cfg.dt_list, cfg.T,
                                eta_exponent=cfg.eta_exponent)
@@ -288,12 +285,10 @@ def _execute_converge(cfg: RunConfig, out: Path) -> int:
     _write_summary(out, {f"slope_{norm}": slope for norm, slope in report.slopes.items()})
     fitted = [s for s in report.slopes.values() if s is not None]
     if len(fitted) < 3:
-        print("converge: too few finite error points to fit all slopes", file=sys.stderr)
-        return EXIT_ASSERTION
-    return EXIT_OK
+        raise CheckFailed("converge: too few finite error points to fit all slopes")
 
 
-def _execute_stability(cfg: RunConfig, out: Path) -> int:
+def _execute_stability(cfg: RunConfig, out: Path) -> None:
     problem = _build_problem(cfg, forced=False)
     result = stability_probe(problem, cfg.order, cfg.dt, cfg.n_steps,
                              seed=cfg.seed, eta_exponent=cfg.eta_exponent)
@@ -309,13 +304,10 @@ def _execute_stability(cfg: RunConfig, out: Path) -> int:
         "mean_drift": report.mean_drift,
     })
     if not result.passed:
-        for v in result.violations:
-            print(f"stability violation: {v}", file=sys.stderr)
-        return EXIT_ASSERTION
-    return EXIT_OK
+        raise CheckFailed("\n".join(f"stability violation: {v}" for v in result.violations))
 
 
-def _execute_burgers(cfg: RunConfig, out: Path) -> int:
+def _execute_burgers(cfg: RunConfig, out: Path) -> None:
     comparison = burgers_compare(nu=cfg.nu, n_modes=cfg.grid[0], dt=cfg.dt,
                                  dt_ref=cfg.dt_ref, T=cfg.T, order=cfg.order,
                                  eta_exponent=cfg.eta_exponent)
@@ -332,10 +324,9 @@ def _execute_burgers(cfg: RunConfig, out: Path) -> int:
         "min_eta_sav": comparison.sav_report.min_eta,
         "max_eta_sav": comparison.sav_report.max_eta,
     })
-    return EXIT_OK
 
 
-def _execute_run(cfg: RunConfig, out: Path) -> int:
+def _execute_run(cfg: RunConfig, out: Path) -> None:
     if cfg.problem == "burgers":
         problem = _build_problem(cfg, forced=False)
         (x,) = problem.grid.points
@@ -362,11 +353,19 @@ def _execute_run(cfg: RunConfig, out: Path) -> int:
     if report.final_errors is not None:
         summary["final_err_l2"], summary["final_err_h1"], summary["final_err_h2"] = report.final_errors
     _write_summary(out, summary)
-    return EXIT_OK
+
+
+def _failed(exc: SavError) -> int:
+    """Print a failure's message on stderr and return its exit code; a bad
+    setting is a configuration error under the key that carries it."""
+    if isinstance(exc, SettingError):
+        exc = ConfigError(f"key '{_KEY_OF_SETTING.get(exc.setting, exc.setting)}': {exc}")
+    print(f"config error: {exc}" if isinstance(exc, ConfigError) else exc, file=sys.stderr)
+    return exc.exit_code
 
 
 def execute(cfg: RunConfig) -> int:
-    """Dispatch the configured experiment and write its artifacts.
+    """Dispatch the configured experiment, write its artifacts and return the exit code.
 
     The library checks each setting where it uses it; a SettingError is
     reported under the key that carries the setting.
@@ -374,22 +373,13 @@ def execute(cfg: RunConfig) -> int:
     executor = {"converge": _execute_converge, "stability": _execute_stability,
                 "burgers": _execute_burgers}.get(cfg.experiment, _execute_run)
     try:
-        return executor(cfg, Path(cfg.out))
-    except DivergenceError as exc:
-        print(f"{exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except (EnergyPositivityError, MonotonicityError) as exc:
-        print(f"invariant failure: {exc}", file=sys.stderr)
-        return EXIT_ASSERTION
-    except SettingError as exc:
-        print(f"config error: {_keyed(exc)}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"invalid setting: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        executor(cfg, Path(cfg.out))
+    except SavError as exc:
+        return _failed(exc)
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -422,9 +412,8 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
         overrides = {k: v for k, v in vars(args).items() if k != "config"}
         cfg = parse_config(args.config, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except SavError as exc:
+        return _failed(exc)
     return execute(cfg)
 
 

@@ -50,12 +50,12 @@ def fit_rate(points) -> float:
     """Least-squares slope of log(err) vs log(dt) over (dt, err) pairs."""
     pts = [(float(dt), float(err)) for dt, err in points]
     if len(pts) < 2:
-        raise ValueError("rate fit needs at least two points")
+        raise SettingError("points", "rate fit needs at least two points")
     if any(not math.isfinite(dt) or not math.isfinite(err) or dt <= 0 or err <= 0
            for dt, err in pts):
-        raise ValueError("rate fit needs finite positive dt and err values")
+        raise SettingError("points", "rate fit needs finite positive dt and err values")
     if len({dt for dt, _ in pts}) != len(pts):
-        raise ValueError("rate fit needs distinct dt values")
+        raise SettingError("points", "rate fit needs distinct dt values")
     log_dt = np.log([dt for dt, _ in pts])
     log_err = np.log([err for _, err in pts])
     slope = np.polyfit(log_dt, log_err, 1)[0]
@@ -134,7 +134,7 @@ def convergence_study(problem: ProblemDefinition, order: int, dt_list=None,
     unrecorded `advance`, measured at T alone: `run(...).final_errors` bit for bit.
     """
     if problem.exact is None:
-        raise ValueError("convergence_study requires a problem with an exact solution")
+        raise SettingError("problem", "convergence_study requires a problem with an exact solution")
     tab = tableau(order, eta_exponent)
     dts = check_dt_ladder(dt_list if dt_list is not None else default_dt_ladder(order), T, order)
 
@@ -207,7 +207,7 @@ def stability_probe(problem: ProblemDefinition, order: int, dt: float, n_steps: 
     value seen over the first ten steps.  Settings are checked before any work.
     """
     if problem.forcing is not None:
-        raise ValueError("stability_probe requires an unforced problem")
+        raise SettingError("problem", "stability_probe requires an unforced problem")
     tab = tableau(order, eta_exponent)
     if not order <= n_steps <= MAX_STEPS:
         raise SettingError("n_steps", f"n_steps must cover the order-{order} startup and stay "
@@ -295,7 +295,7 @@ def burgers_compare(nu: float = 1.0 / 314.0, n_modes: int = 320, dt: float = 8.5
     u_ref = advance(problem, tab, dt_ref_eff, t_end, mode=StepMode.SAV, u0=u0).u_history[0].values
     ref_peak = float(np.max(np.abs(u_ref)))
     if ref_peak == 0.0:
-        raise ValueError("the reference decayed to zero, so the overshoots are undefined")
+        raise SettingError("nu", "the reference decayed to zero, so the overshoots are undefined")
     sav = run(problem, tab, dt, t_end, mode=StepMode.SAV, u0=u0)
     u_sav = sav.final_state.u_history[0].values
     dev_sav = float(np.max(np.abs(u_sav - u_ref)))

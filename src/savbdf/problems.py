@@ -81,9 +81,9 @@ class ProblemDefinition:
     read-only at construction (so a symbol handed in becomes read-only too),
     which lets the solve and the weighted symbols below be built once.
 
-    Construction checks `c_shift` > 0 (so E > 0) and `stabilization` >= 0,
-    both finite, and that each symbol is a real, finite, non-negative array
-    of the grid's spectral shape, each with a SettingError on its field.
+    Construction checks `c_shift` > 0 with c_shift |Omega| finite (so E > 0) and
+    `stabilization` >= 0 finite, and that each symbol is a real, finite, non-negative
+    array of the grid's spectral shape, each with a SettingError on its field.
 
     `energy_terms` alone makes a field's array passes and `scaled_energy`
     is the one formula for E; `update_terms(u, f)` adds dE/du, built once,
@@ -105,6 +105,8 @@ class ProblemDefinition:
 
     def __post_init__(self):
         _check_positive("c_shift", self.c_shift)
+        if math.isinf(float(self.c_shift) * self.grid.volume):  # E(u) >= c_shift * |Omega|
+            raise SettingError("c_shift", f"c_shift * |Omega| overflows, got {self.c_shift!r}")
         _check_non_negative("stabilization", self.stabilization)
         for name in ("principal_symbol", "mobility_symbol"):
             _read_only(_check_symbol(name, getattr(self, name), self.grid))
@@ -239,6 +241,13 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_scale(name: str, value: float, grid: Grid) -> None:
+    """`value` positive and finite, and its symbol `value` |k|^2 finite on the grid."""
+    _check_positive(name, value)
+    if math.isinf(float(value) * float(grid.k2.max())):
+        raise SettingError(name, f"{name} * |k|^2 overflows on this grid, got {value!r}")
+
+
 def _default_shift(grid: Grid, c_shift: float | None) -> float:
     # normalized so the constant energy offset c_shift * |Omega| equals 1
     return 1.0 / grid.volume if c_shift is None else float(c_shift)
@@ -248,10 +257,10 @@ def _phase_field(name: str, grid: Grid, alpha: float, stabilization: float,
                  c_shift: float | None, mobility: float | None = None) -> ProblemDefinition:
     """L = alpha |k|^2 with the double well; G = 1, or mobility |k|^2 when given."""
     if grid.basis is not Basis.FOURIER2D:
-        raise ValueError(f"{name} requires a FOURIER2D grid")
-    _check_positive("alpha", alpha)
+        raise SettingError("grid", f"{name} requires a FOURIER2D grid")
+    _check_scale("alpha", alpha, grid)
     if mobility is not None:
-        _check_positive("mobility", mobility)
+        _check_scale("mobility", mobility, grid)
     k2 = grid.k2
     return ProblemDefinition(
         name=name,
@@ -296,8 +305,8 @@ def burgers(grid: Grid, nu: float, c_shift: float | None = None) -> ProblemDefin
     K(u) = nu*||u_x||^2.
     """
     if grid.basis is not Basis.SINE1D:
-        raise ValueError("burgers requires a SINE1D grid")
-    _check_positive("nu", nu)
+        raise SettingError("grid", "burgers requires a SINE1D grid")
+    _check_scale("nu", nu, grid)
     return ProblemDefinition(
         name="burgers",
         grid=grid,
@@ -343,7 +352,7 @@ def exp_sine_product_solution(grid: Grid) -> ExactSolution:
     and its coefficients and costs no transform.
     """
     if grid.basis is not Basis.FOURIER2D:
-        raise ValueError("this solution family lives on a FOURIER2D grid")
+        raise SettingError("grid", "this solution family lives on a FOURIER2D grid")
     x, y = grid.points
     profile = Field.from_physical(grid, np.exp(np.sin(np.pi * x) * np.sin(np.pi * y)))
     profile.coeffs  # the one transform; scalar multiples keep both representations
@@ -371,7 +380,7 @@ def with_manufactured_forcing(problem: ProblemDefinition) -> ProblemDefinition:
     than FOURIER2D, where the solution family does not live.
     """
     if problem.transport is not None:
-        raise ValueError("manufactured forcing needs a problem without transport")
+        raise SettingError("problem", "manufactured forcing needs a problem without transport")
     exact = exp_sine_product_solution(problem.grid)
     profile = exact.time_derivative(0.0)  # cos 0 = 1: the profile itself
     gd, well = problem._dealiased_mobility, float(problem.has_double_well)

@@ -51,6 +51,7 @@ __all__ = [
     "Basis",
     "Grid",
     "Field",
+    "SavError",
     "SettingError",
     "GridMismatchError",
     "IndefiniteOperatorError",
@@ -66,7 +67,13 @@ __all__ = [
 ]
 
 
-class SettingError(ValueError):
+class SavError(Exception):
+    """The base of every error the package raises; `exit_code` is the CLI's exit status for it."""
+
+    exit_code = 1
+
+
+class SettingError(SavError, ValueError):
     """A setting outside its domain; `setting` names the parameter."""
 
     def __init__(self, setting: str, message: str):
@@ -89,11 +96,11 @@ def _is_integer(n) -> bool:
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
-class GridMismatchError(ValueError):
-    """Raised when an operation mixes fields living on different grids."""
+class GridMismatchError(SavError, ValueError):
+    """Raised when fields, or an array and its grid, disagree on the grid, shape or basis."""
 
 
-class IndefiniteOperatorError(ValueError):
+class IndefiniteOperatorError(SavError, ValueError):
     """Raised when a shifted diagonal solve has a non-positive denominator."""
 
 
@@ -120,6 +127,8 @@ class Grid:
     def __init__(self, basis: Basis, extents: tuple[int, ...]):
         if not all(_is_integer(n) and n > 0 for n in extents):
             raise SettingError("extents", f"extents must be positive integers, got {extents}")
+        if 16 * math.prod(extents) > np.iinfo(np.intp).max:  # numpy's largest complex array
+            raise SettingError("extents", f"extents {extents} exceed numpy's largest array")
         self.basis = basis
         self.extents = tuple(int(n) for n in extents)
 
@@ -255,7 +264,7 @@ class Field:
 
     def __init__(self, grid: Grid, physical: np.ndarray | None = None, spectral: np.ndarray | None = None):
         if physical is None and spectral is None:
-            raise ValueError("a Field needs a physical or a spectral array")
+            raise SettingError("physical", "a Field needs a physical or a spectral array")
         self.grid = grid
         self._phys = physical
         self._spec = spectral
@@ -264,7 +273,7 @@ class Field:
     def from_physical(cls, grid: Grid, values) -> "Field":
         arr = np.asarray(values, dtype=float)
         if arr.shape != grid.extents:
-            raise ValueError(f"physical shape {arr.shape} does not match grid extents {grid.extents}")
+            raise GridMismatchError(f"physical shape {arr.shape} does not match grid extents {grid.extents}")
         return cls(grid, physical=arr)
 
     @classmethod
@@ -272,7 +281,7 @@ class Field:
         fourier = grid.basis is Basis.FOURIER2D
         arr = np.asarray(coeffs, dtype=grid.coeff_dtype)
         if arr.shape != grid.spectral_shape:
-            raise ValueError(f"spectral shape {arr.shape} does not match grid {grid.spectral_shape}")
+            raise GridMismatchError(f"spectral shape {arr.shape} does not match grid {grid.spectral_shape}")
         return cls(grid, spectral=_hermitianize(arr, grid.extents[0]) if fourier else arr)
 
     @classmethod
@@ -458,7 +467,7 @@ def sine_derivative_values(f: Field) -> np.ndarray:
     """
     g = f.grid
     if g.basis is not Basis.SINE1D:
-        raise ValueError("sine_derivative_values requires a SINE1D grid")
+        raise GridMismatchError("sine_derivative_values requires a SINE1D grid")
     n = g.extents[0]
     kj = np.sqrt(g.k2)
     padded = np.zeros(n + 2)

@@ -33,8 +33,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .problems import ProblemDefinition
-from .spectral import (Field, GridMismatchError, SettingError, _check_positive, sobolev_norm,
-                       solve_shifted)
+from .spectral import (Field, GridMismatchError, SavError, SettingError, _check_positive,
+                       sobolev_norm, solve_shifted)
 from .tableau import MAX_ORDER, BdfTableau, combine_history, tableau
 
 __all__ = [
@@ -73,20 +73,26 @@ class StepMode(enum.Enum):
     IMEX = "imex"
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(SavError, RuntimeError):
     """A non-finite value appeared in the solution."""
+
+    exit_code = 3
 
     def __init__(self, step_index: int, what: str = "solution"):
         super().__init__(f"divergence detected at step {step_index}: non-finite {what}")
         self.step_index = step_index
 
 
-class EnergyPositivityError(RuntimeError):
+class EnergyPositivityError(SavError, RuntimeError):
     """E(ubar) <= 0; impossible for well-formed problems (c_shift > 0)."""
 
+    exit_code = 2
 
-class MonotonicityError(RuntimeError):
+
+class MonotonicityError(SavError, RuntimeError):
     """The unforced scalar update increased; impossible for the closed form."""
+
+    exit_code = 2
 
     def __init__(self, step_index: int, r_old: float, r_new: float):
         super().__init__(
@@ -149,7 +155,7 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
     _check_positive("dt", dt)
     k = tab.order
     if len(state.u_history) < k:
-        raise ValueError(f"order-{k} step needs {k} history levels, have {len(state.u_history)}")
+        raise SettingError("state", f"order-{k} step needs {k} history levels, have {len(state.u_history)}")
     next_index = state.step_index + 1
     t_next = state.time + dt
 
@@ -204,7 +210,7 @@ def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
     _check_positive("dt", dt)
     if u0 is None:
         if problem.exact is None:
-            raise ValueError("u0 is required for problems without an exact solution")
+            raise SettingError("u0", "u0 is required for problems without an exact solution")
         u0 = problem.exact.field(0.0)
     elif u0.grid != problem.grid:
         raise GridMismatchError(f"u0 lives on {u0.grid}, the problem on {problem.grid}")

@@ -114,10 +114,10 @@ def combine_history(weights, history):
     history.
     """
     if len(weights) == 0:
-        raise ValueError("combine_history needs at least one weight")
+        raise SettingError("weights", "combine_history needs at least one weight")
     if len(weights) > len(history):
-        raise ValueError(
-            f"insufficient history: {len(weights)} weights but only {len(history)} entries"
+        raise SettingError(
+            "history", f"insufficient history: {len(weights)} weights but only {len(history)} entries"
         )
     acc = float(weights[0]) * history[0]
     for w, h in zip(weights[1:], history[1:]):

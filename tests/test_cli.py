@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from savbdf import EnergyPositivityError, IndefiniteOperatorError, MonotonicityError
+from savbdf import (DivergenceError, EnergyPositivityError, GridMismatchError,
+                    IndefiniteOperatorError, MonotonicityError, SettingError, StabilityResult)
 from savbdf import cli
 from savbdf.cli import (
     EXIT_ASSERTION,
@@ -238,11 +239,15 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_invalid_json_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("content", [b"{not json", b'\xff\xfe{"experiment": "run"}'],
+                         ids=["syntax", "not_utf8"])
+def test_invalid_json_is_usage_error(tmp_path, capsys, content):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
+    path.write_bytes(content)
     rc = main(["run", "--config", str(path)])
     assert rc == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: config file")
 
 
 # -- execution --------------------------------------------------------------------
@@ -331,6 +336,27 @@ def test_divergence_exit_code(tmp_path):
         "--T", "1.0", "--out", str(out),
     ])
     assert rc == EXIT_DIVERGENCE
+
+
+def test_converge_with_too_few_slope_points_exits_2_after_its_artifacts(tmp_path, capsys):
+    # every rung's error sits at the rounding floor, so no slope is fitted
+    out = tmp_path / "c"
+    argv = ["converge", "--grid", "8", "--order", "5", "--dt-list", "0.004,0.002,0.001",
+            "--T", "0.02", "--out", str(out)]
+    assert main(argv) == EXIT_ASSERTION
+    assert capsys.readouterr().err == "converge: too few finite error points to fit all slopes\n"
+    assert sorted(p.name for p in out.iterdir()) == ["convergence.csv", "summary.json"]
+
+
+def test_stability_violations_exit_2_after_the_artifacts(tmp_path, monkeypatch, capsys):
+    probe = cli.stability_probe
+    monkeypatch.setattr(cli, "stability_probe",
+                        lambda *a, **k: StabilityResult(probe(*a, **k).report, ["first", "second"]))
+    out = tmp_path / "s"
+    assert main(["stability", "--grid", "8", "--n-steps", "6", "--out", str(out)]) == EXIT_ASSERTION
+    assert capsys.readouterr().err == "stability violation: first\nstability violation: second\n"
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json", "trace.csv"]
+    assert json.loads((out / "summary.json").read_text())["violations"] == ["first", "second"]
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -540,29 +566,56 @@ EXTREME = [
     (["run", "--alpha", "1e300"], EXIT_DIVERGENCE, "non-finite scalar variable"),
     (["run", "--c-shift", "1e-300", "--dt", "1", "--T", "20"], EXIT_DIVERGENCE, "non-finite scalar variable"),
     (["burgers", "--nu", "1e-300", "--grid", "8", "--dt-ref", "0.01"], EXIT_OK, None),
+    # a symbol, or the energy's shift c_shift |Omega|, that overflows is a bad setting
+    (["stability", "--alpha", "1e308"], EXIT_USAGE, "key 'alpha'"),
+    (["stability", "--problem", "cahn_hilliard", "--m0", "1e308"], EXIT_USAGE, "key 'm0'"),
+    (["run", "--problem", "burgers", "--nu", "1e308", "--grid", "16", "--dt", "0.1", "--T", "0.2"],
+     EXIT_USAGE, "key 'nu'"),
+    (["run", "--c-shift", "1e308"], EXIT_USAGE, "key 'c_shift'"),
+    # a grid too large for any numpy array
+    (["run", "--grid", "100000000000000000000"], EXIT_USAGE, "key 'grid'"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, message", EXTREME, ids=["_".join(argv) for argv, _, _ in EXTREME])
 def test_extreme_finite_settings_exit_without_traceback(tmp_path, capsys, argv, code, message):
     # in-process, so an escaping exception fails the test rather than a stderr scan
-    assert main(argv + ["--out", str(tmp_path / "o")]) == code
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == code
     err = capsys.readouterr().err.strip().splitlines()
     if message is None:
         assert err == []
     else:
         assert len(err) == 1 and message in err[0]
+    assert out.exists() == (code == EXIT_OK)
 
 
-@pytest.mark.parametrize("error, code", [
-    (EnergyPositivityError("E(ubar) = -1.0 <= 0 at step 1"), EXIT_ASSERTION),
-    (MonotonicityError(3, 1.0, 2.0), EXIT_ASSERTION),
-    (IndefiniteOperatorError("shifted operator is not positive"), EXIT_USAGE),
+def test_overflowing_symbol_is_one_line_without_a_warning(tmp_path):
+    # out of process, where no warning filter turns numpy's overflow warning into an error
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "savbdf.cli", "stability", "--alpha", "1e308",
+                           "--out", str(tmp_path / "o")],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("config error: key 'alpha': ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("error, code, line", [
+    (EnergyPositivityError("E(ubar) = -1.0 <= 0 at step 1"), EXIT_ASSERTION, None),
+    (MonotonicityError(3, 1.0, 2.0), EXIT_ASSERTION, None),
+    (IndefiniteOperatorError("shifted operator is not positive"), EXIT_USAGE, None),
+    (DivergenceError(4, "scalar variable"), EXIT_DIVERGENCE, None),
+    (GridMismatchError("fields live on different grids"), EXIT_USAGE, None),
+    (SettingError("mobility", "mobility must be positive"), EXIT_USAGE,
+     "config error: key 'm0': mobility must be positive"),
 ])
-def test_library_errors_map_to_exit_codes(tmp_path, monkeypatch, capsys, error, code):
+def test_library_errors_map_to_exit_codes(tmp_path, monkeypatch, capsys, error, code, line):
     def fail(*args, **kwargs):
         raise error
 
     monkeypatch.setattr(cli, "stability_probe", fail)
     assert main(["stability", "--grid", "16", "--out", str(tmp_path)]) == code
-    assert str(error) in capsys.readouterr().err
+    assert capsys.readouterr().err == f"{line or error}\n"

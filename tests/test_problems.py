@@ -131,6 +131,8 @@ INF, NAN = float("inf"), float("nan")
     (dict(alpha=NAN), "alpha"), (dict(alpha=INF), "alpha"),
     (dict(stabilization=INF), "stabilization"), (dict(stabilization=NAN), "stabilization"),
     (dict(c_shift=NAN), "c_shift"), (dict(c_shift=-10.0), "c_shift"), (dict(c_shift=0.0), "c_shift"),
+    # alpha |k|^2 and c_shift |Omega| overflow
+    (dict(alpha=1e308), "alpha"), (dict(c_shift=1e308), "c_shift"),
 ])
 def test_allen_cahn_rejects_bad_settings(grid, kwargs, name):
     with pytest.raises(SettingError, match=name) as exc:
@@ -140,7 +142,7 @@ def test_allen_cahn_rejects_bad_settings(grid, kwargs, name):
 
 @pytest.mark.parametrize("kwargs, name", [
     (dict(mobility=NAN), "mobility"), (dict(mobility=INF), "mobility"),
-    (dict(alpha=INF), "alpha"), (dict(c_shift=-10.0), "c_shift"),
+    (dict(alpha=INF), "alpha"), (dict(c_shift=-10.0), "c_shift"), (dict(mobility=1e308), "mobility"),
 ])
 def test_cahn_hilliard_rejects_bad_settings(grid, kwargs, name):
     with pytest.raises(SettingError, match=name) as exc:
@@ -151,6 +153,7 @@ def test_cahn_hilliard_rejects_bad_settings(grid, kwargs, name):
 @pytest.mark.parametrize("kwargs, name", [
     (dict(nu=INF), "nu"), (dict(nu=NAN), "nu"),
     (dict(nu=0.1, c_shift=NAN), "c_shift"), (dict(nu=0.1, c_shift=-10.0), "c_shift"),
+    (dict(nu=1e308), "nu"),
 ])
 def test_burgers_rejects_bad_settings(kwargs, name):
     # c_shift = -10 would otherwise fail only at step 1, on energy positivity
