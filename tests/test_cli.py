@@ -239,11 +239,18 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", [b"{not json", b'\xff\xfe{"experiment": "run"}'],
-                         ids=["syntax", "not_utf8"])
-def test_invalid_json_is_usage_error(tmp_path, capsys, content):
+def test_invalid_json_is_usage_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
-    path.write_bytes(content)
+    path.write_text("{not json")
+    rc = main(["run", "--config", str(path)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: config file")
+
+
+def test_non_utf8_config_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_bytes(b'\xff\xfe{"experiment": "run"}')
     rc = main(["run", "--config", str(path)])
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
@@ -603,19 +610,27 @@ def test_overflowing_symbol_is_one_line_without_a_warning(tmp_path):
     assert len(proc.stderr.splitlines()) == 1
 
 
-@pytest.mark.parametrize("error, code, line", [
-    (EnergyPositivityError("E(ubar) = -1.0 <= 0 at step 1"), EXIT_ASSERTION, None),
-    (MonotonicityError(3, 1.0, 2.0), EXIT_ASSERTION, None),
-    (IndefiniteOperatorError("shifted operator is not positive"), EXIT_USAGE, None),
-    (DivergenceError(4, "scalar variable"), EXIT_DIVERGENCE, None),
-    (GridMismatchError("fields live on different grids"), EXIT_USAGE, None),
-    (SettingError("mobility", "mobility must be positive"), EXIT_USAGE,
-     "config error: key 'm0': mobility must be positive"),
-])
-def test_library_errors_map_to_exit_codes(tmp_path, monkeypatch, capsys, error, code, line):
+def _fail_stability_with(monkeypatch, error):
     def fail(*args, **kwargs):
         raise error
 
     monkeypatch.setattr(cli, "stability_probe", fail)
+
+
+@pytest.mark.parametrize("error, code", [
+    (EnergyPositivityError("E(ubar) = -1.0 <= 0 at step 1"), EXIT_ASSERTION),
+    (MonotonicityError(3, 1.0, 2.0), EXIT_ASSERTION),
+    (IndefiniteOperatorError("shifted operator is not positive"), EXIT_USAGE),
+    (DivergenceError(4, "scalar variable"), EXIT_DIVERGENCE),
+    (GridMismatchError("fields live on different grids"), EXIT_USAGE),
+])
+def test_library_errors_map_to_exit_codes(tmp_path, monkeypatch, capsys, error, code):
+    _fail_stability_with(monkeypatch, error)
     assert main(["stability", "--grid", "16", "--out", str(tmp_path)]) == code
-    assert capsys.readouterr().err == f"{line or error}\n"
+    assert capsys.readouterr().err == f"{error}\n"
+
+
+def test_setting_error_names_the_config_key(tmp_path, monkeypatch, capsys):
+    _fail_stability_with(monkeypatch, SettingError("mobility", "mobility must be positive"))
+    assert main(["stability", "--grid", "16", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "config error: key 'm0': mobility must be positive\n"
