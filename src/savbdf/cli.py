@@ -227,9 +227,7 @@ def _build_problem(cfg: RunConfig, forced: bool):
     if cfg.problem == "burgers":
         grid = Grid.sine1d(cfg.grid[0])
         return burgers(grid, cfg.nu, c_shift=cfg.c_shift)
-    nx = cfg.grid[0]
-    ny = cfg.grid[1] if len(cfg.grid) > 1 else nx
-    grid = Grid.fourier2d(nx, ny)
+    grid = Grid.fourier2d(*cfg.grid)
     if cfg.problem == "allen_cahn":
         p = allen_cahn(grid, alpha=cfg.alpha, stabilization=cfg.stabilization, c_shift=cfg.c_shift)
     else:
@@ -317,9 +315,9 @@ def _execute_burgers(cfg: RunConfig, out: Path) -> None:
     _write_csv(out / "trace.csv", TRACE_COLUMNS, map(_trace_row, comparison.sav_report.records))
     _write_summary(out, {
         "deviation_sav": comparison.deviation_sav,
-        "deviation_imex": None if comparison.imex_diverged else comparison.deviation_imex,
+        "deviation_imex": comparison.deviation_imex,
         "overshoot_sav": comparison.overshoot_sav,
-        "overshoot_imex": None if comparison.imex_diverged else comparison.overshoot_imex,
+        "overshoot_imex": comparison.overshoot_imex,
         "imex_diverged": comparison.imex_diverged,
         "min_eta_sav": comparison.sav_report.min_eta,
         "max_eta_sav": comparison.sav_report.max_eta,

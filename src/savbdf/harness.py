@@ -119,9 +119,8 @@ class ConvergenceReport:
 
 
 def _fit_norm(entries: list[ConvergenceEntry], attr: str) -> Optional[float]:
-    pts = [(e.dt, getattr(e, attr)) for e in entries
-           if not e.diverged and getattr(e, attr) is not None
-           and math.isfinite(getattr(e, attr)) and getattr(e, attr) > ERROR_FLOOR]
+    pts = [(e.dt, err) for e in entries  # a diverged entry's errors are None
+           if (err := getattr(e, attr)) is not None and math.isfinite(err) and err > ERROR_FLOOR]
     return fit_rate(pts) if len(pts) >= 2 else None
 
 

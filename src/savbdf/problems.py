@@ -242,9 +242,10 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _check_scale(name: str, value: float, grid: Grid) -> None:
-    """`value` positive and finite, and its symbol `value` |k|^2 finite on the grid."""
+    """`value` positive and finite, and its symbol `value` |k|^2 finite on the grid,
+    also weighted by the conjugate-pair multiplicity, as the quadratic forms read it."""
     _check_positive(name, value)
-    if math.isinf(float(value) * float(grid.k2.max())):
+    if math.isinf(float(value) * float((grid._mult.real * grid.k2).max())):
         raise SettingError(name, f"{name} * |k|^2 overflows on this grid, got {value!r}")
 
 
@@ -255,14 +256,16 @@ def _default_shift(grid: Grid, c_shift: float | None) -> float:
 
 def _phase_field(name: str, grid: Grid, alpha: float, stabilization: float,
                  c_shift: float | None, mobility: float | None = None) -> ProblemDefinition:
-    """L = alpha |k|^2 with the double well; G = 1, or mobility |k|^2 when given."""
+    """L = alpha |k|^2 with the double well; G = 1, or mobility |k|^2 when given.
+    An A = G (L + lam) that overflows is a SettingError on the mobility, or on
+    the stabilization where G = 1."""
     if grid.basis is not Basis.FOURIER2D:
         raise SettingError("grid", f"{name} requires a FOURIER2D grid")
     _check_scale("alpha", alpha, grid)
     if mobility is not None:
         _check_scale("mobility", mobility, grid)
     k2 = grid.k2
-    return ProblemDefinition(
+    problem = ProblemDefinition(
         name=name,
         grid=grid,
         principal_symbol=alpha * k2,
@@ -271,6 +274,11 @@ def _phase_field(name: str, grid: Grid, alpha: float, stabilization: float,
         stabilization=float(stabilization),
         has_double_well=True,
     )
+    with np.errstate(over="ignore"):  # A is built here, once per problem
+        if not np.isfinite(problem.linear_symbol).all():
+            owner, value = ("stabilization", stabilization) if mobility is None else ("mobility", mobility)
+            raise SettingError(owner, f"A = G (L + lam) overflows on this grid, got {owner} = {value!r}")
+    return problem
 
 
 def allen_cahn(grid: Grid, alpha: float = 1e-4, stabilization: float = 0.0,

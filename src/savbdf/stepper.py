@@ -21,6 +21,8 @@ because the solution correction then bounds what enters the cubic term.  The
 state keeps the last uncorrected iterate ubar for diagnostics only.
 A new level below ZERO_LEVEL in magnitude is stored as exact zeros, with the same records.
 A step from exact zeros, unforced and without transport, is at the equilibrium u = 0: no solve.
+Its r, xi and eta still come from the scalar update, bit for bit the full step's, since the
+cascade start switches tableau between levels.
 """
 
 from __future__ import annotations
@@ -195,6 +197,7 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
                     ubar, r_new, xi, eta, energy, principal)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
                u0: Field | None = None, mode: StepMode = StepMode.SAV,
                record_sink: Optional[list] = None) -> SavState:
@@ -205,7 +208,8 @@ def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
     them.  Otherwise a cascade start is used: level i is produced by
     CASCADE_SUBSTEPS substeps of size dt/CASCADE_SUBSTEPS at order i, run as
     one continuous fine trajectory so each stage has enough fine history.
-    Every level's E(u) and (L u, u) are evaluated on that level.
+    Every level's E(u) and (L u, u) are evaluated on that level.  As in `step`,
+    overflow reads inf or raises DivergenceError, not an arithmetic warning.
     """
     _check_positive("dt", dt)
     if u0 is None:
@@ -231,8 +235,7 @@ def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
             for _ in range(CASCADE_SUBSTEPS):
                 fine = step(fine, problem, sub_tab, dt / CASCADE_SUBSTEPS, mode)
             u, r, xi, eta, terms = fine.u_history[0], fine.r, fine.last_xi, fine.last_eta, None
-        with np.errstate(over="ignore", invalid="ignore"):  # diagnostics: inf, not a warning
-            energy, principal = problem.scaled_energy(terms or problem.energy_terms(u)[0], 1.0)
+        energy, principal = problem.scaled_energy(terms or problem.energy_terms(u)[0], 1.0)
         state = SavState(level, t, (u,) + state.u_history, u, r, xi, eta, energy, principal)
         if record_sink is not None:
             record_sink.append(_make_record(problem, state))

@@ -581,6 +581,14 @@ EXTREME = [
     (["run", "--c-shift", "1e308"], EXIT_USAGE, "key 'c_shift'"),
     # a grid too large for any numpy array
     (["run", "--grid", "100000000000000000000"], EXIT_USAGE, "key 'grid'"),
+    # a symbol built from a setting overflows while setting * |k|^2 stays finite: the
+    # conjugate-pair weighted L on 8^2 (max mult |k|^2 = 493.5, max |k|^2 = 315.8), and A = G L
+    (["stability", "--alpha", "4e305", "--grid", "8", "--n-steps", "5", "--order", "1"],
+     EXIT_USAGE, "key 'alpha'"),
+    (["run", "--problem", "cahn_hilliard", "--alpha", "1e200", "--m0", "1e200", "--grid", "8"],
+     EXIT_USAGE, "key 'm0'"),
+    (["stability", "--problem", "cahn_hilliard", "--alpha", "1e200", "--m0", "1e200", "--grid", "8"],
+     EXIT_USAGE, "key 'm0'"),
 ]
 
 

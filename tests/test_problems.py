@@ -133,6 +133,10 @@ INF, NAN = float("inf"), float("nan")
     (dict(c_shift=NAN), "c_shift"), (dict(c_shift=-10.0), "c_shift"), (dict(c_shift=0.0), "c_shift"),
     # alpha |k|^2 and c_shift |Omega| overflow
     (dict(alpha=1e308), "alpha"), (dict(c_shift=1e308), "c_shift"),
+    # alpha |k|^2 is finite on 64^2, but twice it, the conjugate-pair weighted L, is not
+    (dict(alpha=6e303), "alpha"),
+    # L and lam are finite, A = L + lam is not
+    (dict(alpha=1e303, stabilization=1.79e308), "stabilization"),
 ])
 def test_allen_cahn_rejects_bad_settings(grid, kwargs, name):
     with pytest.raises(SettingError, match=name) as exc:
@@ -143,6 +147,8 @@ def test_allen_cahn_rejects_bad_settings(grid, kwargs, name):
 @pytest.mark.parametrize("kwargs, name", [
     (dict(mobility=NAN), "mobility"), (dict(mobility=INF), "mobility"),
     (dict(alpha=INF), "alpha"), (dict(c_shift=-10.0), "c_shift"), (dict(mobility=1e308), "mobility"),
+    # the weighted G, and A = G (L + lam) with G and L finite, overflow
+    (dict(mobility=6e303), "mobility"), (dict(alpha=1e150, mobility=1e160), "mobility"),
 ])
 def test_cahn_hilliard_rejects_bad_settings(grid, kwargs, name):
     with pytest.raises(SettingError, match=name) as exc:

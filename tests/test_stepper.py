@@ -2,6 +2,7 @@
 
 import math
 import types
+import warnings
 from dataclasses import fields, replace
 from fractions import Fraction
 from functools import cached_property
@@ -734,6 +735,30 @@ def test_initialize_makes_one_energy_pass_per_exact_level(monkeypatch, mode):
     monkeypatch.setattr(ProblemDefinition, "energy_terms", lambda self, u: calls.append(u) or terms(self, u))
     state = initialize(p, tableau(3), 0.01, mode=mode)
     assert len(calls) == len(state.u_history) == 3
+
+
+def _overflowing_start():
+    # (L u, u) is 0 for a constant, but u^2 - 1 overflows: E(u0) is inf
+    grid = Grid.fourier2d(8)
+    return allen_cahn(grid), Field.from_physical(grid, np.full((8, 8), 1e160))
+
+
+def test_initialize_reads_an_overflowing_energy_as_inf():
+    p, u0 = _overflowing_start()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = initialize(p, tableau(1), 0.1, u0=u0)
+    assert state.r == state.energy == math.inf
+
+
+@pytest.mark.parametrize("mode", list(StepMode))
+def test_initialize_from_an_overflowing_start_is_a_divergence(mode):
+    p, u0 = _overflowing_start()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as exc:
+            initialize(p, tableau(3), 0.1, u0=u0, mode=mode)
+    assert exc.value.step_index == 1
 
 
 def test_initialize_requires_u0_without_exact():
