@@ -47,10 +47,10 @@ EXIT_DIVERGENCE = 3
 #: An experiment that reads `problem` also reads that problem's keys; the
 #: burgers experiment always runs the burgers problem and reads `nu` itself.
 EXPERIMENTS = {
-    "converge": ("problem", "order", "grid", "T", "dt_list", "eta_exponent"),
-    "stability": ("problem", "order", "grid", "dt", "n_steps", "seed", "eta_exponent"),
-    "burgers": ("order", "grid", "nu", "dt", "dt_ref", "T", "eta_exponent"),
-    "run": ("problem", "order", "grid", "dt", "T", "mode", "eta_exponent"),
+    "converge": ("problem", "order", "grid", "T", "dt_list"),
+    "stability": ("problem", "order", "grid", "dt", "n_steps", "seed"),
+    "burgers": ("order", "grid", "nu", "dt", "dt_ref", "T"),
+    "run": ("problem", "order", "grid", "dt", "T", "mode"),
 }
 #: The settable keys each problem reads.
 PROBLEMS = {
@@ -68,7 +68,7 @@ _FLAGS = {
     "problem": {"choices": tuple(PROBLEMS)},
     "mode": {"choices": MODES},
     "out": {"type": str, "metavar": "DIR"},
-    **dict.fromkeys(("order", "eta_exponent", "seed", "n_steps"), {"type": int}),
+    **dict.fromkeys(("order", "seed", "n_steps"), {"type": int}),
     **dict.fromkeys(("alpha", "m0", "nu", "stabilization", "c_shift", "dt", "T", "dt_ref"),
                     {"type": float}),
 }
@@ -99,7 +99,6 @@ class RunConfig:
     nu: float = 1.0 / 314.0
     stabilization: float = 0.0
     c_shift: Optional[float] = None
-    eta_exponent: Optional[int] = None
     dt: Optional[float] = None
     dt_list: Optional[tuple[float, ...]] = None
     T: float = 1.0
@@ -149,8 +148,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
 
     A null value leaves a key unset.  A key that the experiment or its
     problem does not read (see EXPERIMENTS and PROBLEMS) is a ConfigError, as
-    are a wrong type, too many grid entries and an eta_exponent below order + 1,
-    checked once `tableau` has accepted the order.
+    are a wrong type and too many grid entries.
     """
     data: dict = {}
     if path is not None:
@@ -213,13 +211,6 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     if len(cfg.grid) > (1 if cfg.problem == "burgers" else 2):
         takes = "one entry" if cfg.problem == "burgers" else "one or two entries"
         raise ConfigError(f"key 'grid': {cfg.problem} takes {takes}, got {cfg.grid!r}")
-    if cfg.eta_exponent is not None:
-        tableau(cfg.order)  # the library accepts the order first, so a bad order is named as such
-        if cfg.eta_exponent < cfg.order + 1:
-            raise ConfigError(
-                f"key 'eta_exponent': must be at least order + 1 = {cfg.order + 1}, the smallest "
-                f"exponent that keeps order {cfg.order}; got {cfg.eta_exponent!r}"
-            )
     return cfg
 
 
@@ -276,8 +267,7 @@ def _write_csv(path: Path, header, rows):
 
 def _execute_converge(cfg: RunConfig, out: Path) -> None:
     problem = _build_problem(cfg, forced=True)
-    report = convergence_study(problem, cfg.order, cfg.dt_list, cfg.T,
-                               eta_exponent=cfg.eta_exponent)
+    report = convergence_study(problem, cfg.order, cfg.dt_list, cfg.T)
     columns = ("dt", "err_l2", "err_h1", "err_h2")
     _write_csv(out / "convergence.csv", columns, map(attrgetter(*columns), report.entries))
     _write_summary(out, {f"slope_{norm}": slope for norm, slope in report.slopes.items()})
@@ -288,8 +278,7 @@ def _execute_converge(cfg: RunConfig, out: Path) -> None:
 
 def _execute_stability(cfg: RunConfig, out: Path) -> None:
     problem = _build_problem(cfg, forced=False)
-    result = stability_probe(problem, cfg.order, cfg.dt, cfg.n_steps,
-                             seed=cfg.seed, eta_exponent=cfg.eta_exponent)
+    result = stability_probe(problem, cfg.order, cfg.dt, cfg.n_steps, seed=cfg.seed)
     report = result.report
     _write_csv(out / "trace.csv", TRACE_COLUMNS, map(_trace_row, report.records))
     _write_summary(out, {
@@ -298,7 +287,7 @@ def _execute_stability(cfg: RunConfig, out: Path) -> None:
         "min_r": report.min_r,
         "min_xi": report.min_xi,
         "sup_principal_norm_sq": report.sup_principal,
-        "sup_principal_norm_sq_first10": report.sup_principal_first(10),
+        "sup_principal_norm_sq_first10": report.sup_principal_first10,
         "mean_drift": report.mean_drift,
     })
     if not result.passed:
@@ -307,8 +296,7 @@ def _execute_stability(cfg: RunConfig, out: Path) -> None:
 
 def _execute_burgers(cfg: RunConfig, out: Path) -> None:
     comparison = burgers_compare(nu=cfg.nu, n_modes=cfg.grid[0], dt=cfg.dt,
-                                 dt_ref=cfg.dt_ref, T=cfg.T, order=cfg.order,
-                                 eta_exponent=cfg.eta_exponent)
+                                 dt_ref=cfg.dt_ref, T=cfg.T, order=cfg.order)
     for name, u in (("ref", comparison.u_ref), ("sav", comparison.u_sav), ("imex", comparison.u_imex)):
         if u is not None:
             _write_csv(out / f"snapshot_{name}.csv", ("x", "u"), zip(comparison.x, u))
@@ -334,7 +322,7 @@ def _execute_run(cfg: RunConfig, out: Path) -> None:
         # error columns of the trace are populated
         problem = _build_problem(cfg, forced=True)
         u0 = None
-    tab = tableau(cfg.order, cfg.eta_exponent)
+    tab = tableau(cfg.order)
     report = run(problem, tab, cfg.dt, cfg.T, mode=StepMode(cfg.mode), u0=u0)
     _write_csv(out / "trace.csv", TRACE_COLUMNS, map(_trace_row, report.records))
     summary = {

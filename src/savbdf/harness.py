@@ -125,7 +125,7 @@ def _fit_norm(entries: list[ConvergenceEntry], attr: str) -> Optional[float]:
 
 
 def convergence_study(problem: ProblemDefinition, order: int, dt_list=None,
-                      T: float = 1.0, eta_exponent: int | None = None) -> ConvergenceReport:
+                      T: float = 1.0) -> ConvergenceReport:
     """Run the order-`order` scheme over a dt ladder and fit error slopes.
 
     Requires an attached exact solution; entries that diverge are flagged and
@@ -134,7 +134,7 @@ def convergence_study(problem: ProblemDefinition, order: int, dt_list=None,
     """
     if problem.exact is None:
         raise SettingError("problem", "convergence_study requires a problem with an exact solution")
-    tab = tableau(order, eta_exponent)
+    tab = tableau(order)
     dts = check_dt_ladder(dt_list if dt_list is not None else default_dt_ladder(order), T, order)
 
     def one_case(dt: float) -> ConvergenceEntry:
@@ -195,8 +195,7 @@ class StabilityResult:
 
 
 def stability_probe(problem: ProblemDefinition, order: int, dt: float, n_steps: int,
-                    seed: int = 0, u0: Field | None = None,
-                    eta_exponent: int | None = None) -> StabilityResult:
+                    seed: int = 0, u0: Field | None = None) -> StabilityResult:
     """Run n_steps at a deliberately large dt and check the scheme invariants.
 
     The scalar invariants are enforced by the step itself: on an unforced
@@ -207,7 +206,7 @@ def stability_probe(problem: ProblemDefinition, order: int, dt: float, n_steps: 
     """
     if problem.forcing is not None:
         raise SettingError("problem", "stability_probe requires an unforced problem")
-    tab = tableau(order, eta_exponent)
+    tab = tableau(order)
     if not order <= n_steps <= MAX_STEPS:
         raise SettingError("n_steps", f"n_steps must cover the order-{order} startup and stay "
                                       f"within the step cap, {order}..{MAX_STEPS}; got {n_steps!r}")
@@ -219,7 +218,7 @@ def stability_probe(problem: ProblemDefinition, order: int, dt: float, n_steps: 
 
     violations: list[str] = []
     sup_all = report.sup_principal
-    sup_head = report.sup_principal_first(10)
+    sup_head = report.sup_principal_first10
     if sup_head == 0.0:
         if sup_all > 0.0:
             violations.append("principal norm grew from exactly zero data")
@@ -270,8 +269,7 @@ def burgers_horizon(dt: float, dt_ref: float, T: float, order: int) -> tuple[flo
 
 
 def burgers_compare(nu: float = 1.0 / 314.0, n_modes: int = 320, dt: float = 8.5e-3,
-                    dt_ref: float = 1e-4, T: float = 1.0, order: int = 2,
-                    eta_exponent: int | None = None) -> BurgersComparison:
+                    dt_ref: float = 1e-4, T: float = 1.0, order: int = 2) -> BurgersComparison:
     """Shock-layer comparison from u(x, 0) = -sin(pi x) on (-1, 1).
 
     The reference is the corrected scheme at dt_ref (see `burgers_horizon`).
@@ -284,7 +282,7 @@ def burgers_compare(nu: float = 1.0 / 314.0, n_modes: int = 320, dt: float = 8.5
     """
     if n_modes < 2:
         raise SettingError("n_modes", f"the comparison needs at least 2 modes, got {n_modes}")
-    tab = tableau(order, eta_exponent)
+    tab = tableau(order)
     t_end, dt_ref_eff = burgers_horizon(dt, dt_ref, T, order)
     grid = Grid.sine1d(n_modes)
     problem = burgers(grid, nu)

@@ -60,12 +60,12 @@ class BdfTableau:
     b_weights : tuple[Fraction, ...]
         Extrapolation weights, most recent first.
     eta_exponent : int
-        Exponent p in the solution-correction factor eta = 1 - (1 - xi)**p.
-        Defaults to 3 for order 1 and order+1 otherwise; overridable for
-        experiments.  p = order + 1 is the smallest exponent that keeps
-        order-k accuracy (the paper's eta = 1 - (1 - xi)^(k+1)): |1 - xi| is
-        O(dt), so each step's correction error is O(dt^p) and their sum
-        over a run O(dt^(p-1)).  p = order loses about one order.
+        Exponent p in the solution-correction factor eta = 1 - (1 - xi)**p,
+        fixed by the order: 3 for order 1 and order + 1 otherwise.  p = order
+        + 1 is the smallest exponent that keeps order-k accuracy (the paper's
+        eta = 1 - (1 - xi)^(k+1)): |1 - xi| is O(dt), so each step's
+        correction error is O(dt^p) and their sum over a run O(dt^(p-1)).
+        p = order loses about one order.
     """
 
     order: int
@@ -81,18 +81,13 @@ class BdfTableau:
                 tuple(float(w) for w in self.b_weights))
 
 
-def tableau(order: int, eta_exponent: int | None = None) -> BdfTableau:
-    """Return the order-`order` tableau, optionally overriding the eta exponent;
-    either may be a numpy integer, held as a plain int."""
+def tableau(order: int) -> BdfTableau:
+    """Return the order-`order` tableau, whose eta exponent follows the order;
+    the order may be a numpy integer, held as a plain int."""
     if not _is_integer(order) or not 1 <= order <= MAX_ORDER:
         raise UnsupportedOrderError("order",
                                     f"unsupported order {order!r}: must be an integer in 1..{MAX_ORDER}")
     order = int(order)
-    if eta_exponent is None:
-        eta_exponent = 3 if order == 1 else order + 1
-    elif not _is_integer(eta_exponent) or eta_exponent < 1:
-        raise SettingError("eta_exponent",
-                           f"eta_exponent must be an integer >= 1, got {eta_exponent!r}")
     terms = range(1, order + 1)
     return BdfTableau(
         order=order,
@@ -100,7 +95,7 @@ def tableau(order: int, eta_exponent: int | None = None) -> BdfTableau:
         a_weights=tuple((-1) ** (i + 1) * sum(Fraction(comb(j, i), j) for j in range(i, order + 1))
                         for i in terms),
         b_weights=tuple((-1) ** (i + 1) * Fraction(comb(order, i)) for i in terms),
-        eta_exponent=int(eta_exponent),
+        eta_exponent=3 if order == 1 else order + 1,
     )
 
 

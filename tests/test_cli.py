@@ -134,21 +134,6 @@ def test_list_forms_from_a_file(tmp_path):
     assert cfg.dt_list == (1.0, 0.5, 0.25) and all(type(dt) is float for dt in cfg.dt_list)
 
 
-def test_eta_exponent_below_order_plus_one_is_rejected():
-    with pytest.raises(ConfigError, match="key 'eta_exponent'"):
-        parse_config(None, {"experiment": "run", "order": 2, "eta_exponent": 2})
-    assert parse_config(None, {"experiment": "run", "order": 2, "eta_exponent": 3}).eta_exponent == 3
-
-
-def test_bad_order_is_named_before_the_eta_exponent_policy(tmp_path, capsys):
-    # the order + 1 rule reads the order, so the order is checked first
-    out = tmp_path / "o"
-    assert main(["converge", "--order", "9", "--eta-exponent", "4", "--out", str(out)]) == EXIT_USAGE
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "key 'order'" in err[0] and "eta_exponent" not in err[0]
-    assert not out.exists()
-
-
 def test_consecutive_main_calls_behave_like_fresh_ones(tmp_path, capsys):
     # the parser is built once per process; each call must still see only its own argv
     calls = [
@@ -185,6 +170,8 @@ UNREAD = [
     ("run", "burgers", "alpha", 9.0),
     ("burgers", None, "grid", "32x7"),
     ("run", None, "grid", "16x16x99"),
+    # p follows the order (`tableau`): no experiment reads it
+    ("run", None, "eta_exponent", 4),
 ]
 
 
@@ -194,24 +181,26 @@ def test_unread_key_is_rejected(tmp_path, capsys, experiment, problem, key, valu
     settings = {"experiment": experiment, key: value}
     if problem is not None:
         settings["problem"] = problem
+    path = write_config(tmp_path, settings)
     with pytest.raises(ConfigError, match=f"key '{key}'"):
-        parse_config(write_config(tmp_path, settings))
+        parse_config(path)
 
     flag = "--" + key.replace("_", "-")
     argv = [experiment, flag, str(value)] + (["--problem", problem] if problem else [])
     out = tmp_path / "o"
-    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert f"key '{key}'" in err[0] or flag in err[0]
-    assert not out.exists()
+    for args in (argv, [experiment, "--config", path]):
+        assert main(args + ["--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert f"key '{key}'" in err[0] or flag in err[0]
+        assert not out.exists()
 
 
 HELP_FLAGS = {
-    "converge": "problem order grid T dt-list eta-exponent alpha stabilization c-shift m0 nu",
-    "stability": "problem order grid dt n-steps seed eta-exponent alpha stabilization c-shift m0 nu",
-    "burgers": "order grid nu dt dt-ref T eta-exponent",
-    "run": "problem order grid dt T mode eta-exponent alpha stabilization c-shift m0 nu",
+    "converge": "problem order grid T dt-list alpha stabilization c-shift m0 nu",
+    "stability": "problem order grid dt n-steps seed alpha stabilization c-shift m0 nu",
+    "burgers": "order grid nu dt dt-ref T",
+    "run": "problem order grid dt T mode alpha stabilization c-shift m0 nu",
 }
 
 
@@ -569,7 +558,8 @@ EXTREME = [
      EXIT_DIVERGENCE, "step 1: non-finite correction factor"),
     (["burgers", "--nu", "1e300", "--grid", "8", "--dt-ref", "0.01"],
      EXIT_USAGE, "reference decayed to zero"),
-    (["stability", "--dt", "1e300", "--n-steps", "5"], EXIT_DIVERGENCE, "non-finite scalar variable"),
+    # E(ubar) overflows on unforced Allen-Cahn: r, xi and eta go to 0, and the run finishes
+    (["stability", "--dt", "1e300", "--n-steps", "5"], EXIT_OK, None),
     (["run", "--alpha", "1e300"], EXIT_DIVERGENCE, "non-finite scalar variable"),
     (["run", "--c-shift", "1e-300", "--dt", "1", "--T", "20"], EXIT_DIVERGENCE, "non-finite scalar variable"),
     (["burgers", "--nu", "1e-300", "--grid", "8", "--dt-ref", "0.01"], EXIT_OK, None),
@@ -603,6 +593,25 @@ def test_extreme_finite_settings_exit_without_traceback(tmp_path, capsys, argv, 
     else:
         assert len(err) == 1 and message in err[0]
     assert out.exists() == (code == EXIT_OK)
+
+
+HUGE_DT = [(problem, k, dt) for problem in ("allen_cahn", "cahn_hilliard")
+           for k in (1, 3, 5) for dt in ("1e80", "1e200", "1e300")]
+
+
+@pytest.mark.parametrize("problem, k, dt", HUGE_DT)
+def test_unforced_stability_finishes_at_any_finite_dt(tmp_path, capsys, problem, k, dt):
+    # the paper's bound holds for every dt: where E(ubar) overflows, xi = r / E = 0
+    # for any r in [0, r^n], so r goes to its limit 0 and u to the equilibrium 0
+    out = tmp_path / "o"
+    argv = ["stability", "--problem", problem, "--grid", "16", "--n-steps", "20",
+            "--order", str(k), "--dt", dt, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    text = (out / "trace.csv").read_text()
+    assert "nan" not in text and "inf" not in text
+    r = [float(row.split(",")[2]) for row in text.splitlines()[1:]]
+    assert len(r) == 21 and all(0.0 <= b <= a for a, b in zip(r, r[1:]))
 
 
 def test_overflowing_symbol_is_one_line_without_a_warning(tmp_path):

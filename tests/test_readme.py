@@ -90,7 +90,7 @@ def test_defaults_tables_are_the_resolved_settings(experiment, problem):
     overrides = {"experiment": experiment, **({} if problem is None else {"problem": problem})}
     cfg = cli.parse_config(None, overrides)
     keys = cli._settable_keys(experiment, [cfg.problem])
-    checked = {"out", "eta_exponent", "dt_list"} & set(keys)  # by their own tests below
+    checked = {"out", "dt_list"} & set(keys)  # by their own tests below
     header, *rows = _table("key")
     column = header.index(experiment)
     for row in rows:
@@ -124,8 +124,7 @@ def test_order_table_is_the_resolved_eta_exponent_and_ladder():
     assert [int(row[0]) for row in rows] == list(range(1, MAX_ORDER + 1))
     for k, p, ladder in rows:
         k = int(k)
-        # the CLI leaves p to the tableau, whose default is the smallest the CLI accepts
-        assert cli.parse_config(None, {"experiment": "run", "order": k}).eta_exponent is None
+        # p follows the order, the smallest that keeps order k
         assert tableau(k).eta_exponent == _value(p) >= k + 1
         assert cli.parse_config(None, {"experiment": "converge", "order": k}).dt_list == _value(ladder)
 
