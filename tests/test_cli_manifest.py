@@ -12,7 +12,10 @@ different FFT build may move the last bit of a value.
 Rows: ``stability`` on both phase fields at orders 1..5 and dt = 0.01, 1
 and 100; forced SAV and IMEX ``run`` on Allen-Cahn, an order-4
 Cahn-Hilliard ``run`` and a Burgers ``run``; a reduced ``converge`` and
-``burgers``; one invocation for each of exit codes 1, 2 and 3.
+``burgers``; one invocation for each of exit codes 1, 2 and 3; two IMEX
+Allen-Cahn runs whose energy overflows to inf (at T = 3.5) and whose every
+value then does (at T = 4); and an Allen-Cahn ``stability`` run that the
+correction collapses to exact zeros, so its last steps rest at u = 0.
 
 ``python tests/test_cli_manifest.py --freeze NAME...`` rewrites only the
 named rows.  A change that moves a row's bytes on purpose refreezes that
@@ -57,6 +60,12 @@ ROWS.update({
                                    "--dt-list", "0.004,0.002,0.001", "--T", "0.02"],
     "exit3_imex_burgers_diverges": ["run", "--problem", "burgers", "--mode", "imex",
                                     "--dt", "0.02", "--T", "1.0"],
+    "run_allen_cahn_imex_overflow_T3.5": ["run", "--problem", "allen_cahn", "--mode", "imex",
+                                          "--order", "1", "--grid", "8", "--dt", "0.5", "--T", "3.5"],
+    "run_allen_cahn_imex_overflow_T4": ["run", "--problem", "allen_cahn", "--mode", "imex",
+                                        "--order", "1", "--grid", "8", "--dt", "0.5", "--T", "4.0"],
+    "stability_allen_cahn_collapse_to_zero": ["stability", "--problem", "allen_cahn", "--grid", "16",
+                                              "--dt", "1.0", "--n-steps", "300", "--seed", "1"],
 })
 
 
