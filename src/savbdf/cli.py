@@ -75,7 +75,6 @@ _FLAGS = {
 
 TRACE_COLUMNS = ("step", "t", "r", "xi", "eta", "energy", "principal_norm_sq",
                  "err_l2", "err_h1", "err_h2")
-TRACE_HEADER = ",".join(TRACE_COLUMNS)
 _trace_row = attrgetter(*TRACE_COLUMNS)
 
 
@@ -290,7 +289,7 @@ def _execute_stability(cfg: RunConfig, out: Path) -> None:
         "sup_principal_norm_sq_first10": report.sup_principal_first10,
         "mean_drift": report.mean_drift,
     })
-    if not result.passed:
+    if result.violations:
         raise CheckFailed("\n".join(f"stability violation: {v}" for v in result.violations))
 
 
@@ -306,7 +305,7 @@ def _execute_burgers(cfg: RunConfig, out: Path) -> None:
         "deviation_imex": comparison.deviation_imex,
         "overshoot_sav": comparison.overshoot_sav,
         "overshoot_imex": comparison.overshoot_imex,
-        "imex_diverged": comparison.imex_diverged,
+        "imex_diverged": comparison.u_imex is None,
         "min_eta_sav": comparison.sav_report.min_eta,
         "max_eta_sav": comparison.sav_report.max_eta,
     })
@@ -326,9 +325,9 @@ def _execute_run(cfg: RunConfig, out: Path) -> None:
     report = run(problem, tab, cfg.dt, cfg.T, mode=StepMode(cfg.mode), u0=u0)
     _write_csv(out / "trace.csv", TRACE_COLUMNS, map(_trace_row, report.records))
     summary = {
-        "problem": report.problem,
-        "order": report.order,
-        "dt": report.dt,
+        "problem": cfg.problem,
+        "order": cfg.order,
+        "dt": cfg.dt,
         "mode": cfg.mode,
         "max_xi_deviation": report.max_xi_deviation,
         "min_eta": report.min_eta,

@@ -102,18 +102,16 @@ def _step_count_on(name: str, dt: float, T: float, order: int) -> int:
 
 @dataclass(frozen=True)
 class ConvergenceEntry:
+    """One rung of a study: its errors at T, all None where the rung diverged."""
+
     dt: float
     err_l2: Optional[float]
     err_h1: Optional[float]
     err_h2: Optional[float]
-    diverged: bool = False
 
 
 @dataclass
 class ConvergenceReport:
-    problem: str
-    order: int
-    T: float
     entries: list[ConvergenceEntry]
     slopes: dict[str, Optional[float]]
 
@@ -128,9 +126,10 @@ def convergence_study(problem: ProblemDefinition, order: int, dt_list=None,
                       T: float = 1.0) -> ConvergenceReport:
     """Run the order-`order` scheme over a dt ladder and fit error slopes.
 
-    Requires an attached exact solution; entries that diverge are flagged and
-    excluded from the fit, as are errors at the rounding floor.  A rung is an
-    unrecorded `advance`, measured at T alone: `run(...).final_errors` bit for bit.
+    Requires an attached exact solution; an entry that diverges holds None
+    errors and is excluded from the fit, as are errors at the rounding floor.
+    A rung is an unrecorded `advance`, measured at T alone:
+    `run(...).final_errors` bit for bit.
     """
     if problem.exact is None:
         raise SettingError("problem", "convergence_study requires a problem with an exact solution")
@@ -141,12 +140,12 @@ def convergence_study(problem: ProblemDefinition, order: int, dt_list=None,
         try:
             final = advance(problem, tab, dt, T)
         except DivergenceError:
-            return ConvergenceEntry(dt, None, None, None, diverged=True)
+            return ConvergenceEntry(dt, None, None, None)
         return ConvergenceEntry(dt, *exact_errors(problem, final))
 
     entries = [one_case(dt) for dt in dts]
     slopes = {norm: _fit_norm(entries, f"err_{norm}") for norm in ("l2", "h1", "h2")}
-    return ConvergenceReport(problem.name, order, T, entries, slopes)
+    return ConvergenceReport(entries, slopes)
 
 
 def random_smooth_field(grid: Grid, seed: int = 0) -> Field:
@@ -184,14 +183,11 @@ def random_smooth_field(grid: Grid, seed: int = 0) -> Field:
 
 @dataclass
 class StabilityResult:
-    """Outcome of a large-step stress run of an unforced problem."""
+    """Outcome of a large-step stress run of an unforced problem; it passed when
+    `violations` is empty."""
 
     report: RunReport
     violations: list[str]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
 
 
 def stability_probe(problem: ProblemDefinition, order: int, dt: float, n_steps: int,
@@ -232,7 +228,8 @@ def stability_probe(problem: ProblemDefinition, order: int, dt: float, n_steps: 
 
 @dataclass
 class BurgersComparison:
-    """Corrected vs plain implicit-explicit scheme against a fine reference."""
+    """Corrected vs plain implicit-explicit scheme against a fine reference;
+    `u_imex` is None where the baseline diverged."""
 
     x: np.ndarray
     u_ref: np.ndarray
@@ -242,7 +239,6 @@ class BurgersComparison:
     deviation_imex: float
     overshoot_sav: float
     overshoot_imex: float
-    imex_diverged: bool
     sav_report: RunReport
 
 
@@ -273,12 +269,13 @@ def burgers_compare(nu: float = 1.0 / 314.0, n_modes: int = 320, dt: float = 8.5
     """Shock-layer comparison from u(x, 0) = -sin(pi x) on (-1, 1).
 
     The reference is the corrected scheme at dt_ref (see `burgers_horizon`).
-    Divergence of the baseline is an admissible outcome and is recorded, not
-    raised.  The reference and the baseline, read only at T, `advance` with no
-    records; the corrected run's trace is `sav_report`.  The overshoots are
-    relative to the reference's peak, which needs at least 2 modes (the one
-    interior point of a 1-mode grid is x = 0, where the data and the reference
-    are 0) and must not decay to exactly zero (a huge nu): else ValueError.
+    Divergence of the baseline is an admissible outcome, not raised: `u_imex`
+    is None and its deviation and overshoot are inf.  The reference and the
+    baseline, read only at T, `advance` with no records; the corrected run's
+    trace is `sav_report`.  The overshoots are relative to the reference's
+    peak, which needs at least 2 modes (the one interior point of a 1-mode
+    grid is x = 0, where the data and the reference are 0) and must not decay
+    to exactly zero (a huge nu): else ValueError.
     """
     if n_modes < 2:
         raise SettingError("n_modes", f"the comparison needs at least 2 modes, got {n_modes}")
@@ -304,8 +301,7 @@ def burgers_compare(nu: float = 1.0 / 314.0, n_modes: int = 320, dt: float = 8.5
         u_imex = advance(problem, tab, dt, t_end, mode=StepMode.IMEX, u0=u0).u_history[0].values
     except DivergenceError:
         u_imex = None
-    imex_diverged = u_imex is None or not np.all(np.isfinite(u_imex))
-    if imex_diverged:
+    if u_imex is None or not np.all(np.isfinite(u_imex)):
         u_imex, dev_imex, over_imex = None, math.inf, math.inf
     else:
         dev_imex = float(np.max(np.abs(u_imex - u_ref)))
@@ -320,6 +316,5 @@ def burgers_compare(nu: float = 1.0 / 314.0, n_modes: int = 320, dt: float = 8.5
         deviation_imex=dev_imex,
         overshoot_sav=over_sav,
         overshoot_imex=over_imex,
-        imex_diverged=imex_diverged,
         sav_report=sav,
     )

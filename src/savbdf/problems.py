@@ -137,7 +137,8 @@ class ProblemDefinition:
 
     @cached_property
     def zero_update(self) -> tuple[Field, tuple]:
-        """The zero level and its unforced `update_terms`, for steps at the equilibrium u = 0."""
+        """The problem's one zero level, which the step stores for every collapsed level, and
+        its unforced `update_terms`, for steps at the equilibrium u = 0."""
         zero = Field.zeros(self.grid)
         return zero, self.update_terms(zero, None)
 

@@ -20,10 +20,12 @@ identical order and identical scalar stability), only the corrected one keeps
 the uncorrected iterate representable in floating point at very large steps,
 because the solution correction then bounds what enters the cubic term.  The
 state keeps the last uncorrected iterate ubar for diagnostics only.
-A new level below ZERO_LEVEL in magnitude is stored as exact zeros, with the same records.
-A step from exact zeros, unforced and without transport, is at the equilibrium u = 0: no solve.
-Its r, xi and eta still come from the scalar update, bit for bit the full step's, since the
-cascade start switches tableau between levels.
+A new level below ZERO_LEVEL in magnitude is stored as the problem's one zero level,
+`ProblemDefinition.zero_update`'s, with the same records.  A step whose levels are all that
+object, unforced and without transport, is at the equilibrium u = 0: no solve, and the test
+is an identity check.  Its r, xi and eta still come from the scalar update, bit for bit the
+full step's, since the cascade start switches tableau between levels.  Exact zeros held in
+another object, such as a zero u0, take full steps until the first flush, with the same bits.
 """
 
 from __future__ import annotations
@@ -145,11 +147,13 @@ def _sav_update(problem: ProblemDefinition, tab: BdfTableau, r: float, update: t
         raise DivergenceError(index, "correction factor") from None
 
 
-def _checked_level(u: Field, s: float, peak: float, index: int, what: str) -> Field:
-    """s u given its largest |entry| `peak`: zeros below ZERO_LEVEL, DivergenceError if not finite."""
+def _checked_level(problem: ProblemDefinition, u: Field, s: float, peak: float, index: int,
+                   what: str) -> Field:
+    """s u given its largest |entry| `peak`: the problem's zero level below ZERO_LEVEL,
+    DivergenceError if not finite."""
     if not math.isfinite(peak):
         raise DivergenceError(index, what)
-    return Field.zeros(u.grid) if peak < ZERO_LEVEL else u if s == 1.0 else s * u
+    return problem.zero_update[0] if peak < ZERO_LEVEL else u if s == 1.0 else s * u
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -166,7 +170,7 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
 
     history = state.u_history[:k]
     if (state.principal_norm_sq == 0.0 and problem.forcing is None and problem.transport is None
-            and all(u.max_abs() == 0.0 for u in history)):
+            and all(u is problem.zero_update[0] for u in history)):
         # the equilibrium u = 0, as F'(0) = 0 and lam 0 = 0: ubar is the problem's zero
         # level, whose update terms it built once, and the new level is zeros again
         (ubar, update), peak = problem.zero_update, 0.0
@@ -185,7 +189,7 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
         update = None if mode is StepMode.IMEX else problem.update_terms(ubar, f)
         peak = ubar.max_abs()  # after the update: ubar's values on a phase field
     if mode is StepMode.IMEX:
-        u_new = ubar = _checked_level(ubar, 1.0, peak, next_index, "uncorrected solution")
+        u_new = ubar = _checked_level(problem, ubar, 1.0, peak, next_index, "uncorrected solution")
         r_new, xi, eta = state.r, 1.0, 1.0
         terms = problem.energy_terms(ubar)[0] if update is None else update[3]
     else:
@@ -193,7 +197,7 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
             raise DivergenceError(next_index, "uncorrected solution")
         r_new, xi, eta, terms = _sav_update(problem, tab, state.r, update, dt, next_index)
         # max|fl(eta v)| = fl(|eta| max|v|), as rounding is monotone and odd: no second scan
-        u_new = _checked_level(ubar, eta, abs(eta) * peak, next_index, "corrected solution")
+        u_new = _checked_level(problem, ubar, eta, abs(eta) * peak, next_index, "corrected solution")
     if eta == 0.0:  # u = 0: the zero level's terms, as 0 times an overflowed term of ubar is nan
         terms = problem.zero_update[1][3]
     energy, principal = problem.scaled_energy(terms, eta)  # of u = eta ubar, from ubar's terms
@@ -286,9 +290,6 @@ def _make_record(problem: ProblemDefinition, state: SavState) -> StepRecord:
 class RunReport:
     """Trace and summary of one run; records are monotone in t."""
 
-    problem: str
-    order: int
-    dt: float
     records: list[StepRecord]
     final_state: SavState
 
@@ -386,4 +387,4 @@ def run(problem: ProblemDefinition, tab: BdfTableau, dt: float, T: float,
     """`advance` to t = T, recording every level: for runs whose trace is read."""
     records: list[StepRecord] = []
     state = advance(problem, tab, dt, T, mode, u0, records)
-    return RunReport(problem.name, tab.order, dt, records, state)
+    return RunReport(records, state)

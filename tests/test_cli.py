@@ -17,7 +17,7 @@ from savbdf.cli import (
     EXIT_DIVERGENCE,
     EXIT_OK,
     EXIT_USAGE,
-    TRACE_HEADER,
+    TRACE_COLUMNS,
     ConfigError,
     main,
     parse_config,
@@ -261,7 +261,7 @@ def test_run_experiment_artifacts(tmp_path):
     ])
     assert rc == EXIT_OK
     trace = (out / "trace.csv").read_text().splitlines()
-    assert trace[0] == TRACE_HEADER
+    assert trace[0] == ",".join(TRACE_COLUMNS)
     assert len(trace) == 1 + 4  # startup level + 3 steps
     summary = json.loads((out / "summary.json").read_text())
     assert summary["problem"] == "allen_cahn"
@@ -614,16 +614,22 @@ def test_unforced_stability_finishes_at_any_finite_dt(tmp_path, capsys, problem,
     assert len(r) == 21 and all(0.0 <= b <= a for a, b in zip(r, r[1:]))
 
 
-def test_overflowing_symbol_is_one_line_without_a_warning(tmp_path):
+@pytest.mark.parametrize("argv, key", [
+    (["stability", "--alpha", "1e308"], "alpha"),
+    # the built L and G reach 493.5 |k|^2 on 8^2, past the settings' max|k|^2 = 315.8 check
+    (["stability", "--alpha", "4e305", "--grid", "8"], "alpha"),
+    # A = G (L + lam) is the product of two checked factors
+    (["run", "--problem", "cahn_hilliard", "--alpha", "1e200", "--m0", "1e200", "--grid", "8"], "m0"),
+], ids=["stability_alpha_1e308", "stability_alpha_4e305", "run_cahn_hilliard_m0_1e200"])
+def test_overflowing_symbol_is_one_line_without_a_warning(tmp_path, argv, key):
     # out of process, where no warning filter turns numpy's overflow warning into an error
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "savbdf.cli", "stability", "--alpha", "1e308",
-                           "--out", str(tmp_path / "o")],
+    proc = subprocess.run([sys.executable, "-m", "savbdf.cli", *argv, "--out", str(tmp_path / "o")],
                           cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == EXIT_USAGE
-    assert proc.stderr.startswith("config error: key 'alpha': ")
+    assert proc.stderr.startswith(f"config error: key '{key}': ")
     assert len(proc.stderr.splitlines()) == 1
 
 

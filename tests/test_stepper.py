@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import fft
 
 import savbdf
@@ -599,6 +599,24 @@ def test_equilibrium_steps_make_no_transform(monkeypatch, order):
 
 
 @pytest.mark.parametrize("order", [1, 3, 5])
+def test_a_step_at_rest_scans_no_level(monkeypatch, order):
+    # a step tells the equilibrium by identity with the problem's zero level, which
+    # every flush stores: it scans none of its levels, and keeps r and the zeros
+    p, dt = allen_cahn(Grid.fourier2d(16)), 0.1
+    tab, zero = tableau(order), p.zero_update[0]
+    state = initialize(p, tab, dt, u0=zero)
+    r0 = state.r
+    scanned = []
+    max_abs = Field.max_abs
+    monkeypatch.setattr(Field, "max_abs", lambda u: scanned.append(u) or max_abs(u))
+    for _ in range(5):
+        state = step(state, p, tab, dt)
+        assert state.r == r0 and not state.u_history[0].values.any(), state.step_index
+    assert len(scanned) == 0, f"{len(scanned)} scans over five steps at rest"
+    assert all(u is zero for u in state.u_history[:order])
+
+
+@pytest.mark.parametrize("order", [1, 3, 5])
 def test_forced_run_from_zeros_is_no_equilibrium(monkeypatch, order):
     # a forcing drives u = 0 away: each step is the scheme's, with its steady budget
     grid = Grid.fourier2d(16)
@@ -844,14 +862,28 @@ PROPERTY_PROBLEMS = {
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(name=st.sampled_from(sorted(PROPERTY_PROBLEMS)),
        order=st.integers(min_value=1, max_value=5),
-       log10_dt=st.floats(min_value=-4.0, max_value=2.0),
+       log10_dt=st.one_of(st.floats(min_value=-4.0, max_value=2.0),
+                          st.floats(min_value=2.0, max_value=300.0)),
        seed=st.integers(min_value=0, max_value=10_000))
+@example(name="allen_cahn", order=5, log10_dt=300.0, seed=0)  # the range's end, on each PDE
+@example(name="cahn_hilliard", order=3, log10_dt=300.0, seed=1)
+@example(name="burgers", order=1, log10_dt=300.0, seed=2)
 def test_unforced_invariants_hold_for_any_dt(name, order, log10_dt, seed):
-    p = PROPERTY_PROBLEMS[name]()
+    # the paper's uniform bound in the L-norm.  Unforced, r <= r0 at every level,
+    # and F >= 0 gives E(ubar) >= 1/2 (L ubar, ubar) + C0 with C0 = c_shift |Omega|,
+    # so xi = r / E(ubar) <= r0 / C0 and (L u, u) = eta^2 (L ubar, ubar) < 2 eta^2 r / xi.
+    # If xi <= 2, |eta| = |1 - (1 - xi)^p| <= p xi, so (L u, u) <= 2 p^2 xi r <= 4 p^2 r0;
+    # otherwise |eta| <= 1 + (xi - 1)^p with xi <= r0 / C0, and 2 / xi < 1, so
+    # (L u, u) < r0 (1 + (r0 / C0 - 1)^p)^2.  The cascade's levels are corrected steps
+    # too, and u0 has (L u0, u0) < 2 r0
+    p, tab = PROPERTY_PROBLEMS[name](), tableau(order)
     dt = 10.0 ** log10_dt
-    rep = run(p, tableau(order), dt, 12 * dt, u0=random_smooth_field(p.grid, seed=seed))
+    rep = run(p, tab, dt, 12 * dt, u0=random_smooth_field(p.grid, seed=seed))
     assert rep.monotone_violations == 0
     assert all(rec.r >= 0.0 and rec.xi >= 0.0 for rec in rep.records)
+    r0, c0, exponent = rep.records[0].r, p.c_shift * p.grid.volume, tab.eta_exponent
+    bound = max(4 * exponent ** 2 * r0, r0 * (1 + max(0.0, r0 / c0 - 1) ** exponent) ** 2)
+    assert all(rec.principal_norm_sq <= bound for rec in rep.records), (bound, rep.sup_principal)
     if p.name == "cahn_hilliard":
         assert rep.mean_drift <= 1e-12
 
