@@ -254,10 +254,20 @@ def _write_summary(out: Path, summary: dict):
     _write_text(out / "summary.json", "{\n" + items + "\n}\n")
 
 
+@functools.cache
+def _row_format(width: int, blanks: int) -> str:
+    """The %-format of a CSV row of `width` values whose last `blanks` are None: each
+    value as `_fmt` writes it, so a None is an empty field."""
+    return ",".join(["%.17g"] * (width - blanks) + [""] * blanks)
+
+
 def _write_csv(path: Path, header, rows):
-    """A line of column names, then one line of formatted values per row."""
+    """A line of column names, then one line of formatted values per row; a row's None
+    values end it (a None before a value fails the format)."""
     lines = [",".join(header)]
-    lines += [",".join([_fmt(v) for v in row]) for row in rows]
+    for row in rows:
+        blanks = row.count(None)
+        lines.append(_row_format(len(row), blanks) % row[:len(row) - blanks])
     _write_text(path, "\n".join(lines) + "\n")
 
 

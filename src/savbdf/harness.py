@@ -165,12 +165,10 @@ def random_smooth_field(grid: Grid, seed: int = 0) -> Field:
         span = min(RANDOM_FIELD_MAX_MODE, nx // 2 - 1, ny // 2 - 1)
         re = rng.normal(0.0, math.sqrt(0.5), size=(2 * span + 1, span + 1))
         im = rng.normal(0.0, math.sqrt(0.5), size=(2 * span + 1, span + 1))
-        for row, mx in enumerate(range(-span, span + 1)):
-            coeffs[mx % nx, : span + 1] = re[row] + 1j * im[row]
+        coeffs[np.arange(-span, span + 1) % nx, : span + 1] = re + 1j * im  # row mx: mode mx
         coeffs[0, 0] = 0.0
         # Hermitian symmetry of the self-conjugate column
-        for mx in range(1, span + 1):
-            coeffs[nx - mx, 0] = np.conj(coeffs[mx, 0])
+        coeffs[nx - np.arange(1, span + 1), 0] = np.conj(coeffs[1 : span + 1, 0])
     else:
         n = grid.extents[0]
         span = min(RANDOM_FIELD_MAX_MODE, n)

@@ -56,8 +56,9 @@ def double_well(v: np.ndarray) -> np.ndarray:
 
 
 def double_well_prime(v: np.ndarray) -> np.ndarray:
-    """F'(v) = v^3 - v, as v (v^2 - 1): two multiplies, no call to pow."""
-    w = v * v - 1.0
+    """F'(v) = v^3 - v, as v (v^2 - 1): two multiplies, no call to pow, one new array."""
+    w = v * v
+    w -= 1.0
     w *= v
     return w
 
@@ -170,7 +171,7 @@ class ProblemDefinition:
         v = u.values
         w = v * v
         w -= 1.0
-        sum_w, sum_w2 = float(w.sum()), float(np.vdot(w, w))
+        sum_w, sum_w2 = float(np.add.reduce(w, axis=None)), float(np.vdot(w, w))  # w.sum(), unwrapped
         w *= v
         return (quad, sum_w, sum_w2), w
 

@@ -180,9 +180,14 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
         # solve, and the extrapolation values, the input of the pointwise F'
         f = None if problem.forcing is None else problem.forcing(t_next)  # for g - f and the work
         alpha, a, b = tab.floats
-        drift = combine_history(a, [u.coeffs for u in history])
-        extrapolated = Field(problem.grid, physical=combine_history(b, [u.values for u in history]))
-        drift *= 1.0 / dt  # the combination is a new array: the right-hand side in place
+        if k == 1:  # a = b = (1,): no combination; u's values are read without a copy, into a
+            # values-only field, so that a transport transforms them as it does a combination
+            drift = history[0].coeffs * (1.0 / dt)
+            extrapolated = Field(problem.grid, physical=history[0].values)
+        else:
+            drift = combine_history(a, [u.coeffs for u in history])
+            extrapolated = Field(problem.grid, physical=combine_history(b, [u.values for u in history]))
+            drift *= 1.0 / dt  # the combination is a new array: the right-hand side in place
         drift -= problem.nonlinear(extrapolated, f).coeffs
         ubar = solve_shifted(alpha / dt, problem.linear_symbol, Field(problem.grid, spectral=drift),
                              overwrite_rhs=True)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
 
 from .spectral import SettingError, _is_integer
@@ -83,11 +83,16 @@ class BdfTableau:
 
 def tableau(order: int) -> BdfTableau:
     """Return the order-`order` tableau, whose eta exponent follows the order;
-    the order may be a numpy integer, held as a plain int."""
+    the order may be a numpy integer, held as a plain int.  Each order's
+    tableau is built once per process and shared, as it is immutable."""
     if not _is_integer(order) or not 1 <= order <= MAX_ORDER:
         raise UnsupportedOrderError("order",
                                     f"unsupported order {order!r}: must be an integer in 1..{MAX_ORDER}")
-    order = int(order)
+    return _build_tableau(int(order))
+
+
+@cache  # keyed by the validated int, as a cache keyed by the argument would take 2.0 for 2
+def _build_tableau(order: int) -> BdfTableau:
     terms = range(1, order + 1)
     return BdfTableau(
         order=order,
@@ -106,7 +111,9 @@ def combine_history(weights, history):
     ndarrays, plain floats).  Only the leading ``len(weights)`` history
     entries are consumed.  The sum accumulates in place into the first
     product (a new object), which saves an array per term on an array
-    history.
+    history.  A later weight of +1 or -1 adds or subtracts its entry with no
+    product, which saves another: on real entries these are the product's
+    bits, as fl(+-1 h) = +-h.
     """
     if len(weights) == 0:
         raise SettingError("weights", "combine_history needs at least one weight")
@@ -116,5 +123,11 @@ def combine_history(weights, history):
         )
     acc = float(weights[0]) * history[0]
     for w, h in zip(weights[1:], history[1:]):
-        acc += float(w) * h
+        w = float(w)
+        if w == 1.0:
+            acc += h
+        elif w == -1.0:
+            acc -= h
+        else:
+            acc += w * h
     return acc

@@ -1,12 +1,14 @@
 """Config parsing, artifact schemas, exit codes, byte-level determinism."""
 
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from savbdf import (DivergenceError, EnergyPositivityError, GridMismatchError,
@@ -657,3 +659,23 @@ def test_setting_error_names_the_config_key(tmp_path, monkeypatch, capsys):
     _fail_stability_with(monkeypatch, SettingError("mobility", "mobility must be positive"))
     assert main(["stability", "--grid", "16", "--out", str(tmp_path)]) == EXIT_USAGE
     assert capsys.readouterr().err == "config error: key 'm0': mobility must be positive\n"
+
+
+@pytest.mark.parametrize("row", [
+    (3, 0.25, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, None, None, None),
+    (200, 1e-5, 0.1, 1.0, 2.0 / 3.0, -1e-300, 1.7976931348623157e308, -5e-324, 0.5, 1.5),
+    (np.int64(7), np.float64(0.1), None, None),
+    (1e308,),
+    (None, None),
+])
+def test_csv_rows_have_the_bytes_of_fmt(tmp_path, row):
+    # one %-format per row shape writes each value as `_fmt` does: a None tail empty
+    path = tmp_path / "rows.csv"
+    cli._write_csv(path, [f"c{i}" for i in range(len(row))], [row, row])
+    expected = ",".join(cli._fmt(v) for v in row)
+    assert path.read_text().split("\n")[1:] == [expected, expected, ""]
+
+
+def test_csv_row_with_a_none_before_a_value_is_refused(tmp_path):
+    with pytest.raises(TypeError):
+        cli._write_csv(tmp_path / "rows.csv", ["a", "b"], [(None, 1.0)])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from savbdf import (
     Basis,
@@ -416,3 +416,34 @@ def test_parseval_property(seed):
     f = _random_field(grid, seed)
     phys = np.sum(f.values ** 2) * grid.cell_volume
     assert sobolev_norm(f) ** 2 == pytest.approx(phys, rel=1e-10, abs=1e-12)
+
+
+#: entries at the edges of float64: signed zeros, infinities, nan, subnormals, the largest finite
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.5e-310, -1e-320,
+                     1e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.lists(EDGE_FLOATS, min_size=2, max_size=16), zeros=st.booleans(),
+       spectral=st.booleans())
+@example(entries=[-0.0, -0.0, -0.0, -0.0], zeros=False, spectral=False)
+def test_max_abs_is_the_largest_magnitude(entries, zeros, spectral):
+    # a max and a min reduction: np.abs(a).max() of the held array, or of its float
+    # view if complex, and +0.0, not -0.0, for all-zero input
+    a = np.array([0.0 * x if zeros else x for x in entries[: len(entries) // 2 * 2]])
+    grid = Grid.sine1d(a.size)
+    f = Field(grid, spectral=a.view(np.complex128)) if spectral else Field(grid, physical=a)
+    expected = float(np.abs(a).max())
+    got = f.max_abs()
+    if np.isnan(expected):
+        assert np.isnan(got)
+    else:
+        assert got == expected and np.copysign(1.0, got) == 1.0
+
+
+def test_max_abs_of_a_strided_complex_array_is_the_largest_modulus(fgrid):
+    c = (np.arange(8.0) - 1j * np.arange(8.0))[::2]
+    assert Field(fgrid, spectral=c).max_abs() == np.abs(c).max()

@@ -1,11 +1,12 @@
 """Coefficient exactness and polynomial reproduction of the BDF tableaux."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from savbdf import Field, Grid, UnsupportedOrderError, combine_history, tableau
 
@@ -148,3 +149,69 @@ def test_combine_history_errors():
     from savbdf import GridMismatchError
     with pytest.raises(GridMismatchError):
         combine_history([1.0, 1.0], [a, b])
+
+
+def test_each_order_is_built_once_and_validated_first():
+    for k in ORDERS:
+        assert tableau(np.int64(k)) is tableau(k) is tableau(k)
+    # validated before the cache is read: a cache keyed by the argument would answer
+    # 2.0 and True with its entries for np.int64(2) and np.int64(1)
+    for bad in (2.0, True, np.bool_(True)):
+        with pytest.raises(UnsupportedOrderError):
+            tableau(bad)
+
+
+@pytest.mark.parametrize("k", ORDERS)
+def test_replacing_a_field_leaves_the_shared_tableau_unchanged(k):
+    shared = tableau(k)
+    before = (shared.order, shared.alpha, shared.a_weights, shared.b_weights, shared.eta_exponent,
+              shared.floats)
+    for p in (1, 2, 7):
+        tab = replace(shared, eta_exponent=p)
+        assert tab is not shared and tab.eta_exponent == p and tab.floats == shared.floats
+    assert tableau(k) is shared
+    assert (shared.order, shared.alpha, shared.a_weights, shared.b_weights, shared.eta_exponent,
+            shared.floats) == before
+
+
+#: entries at the edges of float64: signed zeros, infinities, nan, subnormals, the largest finite
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.5e-310,
+                     -1e-320, 1e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=st.lists(st.sampled_from([1.0, -1.0, 2.0, -0.5, 10.0, 1 / 3]), min_size=1, max_size=5),
+       data=st.data())
+def test_unit_weights_give_the_bits_of_the_products(weights, data):
+    # a weight of +1 or -1 adds or subtracts its entry with no product: the same bits
+    history = [np.array(data.draw(st.lists(EDGE_FLOATS, min_size=7, max_size=7))) for _ in weights]
+    with np.errstate(all="ignore"):  # inf - inf is nan on both sides
+        plain = float(weights[0]) * history[0]
+        for w, h in zip(weights[1:], history[1:]):
+            plain += w * h
+        combined = combine_history(weights, history)
+    assert combined.tobytes() == plain.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=st.sampled_from(["allen_cahn", "burgers"]), data=st.data())
+def test_a_first_order_step_leaves_the_history_it_reads_unchanged(problem, data):
+    # at k = 1 the step reads the newest level's values without a copy
+    from savbdf import SavError, SavState, allen_cahn, burgers, step
+
+    p = allen_cahn(Grid.fourier2d(4)) if problem == "allen_cahn" else burgers(Grid.sine1d(8), 0.1)
+    n = math.prod(p.grid.extents)
+    values = np.array(data.draw(st.lists(EDGE_FLOATS, min_size=n, max_size=n))).reshape(p.grid.extents)
+    u = Field(p.grid, physical=values)
+    with np.errstate(all="ignore"):
+        u.coeffs  # both representations, as a level holds them
+    held = (u.values.tobytes(), u.coeffs.tobytes())
+    state = SavState(0, 0.0, (u,), u, 1.0, 1.0, 1.0, 1.0, 1.0)
+    try:
+        step(state, p, tableau(1), data.draw(st.sampled_from([1e-3, 0.1, 1e3])))
+    except SavError:  # non-finite data diverges; the history must still be intact
+        pass
+    assert (u.values.tobytes(), u.coeffs.tobytes()) == held
