@@ -40,8 +40,6 @@ __all__ = ["RunConfig", "ConfigError", "CheckFailed", "parse_config", "execute",
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_ASSERTION = 2
-EXIT_DIVERGENCE = 3
 
 #: The settable keys each experiment reads, besides `experiment` and `out`.
 #: An experiment that reads `problem` also reads that problem's keys; the
@@ -60,7 +58,7 @@ PROBLEMS = {
 }
 MODES = tuple(m.value for m in StepMode)
 #: the key of each library parameter whose name differs from it
-_KEY_OF_SETTING = {"extents": "grid", "n_modes": "grid", "mobility": "m0"}
+_KEY_OF_SETTING = {"extents": "grid", "mobility": "m0"}
 
 #: argparse options of the flag --key ('_' spelled '-') of each settable key
 #: but grid and dt_list; a `type` is also the type a config-file value must have
@@ -85,7 +83,7 @@ class ConfigError(SavError, ValueError):
 class CheckFailed(SavError):
     """A completed experiment failed its own check, after writing its artifacts."""
 
-    exit_code = EXIT_ASSERTION
+    exit_code = 2
 
 
 @dataclass
@@ -213,7 +211,9 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     return cfg
 
 
-def _build_problem(cfg: RunConfig, forced: bool):
+def _build_problem(cfg: RunConfig):
+    """The configured problem; `converge` and `run` on a phase field track the
+    manufactured solution, so their error columns are populated."""
     if cfg.problem == "burgers":
         grid = Grid.sine1d(cfg.grid[0])
         return burgers(grid, cfg.nu, c_shift=cfg.c_shift)
@@ -223,18 +223,12 @@ def _build_problem(cfg: RunConfig, forced: bool):
     else:
         p = cahn_hilliard(grid, alpha=cfg.alpha, mobility=cfg.m0,
                           stabilization=cfg.stabilization, c_shift=cfg.c_shift)
-    if forced:
+    if cfg.experiment in ("converge", "run"):
         p = with_manufactured_forcing(p)
     return p
 
 
 # -- deterministic serialization ----------------------------------------------------
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return f"{value:.17g}"
 
 
 def _write_text(path: Path, text: str):
@@ -249,7 +243,7 @@ def _write_summary(out: Path, summary: dict):
     """summary.json: one key per line of a flat object of scalars and lists of strings;
     JSON has no inf or nan, so a non-finite float is null."""
     summary = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in summary.items()}
-    items = ",\n".join(f'  "{k}": {_fmt(v) if isinstance(v, float) else json.dumps(v)}'
+    items = ",\n".join(f'  "{k}": {"%.17g" % v if isinstance(v, float) else json.dumps(v)}'
                         for k, v in summary.items())
     _write_text(out / "summary.json", "{\n" + items + "\n}\n")
 
@@ -257,7 +251,7 @@ def _write_summary(out: Path, summary: dict):
 @functools.cache
 def _row_format(width: int, blanks: int) -> str:
     """The %-format of a CSV row of `width` values whose last `blanks` are None: each
-    value as `_fmt` writes it, so a None is an empty field."""
+    value to 17 significant digits, a None an empty field."""
     return ",".join(["%.17g"] * (width - blanks) + [""] * blanks)
 
 
@@ -275,7 +269,7 @@ def _write_csv(path: Path, header, rows):
 
 
 def _execute_converge(cfg: RunConfig, out: Path) -> None:
-    problem = _build_problem(cfg, forced=True)
+    problem = _build_problem(cfg)
     report = convergence_study(problem, cfg.order, cfg.dt_list, cfg.T)
     columns = ("dt", "err_l2", "err_h1", "err_h2")
     _write_csv(out / "convergence.csv", columns, map(attrgetter(*columns), report.entries))
@@ -286,7 +280,7 @@ def _execute_converge(cfg: RunConfig, out: Path) -> None:
 
 
 def _execute_stability(cfg: RunConfig, out: Path) -> None:
-    problem = _build_problem(cfg, forced=False)
+    problem = _build_problem(cfg)
     result = stability_probe(problem, cfg.order, cfg.dt, cfg.n_steps, seed=cfg.seed)
     report = result.report
     _write_csv(out / "trace.csv", TRACE_COLUMNS, map(_trace_row, report.records))
@@ -304,8 +298,7 @@ def _execute_stability(cfg: RunConfig, out: Path) -> None:
 
 
 def _execute_burgers(cfg: RunConfig, out: Path) -> None:
-    comparison = burgers_compare(nu=cfg.nu, n_modes=cfg.grid[0], dt=cfg.dt,
-                                 dt_ref=cfg.dt_ref, T=cfg.T, order=cfg.order)
+    comparison = burgers_compare(_build_problem(cfg), cfg.dt, cfg.dt_ref, cfg.T, cfg.order)
     for name, u in (("ref", comparison.u_ref), ("sav", comparison.u_sav), ("imex", comparison.u_imex)):
         if u is not None:
             _write_csv(out / f"snapshot_{name}.csv", ("x", "u"), zip(comparison.x, u))
@@ -322,15 +315,11 @@ def _execute_burgers(cfg: RunConfig, out: Path) -> None:
 
 
 def _execute_run(cfg: RunConfig, out: Path) -> None:
-    if cfg.problem == "burgers":
-        problem = _build_problem(cfg, forced=False)
+    problem = _build_problem(cfg)
+    u0 = None
+    if problem.exact is None:
         (x,) = problem.grid.points
         u0 = Field.from_physical(problem.grid, -np.sin(np.pi * x))
-    else:
-        # phase-field single runs track the manufactured solution so the
-        # error columns of the trace are populated
-        problem = _build_problem(cfg, forced=True)
-        u0 = None
     tab = tableau(cfg.order)
     report = run(problem, tab, cfg.dt, cfg.T, mode=StepMode(cfg.mode), u0=u0)
     _write_csv(out / "trace.csv", TRACE_COLUMNS, map(_trace_row, report.records))

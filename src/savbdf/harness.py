@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import ProblemDefinition, burgers
+from .problems import ProblemDefinition
 from .spectral import Basis, Field, Grid, SettingError, _check_positive
 from .stepper import (MAX_STEPS, DivergenceError, RunReport, StepMode, advance, exact_errors, run,
                       step_count)
@@ -262,9 +262,9 @@ def burgers_horizon(dt: float, dt_ref: float, T: float, order: int) -> tuple[flo
     return t_end, dt_ref_eff
 
 
-def burgers_compare(nu: float = 1.0 / 314.0, n_modes: int = 320, dt: float = 8.5e-3,
-                    dt_ref: float = 1e-4, T: float = 1.0, order: int = 2) -> BurgersComparison:
-    """Shock-layer comparison from u(x, 0) = -sin(pi x) on (-1, 1).
+def burgers_compare(problem: ProblemDefinition, dt: float = 8.5e-3, dt_ref: float = 1e-4,
+                    T: float = 1.0, order: int = 2) -> BurgersComparison:
+    """Shock-layer comparison of `problem`, on a SINE1D grid, from u(x, 0) = -sin(pi x).
 
     The reference is the corrected scheme at dt_ref (see `burgers_horizon`).
     Divergence of the baseline is an admissible outcome, not raised: `u_imex`
@@ -273,14 +273,15 @@ def burgers_compare(nu: float = 1.0 / 314.0, n_modes: int = 320, dt: float = 8.5
     trace is `sav_report`.  The overshoots are relative to the reference's
     peak, which needs at least 2 modes (the one interior point of a 1-mode
     grid is x = 0, where the data and the reference are 0) and must not decay
-    to exactly zero (a huge nu): else ValueError.
+    to exactly zero (a huge nu): else SettingError.
     """
-    if n_modes < 2:
-        raise SettingError("n_modes", f"the comparison needs at least 2 modes, got {n_modes}")
+    grid = problem.grid
+    if grid.basis is not Basis.SINE1D:
+        raise SettingError("problem", "the comparison needs a problem on a SINE1D grid")
+    if grid.extents[0] < 2:
+        raise SettingError("grid", f"the comparison needs at least 2 modes, got {grid.extents[0]}")
     tab = tableau(order)
     t_end, dt_ref_eff = burgers_horizon(dt, dt_ref, T, order)
-    grid = Grid.sine1d(n_modes)
-    problem = burgers(grid, nu)
     (x,) = grid.points
     u0 = Field.from_physical(grid, -np.sin(np.pi * x))
 

@@ -93,7 +93,6 @@ class ProblemDefinition:
     `dissipation` and `forcing_power` are projections of these.
     """
 
-    name: str
     grid: Grid
     principal_symbol: np.ndarray
     mobility_symbol: np.ndarray
@@ -268,7 +267,6 @@ def _phase_field(name: str, grid: Grid, alpha: float, stabilization: float,
         _check_scale("mobility", mobility, grid)
     k2 = grid.k2
     problem = ProblemDefinition(
-        name=name,
         grid=grid,
         principal_symbol=alpha * k2,
         mobility_symbol=np.ones_like(k2) if mobility is None else float(mobility) * k2,
@@ -318,7 +316,6 @@ def burgers(grid: Grid, nu: float, c_shift: float | None = None) -> ProblemDefin
         raise SettingError("grid", "burgers requires a SINE1D grid")
     _check_scale("nu", nu, grid)
     return ProblemDefinition(
-        name="burgers",
         grid=grid,
         principal_symbol=np.ones_like(grid.k2),
         mobility_symbol=nu * grid.k2,
@@ -345,7 +342,6 @@ def scalar_decay(rate: float = 1.0) -> ProblemDefinition:
         return Field.from_spectral(grid, np.array([-rate * math.exp(-rate * t)]))
 
     return ProblemDefinition(
-        name="scalar_decay",
         grid=grid,
         principal_symbol=np.ones(1),
         mobility_symbol=np.array([float(rate)]),

@@ -246,8 +246,9 @@ def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
                 r, xi, eta, terms = _sav_update(problem, tab, r, problem.update_terms(u, f), dt, level)
         else:
             sub_tab = tableau(level)
-            for _ in range(CASCADE_SUBSTEPS):
-                fine = step(fine, problem, sub_tab, dt / CASCADE_SUBSTEPS, mode)
+            for _ in range(CASCADE_SUBSTEPS):  # a substep's error names the level it builds
+                fine = step(fine._replace(step_index=level - 1), problem, sub_tab,
+                            dt / CASCADE_SUBSTEPS, mode)
             u, r, xi, eta, terms = fine.u_history[0], fine.r, fine.last_xi, fine.last_eta, None
         energy, principal = problem.scaled_energy(terms or problem.energy_terms(u)[0], 1.0)
         state = SavState(level, t, (u,) + state.u_history, u, r, xi, eta, energy, principal)

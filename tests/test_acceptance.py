@@ -15,6 +15,7 @@ import pytest
 from savbdf import (
     Grid,
     allen_cahn,
+    burgers,
     burgers_compare,
     cahn_hilliard,
     convergence_study,
@@ -191,7 +192,7 @@ def test_c6_xi_first_order_proximity(fourier_grid):
     "neither clause of the criterion can hold; see the analysis notes",
 )
 def test_c7_burgers_comparison_at_pinned_parameters():
-    c = burgers_compare(nu=1.0 / 314.0, n_modes=320, dt=8.5e-3, dt_ref=1e-4, T=1.0)
+    c = burgers_compare(burgers(Grid.sine1d(320), 1.0 / 314.0), dt=8.5e-3, dt_ref=1e-4, T=1.0)
     sav_clean = (not np.isnan(c.deviation_sav)) and c.overshoot_sav <= 1.05
     imex_bad = c.u_imex is None or c.overshoot_imex > 1.05
     ok = c.deviation_sav < c.deviation_imex and imex_bad and sav_clean
@@ -205,7 +206,7 @@ def test_c7_supplementary_breakdown_at_sine_threshold():
     # the qualitative claim of the comparison, demonstrated at the step size
     # where this discretization actually crosses the baseline's stability
     # threshold: the plain scheme diverges, the corrected one stays bounded
-    c = burgers_compare(nu=1.0 / 314.0, n_modes=320, dt=0.0125, dt_ref=1e-4, T=1.0)
+    c = burgers_compare(burgers(Grid.sine1d(320), 1.0 / 314.0), dt=0.0125, dt_ref=1e-4, T=1.0)
     min_eta, max_eta = c.sav_report.min_eta, c.sav_report.max_eta
     ok = (c.u_imex is None or c.overshoot_imex > 1.05) \
         and c.deviation_sav < c.deviation_imex \

@@ -15,11 +15,10 @@ from savbdf import (DivergenceError, EnergyPositivityError, GridMismatchError,
                     IndefiniteOperatorError, MonotonicityError, SettingError, StabilityResult)
 from savbdf import cli
 from savbdf.cli import (
-    EXIT_ASSERTION,
-    EXIT_DIVERGENCE,
     EXIT_OK,
     EXIT_USAGE,
     TRACE_COLUMNS,
+    CheckFailed,
     ConfigError,
     main,
     parse_config,
@@ -333,7 +332,7 @@ def test_divergence_exit_code(tmp_path):
         "run", "--problem", "burgers", "--mode", "imex", "--dt", "0.02",
         "--T", "1.0", "--out", str(out),
     ])
-    assert rc == EXIT_DIVERGENCE
+    assert rc == DivergenceError.exit_code
 
 
 def test_converge_with_too_few_slope_points_exits_2_after_its_artifacts(tmp_path, capsys):
@@ -341,7 +340,7 @@ def test_converge_with_too_few_slope_points_exits_2_after_its_artifacts(tmp_path
     out = tmp_path / "c"
     argv = ["converge", "--grid", "8", "--order", "5", "--dt-list", "0.004,0.002,0.001",
             "--T", "0.02", "--out", str(out)]
-    assert main(argv) == EXIT_ASSERTION
+    assert main(argv) == CheckFailed.exit_code
     assert capsys.readouterr().err == "converge: too few finite error points to fit all slopes\n"
     assert sorted(p.name for p in out.iterdir()) == ["convergence.csv", "summary.json"]
 
@@ -351,7 +350,8 @@ def test_stability_violations_exit_2_after_the_artifacts(tmp_path, monkeypatch, 
     monkeypatch.setattr(cli, "stability_probe",
                         lambda *a, **k: StabilityResult(probe(*a, **k).report, ["first", "second"]))
     out = tmp_path / "s"
-    assert main(["stability", "--grid", "8", "--n-steps", "6", "--out", str(out)]) == EXIT_ASSERTION
+    argv = ["stability", "--grid", "8", "--n-steps", "6", "--out", str(out)]
+    assert main(argv) == CheckFailed.exit_code
     assert capsys.readouterr().err == "stability violation: first\nstability violation: second\n"
     assert sorted(p.name for p in out.iterdir()) == ["summary.json", "trace.csv"]
     assert json.loads((out / "summary.json").read_text())["violations"] == ["first", "second"]
@@ -544,7 +544,8 @@ def test_bad_grid_seed_or_n_steps_is_rejected_before_output_exists(tmp_path, cap
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["run", "--problem", "burgers", "--mode", "imex", "--dt", "0.02", "--T", "1.0"], EXIT_DIVERGENCE),
+    (["run", "--problem", "burgers", "--mode", "imex", "--dt", "0.02", "--T", "1.0"],
+     DivergenceError.exit_code),
     (["burgers", "--nu", "1e300", "--grid", "8", "--dt-ref", "0.01"], EXIT_USAGE),
 ], ids=["divergence", "library_value_error"])
 def test_failed_run_leaves_no_output(tmp_path, capsys, argv, code):
@@ -557,13 +558,17 @@ def test_failed_run_leaves_no_output(tmp_path, capsys, argv, code):
 
 EXTREME = [
     (["run", "--problem", "allen_cahn", "--stabilization", "1e300", "--dt", "0.1", "--T", "1"],
-     EXIT_DIVERGENCE, "step 1: non-finite correction factor"),
+     DivergenceError.exit_code, "step 1: non-finite correction factor"),
     (["burgers", "--nu", "1e300", "--grid", "8", "--dt-ref", "0.01"],
      EXIT_USAGE, "reference decayed to zero"),
     # E(ubar) overflows on unforced Allen-Cahn: r, xi and eta go to 0, and the run finishes
     (["stability", "--dt", "1e300", "--n-steps", "5"], EXIT_OK, None),
-    (["run", "--alpha", "1e300"], EXIT_DIVERGENCE, "non-finite scalar variable"),
-    (["run", "--c-shift", "1e-300", "--dt", "1", "--T", "20"], EXIT_DIVERGENCE, "non-finite scalar variable"),
+    (["run", "--alpha", "1e300"], DivergenceError.exit_code, "non-finite scalar variable"),
+    # a cascade substep that overflows names the startup level it builds
+    (["stability", "--alpha", "1e100", "--grid", "16", "--n-steps", "20"], DivergenceError.exit_code,
+     "detected at step 1: non-finite uncorrected solution"),
+    (["run", "--c-shift", "1e-300", "--dt", "1", "--T", "20"], DivergenceError.exit_code,
+     "non-finite scalar variable"),
     (["burgers", "--nu", "1e-300", "--grid", "8", "--dt-ref", "0.01"], EXIT_OK, None),
     # a symbol, or the energy's shift c_shift |Omega|, that overflows is a bad setting
     (["stability", "--alpha", "1e308"], EXIT_USAGE, "key 'alpha'"),
@@ -643,10 +648,10 @@ def _fail_stability_with(monkeypatch, error):
 
 
 @pytest.mark.parametrize("error, code", [
-    (EnergyPositivityError("E(ubar) = -1.0 <= 0 at step 1"), EXIT_ASSERTION),
-    (MonotonicityError(3, 1.0, 2.0), EXIT_ASSERTION),
+    (EnergyPositivityError("E(ubar) = -1.0 <= 0 at step 1"), CheckFailed.exit_code),
+    (MonotonicityError(3, 1.0, 2.0), CheckFailed.exit_code),
     (IndefiniteOperatorError("shifted operator is not positive"), EXIT_USAGE),
-    (DivergenceError(4, "scalar variable"), EXIT_DIVERGENCE),
+    (DivergenceError(4, "scalar variable"), DivergenceError.exit_code),
     (GridMismatchError("fields live on different grids"), EXIT_USAGE),
 ])
 def test_library_errors_map_to_exit_codes(tmp_path, monkeypatch, capsys, error, code):
@@ -661,6 +666,24 @@ def test_setting_error_names_the_config_key(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "config error: key 'm0': mobility must be positive\n"
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["stability", "--grid", "8", "--n-steps", "6"], EXIT_OK),
+    (["stability", "--alpha", "1e308"], EXIT_USAGE),
+    (["converge", "--grid", "8", "--order", "5", "--dt-list", "0.004,0.002,0.001", "--T", "0.02"],
+     CheckFailed.exit_code),
+    (["run", "--problem", "burgers", "--mode", "imex", "--dt", "0.02", "--T", "1.0"],
+     DivergenceError.exit_code),
+], ids=["ok", "usage", "check", "divergence"])
+def test_console_main_exits_with_the_code_of_main(tmp_path, monkeypatch, capsys, argv, code):
+    # the installed `savbdf` script reads sys.argv and exits with what `main` returns
+    argv = argv + ["--out", str(tmp_path / "o")]
+    monkeypatch.setattr(sys, "argv", ["savbdf", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.console_main()
+    assert exc.value.code == code
+    assert main(argv) == code
+
+
 @pytest.mark.parametrize("row", [
     (3, 0.25, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, None, None, None),
     (200, 1e-5, 0.1, 1.0, 2.0 / 3.0, -1e-300, 1.7976931348623157e308, -5e-324, 0.5, 1.5),
@@ -669,10 +692,13 @@ def test_setting_error_names_the_config_key(tmp_path, monkeypatch, capsys):
     (None, None),
 ])
 def test_csv_rows_have_the_bytes_of_fmt(tmp_path, row):
-    # one %-format per row shape writes each value as `_fmt` does: a None tail empty
+    # one %-format per row shape writes each value to 17 significant digits: a None tail empty
+    def fmt(value):
+        return "" if value is None else f"{value:.17g}"
+
     path = tmp_path / "rows.csv"
     cli._write_csv(path, [f"c{i}" for i in range(len(row))], [row, row])
-    expected = ",".join(cli._fmt(v) for v in row)
+    expected = ",".join(fmt(v) for v in row)
     assert path.read_text().split("\n")[1:] == [expected, expected, ""]
 
 

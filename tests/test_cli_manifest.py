@@ -15,7 +15,9 @@ Cahn-Hilliard ``run`` and a Burgers ``run``; a reduced ``converge`` and
 ``burgers``; one invocation for each of exit codes 1, 2 and 3; two IMEX
 Allen-Cahn runs whose energy overflows to inf (at T = 3.5) and whose every
 value then does (at T = 4); and an Allen-Cahn ``stability`` run that the
-correction collapses to exact zeros, so its last steps rest at u = 0.
+correction collapses to exact zeros, so its last steps rest at u = 0; a
+Burgers ``stability`` run; and two ``burgers`` invocations that exit 1, on
+a one-mode grid and on a reference that decays to zero.
 
 ``python tests/test_cli_manifest.py --freeze NAME...`` rewrites only the
 named rows.  A change that moves a row's bytes on purpose refreezes that
@@ -66,6 +68,9 @@ ROWS.update({
                                         "--order", "1", "--grid", "8", "--dt", "0.5", "--T", "4.0"],
     "stability_allen_cahn_collapse_to_zero": ["stability", "--problem", "allen_cahn", "--grid", "16",
                                               "--dt", "1.0", "--n-steps", "300", "--seed", "1"],
+    "stability_burgers": ["stability", "--problem", "burgers", "--grid", "16", "--n-steps", "30"],
+    "exit1_burgers_one_mode": ["burgers", "--grid", "1"],
+    "exit1_burgers_reference_decays": ["burgers", "--nu", "1e300", "--grid", "8", "--dt-ref", "0.01"],
 })
 
 

@@ -10,7 +10,9 @@ from savbdf import (
     DivergenceError,
     Grid,
     advance,
+    SettingError,
     allen_cahn,
+    burgers,
     burgers_compare,
     cahn_hilliard,
     convergence_study,
@@ -252,12 +254,23 @@ def test_stability_probe_ch_mean_conserved():
     assert result.report.mean_drift <= 1e-10
 
 
+def test_stability_probe_cascade_divergence_names_the_startup_level():
+    # the unforced order-2 start builds level 1 from CASCADE_SUBSTEPS order-1
+    # substeps; the second overflows, and the error names level 1, not substep 2
+    with pytest.raises(DivergenceError) as exc:
+        stability_probe(allen_cahn(Grid.fourier2d(16), alpha=1e100), 2, 0.1, 20)
+    assert exc.value.step_index == 1
+
+
 # -- Burgers comparison ----------------------------------------------------------------
+
+#: the comparison's shock-layer viscosity
+NU = 1.0 / 314.0
 
 
 def test_burgers_compare_self_comparison():
     # dt == dt_ref makes the corrected run identical to its reference
-    c = burgers_compare(nu=0.05, n_modes=48, dt=0.005, dt_ref=0.005, T=0.1)
+    c = burgers_compare(burgers(Grid.sine1d(48), 0.05), dt=0.005, dt_ref=0.005, T=0.1)
     assert c.deviation_sav <= 1e-14
     assert c.overshoot_sav == pytest.approx(1.0, abs=1e-12)
     assert c.u_imex is not None
@@ -269,7 +282,7 @@ def test_burgers_compare_self_comparison():
 def test_burgers_compare_nonuniform_horizon():
     # dt that does not divide T: the comparison still lines both runs up on
     # the same endpoint
-    c = burgers_compare(nu=0.05, n_modes=48, dt=0.0085, dt_ref=0.002, T=0.05)
+    c = burgers_compare(burgers(Grid.sine1d(48), 0.05), dt=0.0085, dt_ref=0.002, T=0.05)
     assert np.isfinite(c.deviation_sav)
     assert c.u_ref.shape == c.u_sav.shape
 
@@ -295,7 +308,7 @@ def test_burgers_horizon_needs_a_positive_finite_reference_step(dt_ref):
     with pytest.raises(ValueError, match="dt_ref"):
         harness.burgers_horizon(0.1, dt_ref, 0.2, 2)
     with pytest.raises(ValueError, match="dt_ref"):
-        burgers_compare(n_modes=8, dt=0.1, dt_ref=dt_ref, T=0.2)
+        burgers_compare(burgers(Grid.sine1d(8), NU), dt=0.1, dt_ref=dt_ref, T=0.2)
 
 
 def test_burgers_compare_needs_two_modes(monkeypatch):
@@ -306,21 +319,29 @@ def test_burgers_compare_needs_two_modes(monkeypatch):
 
     monkeypatch.setattr(harness, "run", no_run)
     monkeypatch.setattr(harness, "advance", no_run)
-    with pytest.raises(ValueError, match="at least 2 modes"):
-        burgers_compare(n_modes=1, dt_ref=0.005, T=0.05)
+    with pytest.raises(SettingError, match="at least 2 modes") as exc:
+        burgers_compare(burgers(Grid.sine1d(1), NU), dt_ref=0.005, T=0.05)
+    assert exc.value.setting == "grid"
+
+
+def test_burgers_compare_needs_a_sine_grid_problem():
+    # the -sin(pi x) data and the wall reference live on the sine grid of (-1, 1)
+    with pytest.raises(SettingError, match="SINE1D") as exc:
+        burgers_compare(allen_cahn(Grid.fourier2d(8)), dt_ref=0.01, T=0.1)
+    assert exc.value.setting == "problem"
 
 
 def test_burgers_compare_reference_decayed_to_zero():
     # a huge viscosity takes the reference to exactly zero, and the overshoots
     # relative to its peak with it
     with pytest.raises(ValueError, match="reference decayed to zero"):
-        burgers_compare(nu=1e300, n_modes=8, dt_ref=0.01)
+        burgers_compare(burgers(Grid.sine1d(8), 1e300), dt_ref=0.01)
 
 
 def test_burgers_compare_records_the_corrected_run_alone(records_made):
     # the reference and the baseline are read at T alone: the only records
     # made are the corrected run's trace
-    c = burgers_compare(n_modes=32, dt=0.05, dt_ref=0.01, T=0.5)
+    c = burgers_compare(burgers(Grid.sine1d(32), NU), dt=0.05, dt_ref=0.01, T=0.5)
     assert c.u_imex is not None
     assert len(records_made) == len(c.sav_report.records) == 11
 
@@ -336,7 +357,7 @@ def test_burgers_compare_records_imex_breakdown():
     eta = 1 - (1 - xi)^3 is about 0.22 and u shrinks geometrically to about
     5e-14 of the reference's peak.
     """
-    c = burgers_compare(dt=0.02, dt_ref=0.01, T=1.0)
+    c = burgers_compare(burgers(Grid.sine1d(320), NU), dt=0.02, dt_ref=0.01, T=1.0)
     assert c.u_imex is None
     assert c.deviation_imex == float("inf")
     assert np.isfinite(c.deviation_sav)

@@ -361,7 +361,7 @@ def test_energy_law_along_scalar_decay():
 
 def _well_free_problem(grid, stabilization):
     # the general form without the double well: g(u) = -lam u alone
-    return ProblemDefinition(name="linear", grid=grid, principal_symbol=0.01 * grid.k2,
+    return ProblemDefinition(grid=grid, principal_symbol=0.01 * grid.k2,
                              mobility_symbol=np.ones_like(grid.k2), c_shift=1.0,
                              stabilization=stabilization)
 

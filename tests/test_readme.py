@@ -112,7 +112,7 @@ def test_defaults_tables_are_the_resolved_settings(experiment, problem):
             assert cfg.grid == (want if isinstance(want, tuple) else (want,))
         elif key == "c_shift":  # resolved by the factory: c_shift |Omega| = 1
             assert cfg.c_shift is None
-            assert cli._build_problem(cfg, forced=False).c_shift == want
+            assert cli._build_problem(cfg).c_shift == want
         else:
             assert getattr(cfg, key) == want, key
         checked.add(key)
