@@ -12,8 +12,8 @@ whose SettingError is reported under the value's key; the output
 directory appears with the first artifact, so a failure before it leaves
 no --out.  A failure is a SavError, printed on stderr, whose `exit_code`
 is the exit code: 0 success, 1 usage (ConfigError and the package's
-ValueErrors) or I/O failure (OSError), 2 a failed check (CheckFailed,
-EnergyPositivityError, MonotonicityError), 3 divergence (DivergenceError).
+ValueErrors) or I/O failure (OSError), 2 a failed check (CheckFailed),
+3 divergence (DivergenceError).
 """
 
 from __future__ import annotations

@@ -192,11 +192,11 @@ def stability_probe(problem: ProblemDefinition, order: int, dt: float, n_steps: 
                     seed: int = 0, u0: Field | None = None) -> StabilityResult:
     """Run n_steps at a deliberately large dt and check the scheme invariants.
 
-    The scalar invariants are enforced by the step itself: on an unforced
-    problem `step()` raises MonotonicityError whenever r would grow or turn
-    negative, and xi = r / E with E > 0.  The probe checks what the step does
-    not: the principal quadratic (L u, u) staying within 10x the largest
-    value seen over the first ten steps.  Settings are checked before any work.
+    The scalar invariants hold by construction: on an unforced problem the
+    step's closed form cannot grow r or turn it negative (`_sav_update`), and
+    xi = r / E with E > 0.  The probe checks what the step does not: the
+    principal quadratic (L u, u) staying within 10x the largest value seen
+    over the first ten steps.  Settings are checked before any work.
     """
     if problem.forcing is not None:
         raise SettingError("problem", "stability_probe requires an unforced problem")

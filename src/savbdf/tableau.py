@@ -34,13 +34,10 @@ from math import comb
 
 from .spectral import SettingError, _is_integer
 
-__all__ = ["BdfTableau", "tableau", "combine_history", "UnsupportedOrderError"]
+__all__ = ["BdfTableau", "tableau", "combine_history"]
 
+#: BDF6 and higher are not zero-stable in this family's stability framework
 MAX_ORDER = 5
-
-
-class UnsupportedOrderError(SettingError):
-    """Raised on `order` for orders outside 1..5 (BDF6+ is not zero-stable in this family's stability framework)."""
 
 
 @dataclass(frozen=True)
@@ -86,8 +83,7 @@ def tableau(order: int) -> BdfTableau:
     the order may be a numpy integer, held as a plain int.  Each order's
     tableau is built once per process and shared, as it is immutable."""
     if not _is_integer(order) or not 1 <= order <= MAX_ORDER:
-        raise UnsupportedOrderError("order",
-                                    f"unsupported order {order!r}: must be an integer in 1..{MAX_ORDER}")
+        raise SettingError("order", f"unsupported order {order!r}: must be an integer in 1..{MAX_ORDER}")
     return _build_tableau(int(order))
 
 

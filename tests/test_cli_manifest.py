@@ -7,7 +7,8 @@ compares the sha256 of its stdout, of its stderr and of every artifact in
 its ``--out`` directory, and its exit code, with ``reference/cli_manifest.json``.
 A row also records the numpy and scipy versions it was frozen on; a
 mismatch names them when they differ from the running ones, since a
-different FFT build may move the last bit of a value.
+different FFT build may move the last bit of a value.  CI's workflow pins
+the same versions, and a test checks that the pins and the rows agree.
 
 Rows: ``stability`` on both phase fields at orders 1..5 and dt = 0.01, 1
 and 100; forced SAV and IMEX ``run`` on Allen-Cahn, an order-4
@@ -28,6 +29,7 @@ this test pass.
 import hashlib
 import io
 import json
+import re
 import sys
 import tempfile
 import warnings
@@ -41,6 +43,7 @@ import scipy
 from savbdf.cli import main
 
 MANIFEST = Path(__file__).parent / "reference" / "cli_manifest.json"
+WORKFLOW = Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml"
 
 ROWS = {
     f"stability_{problem}_k{k}_dt{dt}": ["stability", "--problem", problem, "--order", str(k),
@@ -110,6 +113,15 @@ def test_cli_bytes_match_manifest(name):
     assert sorted(got["files"]) == sorted(want["files"]), f"{name}: artifact names differ{note}"
     changed = [f for f in want["files"] if got["files"][f] != want["files"][f]]
     assert not changed, f"{name}: {', '.join(changed)} differ{note}"
+
+
+def test_ci_pins_the_versions_the_manifest_was_frozen_on():
+    # CI installs numpy and scipy by exact pin; a row frozen on other versions
+    # would compare bytes from another FFT build
+    pins = dict(re.findall(r"\b(numpy|scipy)==(\S+)", WORKFLOW.read_text()))
+    assert sorted(pins) == ["numpy", "scipy"], f"{WORKFLOW.name} pins {pins}"
+    frozen = {(row["numpy"], row["scipy"]) for row in json.loads(MANIFEST.read_text()).values()}
+    assert frozen == {(pins["numpy"], pins["scipy"])}, f"manifest rows frozen on {sorted(frozen)}"
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from scipy import fft
 import savbdf
 from savbdf import (
     DivergenceError,
+    ExactSolution,
     Field,
     Grid,
     GridMismatchError,
@@ -712,6 +713,13 @@ def test_step_count_rejects_non_finite_values(dt, T):
         step_count(dt, T, 1)
 
 
+def test_step_count_divides_a_tiny_horizon_relative_to_it():
+    assert step_count(2.5e-11, 1e-10, 1) == 4
+    with pytest.raises(savbdf.SettingError, match="does not divide T = 1e-10") as exc:
+        step_count(3e-11, 1e-10, 1)
+    assert exc.value.setting == "dt"
+
+
 def test_step_count_caps_the_run_length():
     assert step_count(1.0, float(MAX_STEPS), 1) == MAX_STEPS
     # the last case's T / dt overflows to inf
@@ -741,6 +749,21 @@ def test_initialize_with_exact_samples():
         t_i = (2 - i) * dt
         diff = u - p.exact.field(t_i)
         assert np.max(np.abs(diff.values)) == 0.0
+
+
+def test_nan_exact_sample_is_a_divergence_of_the_scalar_variable():
+    # a startup level is an unscanned exact sample: its nan makes E and r nan
+    p = with_manufactured_forcing(allen_cahn(Grid.fourier2d(16)))
+    exact = p.exact
+
+    def field(t):
+        u = exact.field(t)
+        return Field.from_physical(p.grid, np.full_like(u.values, math.nan)) if t == 0.1 else u
+
+    p = replace(p, exact=ExactSolution(field, exact.time_derivative))
+    with pytest.raises(DivergenceError, match="non-finite scalar variable") as exc:
+        advance(p, tableau(3), 0.1, 1.0)
+    assert exc.value.step_index == 1
 
 
 @pytest.mark.parametrize("mode", list(StepMode))
@@ -840,11 +863,6 @@ def test_ch_mass_extrapolation_identity():
         got = new.ubar.coeffs[0, 0]
         assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
         state = new
-
-
-def test_energy_positivity_error_is_exported():
-    assert savbdf.EnergyPositivityError is savbdf.stepper.EnergyPositivityError
-    assert "EnergyPositivityError" in savbdf.__all__
 
 
 # -- property: the scalar invariants hold for any dt -----------------------------------

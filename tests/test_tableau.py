@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from savbdf import Field, Grid, UnsupportedOrderError, combine_history, tableau
+from savbdf import Field, Grid, SettingError, combine_history, tableau
 
 ORDERS = [1, 2, 3, 4, 5]
 
@@ -60,13 +60,15 @@ def test_eta_exponent_defaults_and_override():
 
 @pytest.mark.parametrize("k", [0, 6, -1])
 def test_unsupported_orders(k):
-    with pytest.raises(UnsupportedOrderError, match="unsupported order"):
+    with pytest.raises(SettingError, match="unsupported order") as exc:
         tableau(k)
+    assert exc.value.setting == "order"
 
 
 def test_non_integer_order_rejected():
-    with pytest.raises(UnsupportedOrderError):
+    with pytest.raises(SettingError) as exc:
         tableau(2.0)
+    assert exc.value.setting == "order"
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -75,8 +77,9 @@ def test_numpy_integers_are_accepted_and_stored_as_int(k):
     tab = tableau(np.int64(k))
     assert tab == tableau(k)
     assert type(tab.order) is int and type(tab.eta_exponent) is int
-    with pytest.raises(UnsupportedOrderError):
+    with pytest.raises(SettingError) as exc:
         tableau(np.bool_(True))
+    assert exc.value.setting == "order"
 
 
 # extrapolation is exact only up to degree k - 1
@@ -157,8 +160,9 @@ def test_each_order_is_built_once_and_validated_first():
     # validated before the cache is read: a cache keyed by the argument would answer
     # 2.0 and True with its entries for np.int64(2) and np.int64(1)
     for bad in (2.0, True, np.bool_(True)):
-        with pytest.raises(UnsupportedOrderError):
+        with pytest.raises(SettingError) as exc:
             tableau(bad)
+        assert exc.value.setting == "order"
 
 
 @pytest.mark.parametrize("k", ORDERS)
