@@ -17,8 +17,10 @@ Cahn-Hilliard ``run`` and a Burgers ``run``; a reduced ``converge`` and
 Allen-Cahn runs whose energy overflows to inf (at T = 3.5) and whose every
 value then does (at T = 4); and an Allen-Cahn ``stability`` run that the
 correction collapses to exact zeros, so its last steps rest at u = 0; a
-Burgers ``stability`` run; and two ``burgers`` invocations that exit 1, on
-a one-mode grid and on a reference that decays to zero.
+Burgers ``stability`` run; two ``burgers`` invocations that exit 1, on
+a one-mode grid and on a reference that decays to zero; and two ``stability``
+runs on a 2x2 grid, Allen-Cahn and order-5 Cahn-Hilliard, whose random
+smooth start is exact zeros, so they rest at u = 0 from their first step.
 
 ``python tests/test_cli_manifest.py --freeze NAME...`` rewrites only the
 named rows.  A change that moves a row's bytes on purpose refreezes that
@@ -74,6 +76,9 @@ ROWS.update({
     "stability_burgers": ["stability", "--problem", "burgers", "--grid", "16", "--n-steps", "30"],
     "exit1_burgers_one_mode": ["burgers", "--grid", "1"],
     "exit1_burgers_reference_decays": ["burgers", "--nu", "1e300", "--grid", "8", "--dt-ref", "0.01"],
+    "stability_allen_cahn_zero_start": ["stability", "--grid", "2", "--n-steps", "30"],
+    "stability_cahn_hilliard_k5_zero_start": ["stability", "--problem", "cahn_hilliard", "--grid", "2",
+                                              "--order", "5", "--n-steps", "30"],
 })
 
 
