@@ -20,12 +20,13 @@ identical order and identical scalar stability), only the corrected one keeps
 the uncorrected iterate representable in floating point at very large steps,
 because the solution correction then bounds what enters the cubic term.  The
 state keeps the last uncorrected iterate ubar for diagnostics only.
-A new level below ZERO_LEVEL in magnitude is stored as the problem's one zero level,
-`ProblemDefinition.zero_update`'s, with the same records.  A step whose levels are all that
-object, unforced and without transport, is at the equilibrium u = 0: no solve, and the test
-is an identity check.  Its r, xi and eta still come from the scalar update, bit for bit the
-full step's, since the cascade start switches tableau between levels.  Exact zeros held in
-another object, such as a zero u0, take full steps until the first flush, with the same bits.
+Every level, u0 and the exact startup samples included, enters the state through one guard:
+a non-finite level raises DivergenceError at its index, and a level below ZERO_LEVEL in
+magnitude is stored as the problem's one zero level, `ProblemDefinition.zero_update`'s, with
+the same records.  A step whose levels are all that object, unforced and without transport,
+is at the equilibrium u = 0: no solve, and the test is an identity check.  Its r, xi and eta
+still come from the scalar update, bit for bit the full step's, since the cascade start
+switches tableau between levels.
 """
 
 from __future__ import annotations
@@ -114,9 +115,9 @@ def _sav_update(problem: ProblemDefinition, tab: BdfTableau, r: float, update: t
     Unforced, the work is 0 and r^{n+1} = r^n / (1 + dt K / E) lies in [0, r^n] for any dt
     with no check.  K is a weighted sum of w |c|^2 with w >= 0, so it is >= 0, inf or nan.
     E(ubar) is read only after ubar passed its finiteness scan, so it lies in
-    [c_shift |Omega|, inf]; an exact startup sample is not scanned, and a nan in it makes
-    E nan.  So the divisor is >= 1 or nan: a non-negative r divided by a float >= 1 does
-    not grow in IEEE arithmetic, and a nan r^{n+1} raises DivergenceError("scalar variable").
+    [c_shift |Omega|, inf].  So the divisor is >= 1 or nan: a non-negative r divided by a
+    float >= 1 does not grow in IEEE arithmetic, and a nan r^{n+1} raises
+    DivergenceError("scalar variable").
     """
     energy, kappa, work, terms = update
     r_new = (r + dt * work) / (1.0 + dt * kappa / energy)
@@ -151,6 +152,9 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
         raise SettingError("state", f"order-{k} step needs {k} history levels, have {len(state.u_history)}")
     next_index = state.step_index + 1
     t_next = state.time + dt
+    alpha, a, b = tab.floats
+    if (shift := alpha / dt) == math.inf:  # the solve's; then 1/dt <= shift is finite too
+        raise SettingError("dt", f"a step of {dt!r} is too small: alpha_k/dt overflows")
 
     history = state.u_history[:k]
     if (state.principal_norm_sq == 0.0 and problem.forcing is None and problem.transport is None
@@ -163,7 +167,6 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
         # ubar's values), so the drift combines coefficients, the input of the
         # solve, and the extrapolation values, the input of the pointwise F'
         f = None if problem.forcing is None else problem.forcing(t_next)  # for g - f and the work
-        alpha, a, b = tab.floats
         if k == 1:  # a = b = (1,): no combination; u's values are read without a copy, into a
             # values-only field, so that a transport transforms them as it does a combination
             drift = history[0].coeffs * (1.0 / dt)
@@ -173,20 +176,19 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
             extrapolated = Field(problem.grid, physical=combine_history(b, [u.values for u in history]))
             drift *= 1.0 / dt  # the combination is a new array: the right-hand side in place
         drift -= problem.nonlinear(extrapolated, f).coeffs
-        ubar = solve_shifted(alpha / dt, problem.linear_symbol, Field(problem.grid, spectral=drift),
+        ubar = solve_shifted(shift, problem.linear_symbol, Field(problem.grid, spectral=drift),
                              overwrite_rhs=True)
         update = None if mode is StepMode.IMEX else problem.update_terms(ubar, f)
         peak = ubar.max_abs()  # after the update: ubar's values on a phase field
+    if not math.isfinite(peak):
+        raise DivergenceError(next_index, "uncorrected solution")
     if mode is StepMode.IMEX:
-        u_new = ubar = _checked_level(problem, ubar, 1.0, peak, next_index, "uncorrected solution")
         r_new, xi, eta = state.r, 1.0, 1.0
         terms = problem.energy_terms(ubar)[0] if update is None else update[3]
     else:
-        if not math.isfinite(peak):
-            raise DivergenceError(next_index, "uncorrected solution")
         r_new, xi, eta, terms = _sav_update(problem, tab, state.r, update, dt, next_index)
-        # max|fl(eta v)| = fl(|eta| max|v|), as rounding is monotone and odd: no second scan
-        u_new = _checked_level(problem, ubar, eta, abs(eta) * peak, next_index, "corrected solution")
+    # max|fl(eta v)| = fl(|eta| max|v|), as rounding is monotone and odd: no second scan
+    u_new = _checked_level(problem, ubar, eta, abs(eta) * peak, next_index, "corrected solution")
     if eta == 0.0:  # u = 0: the zero level's terms, as 0 times an overflowed term of ubar is nan
         terms = problem.zero_update[1][3]
     energy, principal = problem.scaled_energy(terms, eta)  # of u = eta ubar, from ubar's terms
@@ -216,6 +218,7 @@ def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
         u0 = problem.exact.field(0.0)
     elif u0.grid != problem.grid:
         raise GridMismatchError(f"u0 lives on {u0.grid}, the problem on {problem.grid}")
+    u0 = _checked_level(problem, u0, 1.0, u0.max_abs(), 0, "solution")
     r, principal = problem.scaled_energy(problem.energy_terms(u0)[0], 1.0)
     state = fine = SavState(0, 0.0, (u0,), u0, r, 1.0, 1.0, r, principal)
     if record_sink is not None:
@@ -224,6 +227,7 @@ def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
         t = level * dt
         if problem.exact is not None:
             u = problem.exact.field(t)
+            u = _checked_level(problem, u, 1.0, u.max_abs(), level, "solution")
             r, xi, eta, terms = state.r, 1.0, 1.0, None
             if mode is StepMode.SAV:  # the update's terms are u's own: eta is not applied to u
                 f = None if problem.forcing is None else problem.forcing(t)
@@ -339,11 +343,8 @@ def step_count(dt: float, T: float, order: int) -> int:
     """Steps of size dt to reach T; T must be a whole number of steps of dt,
     enough to host the order-`order` startup and at most MAX_STEPS.  A
     SettingError names `T` for a bad T alone, else `dt`."""
-    for name, value in (("dt", dt), ("T", T)):
-        if not math.isfinite(value):
-            raise SettingError(name, f"{name} must be finite, got {value!r}")
-        if value <= 0:
-            raise SettingError(name, f"{name} must be positive, got {value!r}")
+    _check_positive("dt", dt)
+    _check_positive("T", T)
     if T / dt >= MAX_STEPS + 0.5:  # round(T / dt) > MAX_STEPS, with no rounding of an inf
         raise SettingError("dt", f"dt = {dt} takes more than MAX_STEPS = {MAX_STEPS} steps "
                                  f"to reach T = {T}")

@@ -571,6 +571,11 @@ EXTREME = [
     (["run", "--c-shift", "1e-300", "--dt", "1", "--T", "20"], DivergenceError.exit_code,
      "non-finite scalar variable"),
     (["burgers", "--nu", "1e-300", "--grid", "8", "--dt-ref", "0.01"], EXIT_OK, None),
+    # a step so small that alpha_k/dt overflows is a bad dt, in a cascade substep too
+    (["stability", "--dt", "1e-320", "--grid", "8", "--n-steps", "5"], EXIT_USAGE,
+     "config error: key 'dt': a step of 1.25e-321 is too small"),
+    (["run", "--dt", "5e-324", "--T", "1e-323", "--grid", "8"], EXIT_USAGE,
+     "config error: key 'dt': a step of 5e-324 is too small"),
     # a symbol, or the energy's shift c_shift |Omega|, that overflows is a bad setting
     (["stability", "--alpha", "1e308"], EXIT_USAGE, "key 'alpha'"),
     (["stability", "--problem", "cahn_hilliard", "--m0", "1e308"], EXIT_USAGE, "key 'm0'"),

@@ -1,5 +1,5 @@
 """README: its command-line tables are the CLI's own keys and resolved
-defaults, it states no timing, and its examples run."""
+defaults, it states no timing, its examples run and the tests it cites exist."""
 
 import re
 import shlex
@@ -11,7 +11,8 @@ from savbdf import cli, tableau
 from savbdf.stepper import MAX_STEPS
 from savbdf.tableau import MAX_ORDER
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+TESTS = Path(__file__).resolve().parent
+README = (TESTS.parent / "README.md").read_text()
 NOT_READ = "—"
 SUPERSCRIPTS = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
 
@@ -152,3 +153,17 @@ def test_command_line_examples_exit_0(tmp_path):
         out = argv.index("--out") + 1
         argv[out] = str(tmp_path / argv[out])
         assert cli.main(argv) == cli.EXIT_OK, line
+
+
+def test_cited_tests_exist():
+    # a bare `test_...` name is in test_stepper.py, one with a path in that file, and `cN`
+    # is test_acceptance.py's test_cN_...; a renamed or deleted test leaves a dead citation
+    cited = re.findall(r"`(?:tests/(test_\w+\.py)::)?(test_\w+)`", README)
+    criteria = re.findall(r"`c(\d+)`", README)
+    assert cited and criteria
+    for path, name in cited:
+        source = (TESTS / (path or "test_stepper.py")).read_text()
+        assert re.search(rf"^def {name}\(", source, re.M), f"{path or 'test_stepper.py'}::{name}"
+    acceptance = (TESTS / "test_acceptance.py").read_text()
+    for n in criteria:
+        assert re.search(rf"^def test_c{n}_", acceptance, re.M), f"c{n}"

@@ -602,19 +602,23 @@ def test_equilibrium_steps_make_no_transform(monkeypatch, order):
 @pytest.mark.parametrize("order", [1, 3, 5])
 def test_a_step_at_rest_scans_no_level(monkeypatch, order):
     # a step tells the equilibrium by identity with the problem's zero level, which
-    # every flush stores: it scans none of its levels, and keeps r and the zeros
+    # every flush and `initialize` store: it scans none of its levels, and keeps r and the
+    # zeros, also from a zero u0 held in another object
     p, dt = allen_cahn(Grid.fourier2d(16)), 0.1
     tab, zero = tableau(order), p.zero_update[0]
-    state = initialize(p, tab, dt, u0=zero)
-    r0 = state.r
     scanned = []
     max_abs = Field.max_abs
     monkeypatch.setattr(Field, "max_abs", lambda u: scanned.append(u) or max_abs(u))
-    for _ in range(5):
-        state = step(state, p, tab, dt)
-        assert state.r == r0 and not state.u_history[0].values.any(), state.step_index
-    assert len(scanned) == 0, f"{len(scanned)} scans over five steps at rest"
-    assert all(u is zero for u in state.u_history[:order])
+    for u0 in (zero, Field.zeros(p.grid)):
+        state = initialize(p, tab, dt, u0=u0)
+        assert len(scanned) == 1 and all(u is zero for u in state.u_history)  # u0's scan alone
+        r0 = state.r
+        scanned.clear()
+        for _ in range(5):
+            state = step(state, p, tab, dt)
+            assert state.r == r0 and not state.u_history[0].values.any(), state.step_index
+        assert len(scanned) == 0, f"{len(scanned)} scans over five steps at rest"
+        assert all(u is zero for u in state.u_history[:order])
 
 
 @pytest.mark.parametrize("order", [1, 3, 5])
@@ -709,7 +713,7 @@ def test_step_path_arrays_are_read_only_in_the_coefficient_dtype(name):
 
 @pytest.mark.parametrize("dt, T", [(math.inf, 1.0), (math.nan, 1.0), (0.1, math.inf), (0.1, math.nan)])
 def test_step_count_rejects_non_finite_values(dt, T):
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match="must be positive and finite"):
         step_count(dt, T, 1)
 
 
@@ -751,8 +755,10 @@ def test_initialize_with_exact_samples():
         assert np.max(np.abs(diff.values)) == 0.0
 
 
-def test_nan_exact_sample_is_a_divergence_of_the_scalar_variable():
-    # a startup level is an unscanned exact sample: its nan makes E and r nan
+@pytest.mark.parametrize("mode", list(StepMode))
+def test_nan_exact_sample_is_a_divergence_of_the_solution(mode):
+    # a startup level is scanned like a stepped one: its nan stops the run at its level,
+    # in IMEX mode too, which makes no scalar update along it
     p = with_manufactured_forcing(allen_cahn(Grid.fourier2d(16)))
     exact = p.exact
 
@@ -761,9 +767,35 @@ def test_nan_exact_sample_is_a_divergence_of_the_scalar_variable():
         return Field.from_physical(p.grid, np.full_like(u.values, math.nan)) if t == 0.1 else u
 
     p = replace(p, exact=ExactSolution(field, exact.time_derivative))
-    with pytest.raises(DivergenceError, match="non-finite scalar variable") as exc:
-        advance(p, tableau(3), 0.1, 1.0)
+    with pytest.raises(DivergenceError, match="non-finite solution") as exc:
+        advance(p, tableau(3), 0.1, 1.0, mode=mode)
     assert exc.value.step_index == 1
+
+
+@pytest.mark.parametrize("mode", list(StepMode))
+def test_nan_u0_is_a_divergence_at_step_0(mode):
+    grid = Grid.fourier2d(16)
+    values = random_smooth_field(grid, seed=1).values.copy()
+    values[3, 5] = np.nan
+    with pytest.raises(DivergenceError, match="step 0: non-finite solution") as exc:
+        initialize(allen_cahn(grid), tableau(3), 0.1, u0=Field.from_physical(grid, values), mode=mode)
+    assert exc.value.step_index == 0
+
+
+def test_manufactured_level_0_is_the_zero_level():
+    # the manufactured solution vanishes at t = 0: its sample is stored as the one zero level
+    p = with_manufactured_forcing(allen_cahn(Grid.fourier2d(16)))
+    assert initialize(p, tableau(3), 0.01).u_history[-1] is p.zero_update[0]
+
+
+@pytest.mark.parametrize("order, dt", [(1, 5e-324), (3, 1e-320)])
+def test_a_step_whose_shift_overflows_is_a_dt_setting_error(order, dt):
+    # alpha_k/dt = inf is a bad dt, not a divergence; a cascade start meets it in a substep
+    grid = Grid.fourier2d(8)
+    p, u0 = allen_cahn(grid), random_smooth_field(grid, seed=1)
+    with pytest.raises(savbdf.SettingError, match="too small: alpha_k/dt overflows") as exc:
+        advance(p, tableau(order), dt, order * dt, u0=u0)
+    assert exc.value.setting == "dt"
 
 
 @pytest.mark.parametrize("mode", list(StepMode))
@@ -771,6 +803,7 @@ def test_initialize_makes_one_energy_pass_per_exact_level(monkeypatch, mode):
     # an exact-sample level is u itself: in SAV mode its E and (L u, u) come
     # from the terms of the scalar update along it, with no second pass
     p = with_manufactured_forcing(allen_cahn(Grid.fourier2d(16)))
+    p.zero_update  # level 0 is exact zeros: the problem's zero level, built once with its terms
     calls = []
     terms = ProblemDefinition.energy_terms
     monkeypatch.setattr(ProblemDefinition, "energy_terms", lambda self, u: calls.append(u) or terms(self, u))
