@@ -227,13 +227,15 @@ class ProblemDefinition:
         return self.update_terms(u, None if self.forcing is None else self.forcing(t))[2]
 
 
+@np.errstate(over="ignore")
 def _check_symbol(name: str, symbol, grid: Grid) -> np.ndarray:
-    """The symbol, if it is a real array of the grid's spectral shape, finite and >= 0."""
+    """The symbol, if it is a real array of the grid's spectral shape, >= 0 and finite
+    times the conjugate-pair multiplicity, as the quadratic forms store it."""
     if not (isinstance(symbol, np.ndarray) and symbol.dtype.kind in "iuf"
-            and symbol.shape == grid.spectral_shape and np.isfinite(symbol).all()
-            and (symbol >= 0).all()):
-        raise SettingError(name, f"{name} must be a real, finite, non-negative array "
-                                 f"of shape {grid.spectral_shape}")
+            and symbol.shape == grid.spectral_shape
+            and np.isfinite(grid._mult.real * symbol).all() and (symbol >= 0).all()):
+        raise SettingError(name, f"{name} must be a real, non-negative array of shape "
+                                 f"{grid.spectral_shape}, finite when weighted")
     return symbol
 
 

@@ -314,15 +314,14 @@ class Field:
         return float(self.values.sum() * self.grid.cell_volume / self.grid.volume)
 
     def max_abs(self) -> float:
-        """The held array's largest |entry|, or |re| or |im| if complex; nan if it holds a nan.
+        """The held array's largest |entry|, or |re| or |im| if complex, whatever its layout;
+        nan if it holds a nan.
 
         The larger of its max and -min, so no |entry| array is made; both reductions
         read nan if it holds one, and + 0.0 turns the -0.0 of an all-zero array into 0.0."""
         arr = self._phys if self._phys is not None else self._spec
-        if arr.dtype == np.complex128 and arr.flags.c_contiguous:
-            arr = arr.view(np.float64)  # a real loop, not a hypot per entry
-        elif arr.dtype.kind == "c":
-            arr = np.abs(arr)
+        if arr.dtype.kind == "c":  # a real loop, not a hypot per entry
+            arr = np.ascontiguousarray(arr).view(arr.real.dtype)
         return max(float(np.maximum.reduce(arr, axis=None)),
                    -float(np.minimum.reduce(arr, axis=None))) + 0.0
 

@@ -144,8 +144,10 @@ def _checked_level(problem: ProblemDefinition, u: Field, s: float, peak: float, 
 @np.errstate(over="ignore", invalid="ignore")
 def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float,
          mode: StepMode = StepMode.SAV) -> SavState:
-    """Advance one step of size dt; returns the new state.  Overflow in a diverging
-    trajectory raises DivergenceError at a finiteness guard, not an arithmetic warning."""
+    """Advance one step of size dt; returns the new state.  At every order the drift and
+    the extrapolation are `combine_history` combinations, new arrays, so the history the
+    step reads stays unchanged.  Overflow in a diverging trajectory raises
+    DivergenceError at a finiteness guard, not an arithmetic warning."""
     _check_positive("dt", dt)
     k = tab.order
     if len(state.u_history) < k:
@@ -167,14 +169,9 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
         # ubar's values), so the drift combines coefficients, the input of the
         # solve, and the extrapolation values, the input of the pointwise F'
         f = None if problem.forcing is None else problem.forcing(t_next)  # for g - f and the work
-        if k == 1:  # a = b = (1,): no combination; u's values are read without a copy, into a
-            # values-only field, so that a transport transforms them as it does a combination
-            drift = history[0].coeffs * (1.0 / dt)
-            extrapolated = Field(problem.grid, physical=history[0].values)
-        else:
-            drift = combine_history(a, [u.coeffs for u in history])
-            extrapolated = Field(problem.grid, physical=combine_history(b, [u.values for u in history]))
-            drift *= 1.0 / dt  # the combination is a new array: the right-hand side in place
+        drift = combine_history(a, [u.coeffs for u in history])
+        extrapolated = Field(problem.grid, physical=combine_history(b, [u.values for u in history]))
+        drift *= 1.0 / dt  # the combination is a new array: the right-hand side in place
         drift -= problem.nonlinear(extrapolated, f).coeffs
         ubar = solve_shifted(shift, problem.linear_symbol, Field(problem.grid, spectral=drift),
                              overwrite_rhs=True)
@@ -210,8 +207,14 @@ def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
     one continuous fine trajectory so each stage has enough fine history.
     Every level's E(u) and (L u, u) are evaluated on that level.  As in `step`,
     overflow reads inf or raises DivergenceError, not an arithmetic warning.
+    A cascade whose substep is too small for its highest order's shift is a bad dt.
     """
     _check_positive("dt", dt)
+    sub_dt = dt / CASCADE_SUBSTEPS
+    if problem.exact is None and tab.order > 1 and (
+            sub_dt == 0.0 or tableau(tab.order - 1).floats[0] / sub_dt == math.inf):
+        raise SettingError("dt", f"a step of {dt!r} is too small: alpha_k/dt overflows in its "
+                                 f"startup substeps of dt/{CASCADE_SUBSTEPS}")
     if u0 is None:
         if problem.exact is None:
             raise SettingError("u0", "u0 is required for problems without an exact solution")
@@ -235,8 +238,7 @@ def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
         else:
             sub_tab = tableau(level)
             for _ in range(CASCADE_SUBSTEPS):  # a substep's error names the level it builds
-                fine = step(fine._replace(step_index=level - 1), problem, sub_tab,
-                            dt / CASCADE_SUBSTEPS, mode)
+                fine = step(fine._replace(step_index=level - 1), problem, sub_tab, sub_dt, mode)
             u, r, xi, eta, terms = fine.u_history[0], fine.r, fine.last_xi, fine.last_eta, None
         energy, principal = problem.scaled_energy(terms or problem.energy_terms(u)[0], 1.0)
         state = SavState(level, t, (u,) + state.u_history, u, r, xi, eta, energy, principal)

@@ -105,11 +105,9 @@ def combine_history(weights, history):
 
     Works on anything supporting scalar multiplication and addition (fields,
     ndarrays, plain floats).  Only the leading ``len(weights)`` history
-    entries are consumed.  The sum accumulates in place into the first
-    product (a new object), which saves an array per term on an array
-    history.  A later weight of +1 or -1 adds or subtracts its entry with no
-    product, which saves another: on real entries these are the product's
-    bits, as fl(+-1 h) = +-h.
+    entries are consumed.  Every weight multiplies its entry.  The sum
+    accumulates in place into the first product (a new object, so no entry
+    is written), which saves an array per term on an array history.
     """
     if len(weights) == 0:
         raise SettingError("weights", "combine_history needs at least one weight")
@@ -119,11 +117,5 @@ def combine_history(weights, history):
         )
     acc = float(weights[0]) * history[0]
     for w, h in zip(weights[1:], history[1:]):
-        w = float(w)
-        if w == 1.0:
-            acc += h
-        elif w == -1.0:
-            acc -= h
-        else:
-            acc += w * h
+        acc += float(w) * h
     return acc

@@ -231,6 +231,15 @@ def test_stability_probe_zero_data_is_constant():
     assert max(rs) == min(rs)
 
 
+def test_stability_probe_reports_growth_from_a_zero_baseline(monkeypatch):
+    # a zero early value is held to the same 10x rule: any growth exceeds 10 x 0
+    records = [stepper.StepRecord(n, 0.1 * n, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0) for n in range(12)]
+    records[11] = records[11]._replace(principal_norm_sq=1.0)
+    monkeypatch.setattr(harness, "run", lambda *args, **kwargs: stepper.RunReport(records, None))
+    result = stability_probe(allen_cahn(Grid.fourier2d(8)), 1, 0.1, 11)
+    assert result.violations == ["principal norm grew beyond 10x its early value: 1 vs 0"]
+
+
 def test_stability_probe_accepts_numpy_integers():
     grid = Grid.fourier2d(16)
     p = allen_cahn(grid)

@@ -179,6 +179,8 @@ def test_burgers_rejects_bad_settings(kwargs, name):
     (lambda: allen_cahn(Grid.fourier2d(8)), "mobility_symbol", np.full((8, 5), np.nan)),
     (lambda: allen_cahn(Grid.fourier2d(8)), "principal_symbol", np.full((8, 5), np.inf)),
     (lambda: allen_cahn(Grid.fourier2d(8)), "principal_symbol", -np.ones((8, 5))),
+    # finite, but doubled on the conjugate pairs the quadratic forms weight it by
+    (lambda: allen_cahn(Grid.fourier2d(8)), "principal_symbol", np.full((8, 5), 1e308)),
     (lambda: cahn_hilliard(Grid.fourier2d(8)), "mobility_symbol", np.ones((8, 5), complex)),
     (lambda: burgers(Grid.sine1d(16), 0.1), "mobility_symbol", [1.0] * 16),
     (lambda: burgers(Grid.sine1d(16), 0.1), "principal_symbol", np.ones(16, bool)),
