@@ -10,10 +10,11 @@ A non-finite float is null in summary.json, strict JSON, and inf or nan in a CSV
 A value's range is checked once, by the library function that uses it,
 whose SettingError is reported under the value's key; the output
 directory appears with the first artifact, so a failure before it leaves
-no --out.  A failure is a SavError, printed on stderr, whose `exit_code`
-is the exit code: 0 success, 1 usage (ConfigError and the package's
-ValueErrors) or I/O failure (OSError), 2 a failed check (CheckFailed),
-3 divergence (DivergenceError).
+no --out.  `main` is the one failure gate: it parses and runs inside one
+`try` and prints each failure as one stderr line.  A SavError exits with
+its `exit_code`: 1 usage (ConfigError, SettingError), 2 a failed check
+(CheckFailed), 3 divergence (DivergenceError); an OSError (I/O failure)
+or a MemoryError (out of memory) exits 1, and success 0.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def _parse_list(key: str, raw, kind) -> tuple:
             raise ConfigError(f"key '{key}': expected a list of {kind.__name__}, got {raw!r}")
     try:
         values = tuple(kind(v) for v in items)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ConfigError(f"key '{key}': cannot interpret {raw!r}") from None
     if not values:
         raise ConfigError(f"key '{key}': expected at least one entry, got {raw!r}")
@@ -154,7 +155,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # not JSON, not UTF-8, or an int of too many digits
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a flat JSON object")
@@ -348,22 +349,12 @@ def _failed(exc: SavError) -> int:
     return exc.exit_code
 
 
-def execute(cfg: RunConfig) -> int:
-    """Dispatch the configured experiment, write its artifacts and return the exit code.
-
-    The library checks each setting where it uses it; a SettingError is
-    reported under the key that carries the setting.
-    """
+def execute(cfg: RunConfig) -> None:
+    """Run the configured experiment and write its artifacts; a failure is raised,
+    for `main` to report."""
     executor = {"converge": _execute_converge, "stability": _execute_stability,
                 "burgers": _execute_burgers}.get(cfg.experiment, _execute_run)
-    try:
-        executor(cfg, Path(cfg.out))
-    except SavError as exc:
-        return _failed(exc)
-    except OSError as exc:
-        print(f"I/O failure: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
+    executor(cfg, Path(cfg.out))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -392,13 +383,19 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Parse, run and return the exit code: the one place a failure is reported."""
     try:
         args = _parser().parse_args(argv)
-        overrides = {k: v for k, v in vars(args).items() if k != "config"}
-        cfg = parse_config(args.config, overrides)
+        execute(parse_config(args.config, {k: v for k, v in vars(args).items() if k != "config"}))
     except SavError as exc:
         return _failed(exc)
-    return execute(cfg)
+    except OSError as exc:
+        print(f"I/O failure: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 def console_main() -> None:

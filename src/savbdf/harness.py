@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .problems import ProblemDefinition
-from .spectral import Basis, Field, Grid, SettingError, _check_positive
+from .spectral import Basis, Field, Grid, SettingError, _check_positive, _real
 from .stepper import (MAX_STEPS, DivergenceError, RunReport, StepMode, advance, exact_errors, run,
                       step_count)
 from .tableau import tableau
@@ -205,7 +205,7 @@ def stability_probe(problem: ProblemDefinition, order: int, dt: float, n_steps: 
     if not order <= n_steps <= MAX_STEPS:
         raise SettingError("n_steps", f"n_steps must cover the order-{order} startup and stay "
                                       f"within the step cap, {order}..{MAX_STEPS}; got {n_steps!r}")
-    if not 0 < n_steps * dt < math.inf:  # n_steps >= 1, so dt too; false for nan
+    if not 0 < n_steps * _real("dt", dt) < math.inf:  # n_steps >= 1, so dt too; false for nan
         raise SettingError("dt", f"dt and n_steps * dt must be positive and finite, got {dt!r}")
     if u0 is None:
         u0 = random_smooth_field(problem.grid, seed=seed)

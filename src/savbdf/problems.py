@@ -254,18 +254,18 @@ def _check_scale(name: str, value: float, grid: Grid) -> None:
 
 def _default_shift(grid: Grid, c_shift: float | None) -> float:
     # normalized so the constant energy offset c_shift * |Omega| equals 1
-    return 1.0 / grid.volume if c_shift is None else float(c_shift)
+    return 1.0 / grid.volume if c_shift is None else c_shift
 
 
 def _phase_field(name: str, grid: Grid, alpha: float, stabilization: float,
                  c_shift: float | None, mobility: float | None = None) -> ProblemDefinition:
-    """L = alpha |k|^2 with the double well; G = 1, or mobility |k|^2 when given.
+    """L = alpha |k|^2 with the double well; G = 1, or mobility |k|^2 on Cahn-Hilliard.
     An A = G (L + lam) that overflows is a SettingError on the mobility, or on
     the stabilization where G = 1."""
     if grid.basis is not Basis.FOURIER2D:
         raise SettingError("grid", f"{name} requires a FOURIER2D grid")
     _check_scale("alpha", alpha, grid)
-    if mobility is not None:
+    if name == "cahn_hilliard":  # where a mobility of None is a bad one, not G = 1
         _check_scale("mobility", mobility, grid)
     k2 = grid.k2
     problem = ProblemDefinition(
@@ -273,7 +273,7 @@ def _phase_field(name: str, grid: Grid, alpha: float, stabilization: float,
         principal_symbol=alpha * k2,
         mobility_symbol=np.ones_like(k2) if mobility is None else float(mobility) * k2,
         c_shift=_default_shift(grid, c_shift),
-        stabilization=float(stabilization),
+        stabilization=stabilization,
         has_double_well=True,
     )
     with np.errstate(over="ignore"):  # A is built here, once per problem

@@ -53,8 +53,6 @@ __all__ = [
     "Field",
     "SavError",
     "SettingError",
-    "GridMismatchError",
-    "IndefiniteOperatorError",
     "apply_symbol",
     "solve_shifted",
     "sobolev_norm",
@@ -74,34 +72,38 @@ class SavError(Exception):
 
 
 class SettingError(SavError, ValueError):
-    """A setting outside its domain; `setting` names the parameter."""
+    """A setting or argument outside its domain; `setting` names the parameter."""
 
     def __init__(self, setting: str, message: str):
         super().__init__(message)
         self.setting = setting
 
 
+def _real(name: str, value) -> float:
+    """`value` as a float: an int, a float or a numpy real scalar, not a bool or a str,
+    that a float can hold; else a SettingError on `name`, which prints no huge int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise SettingError(name, f"{name} must be a real number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SettingError(name, f"{name} must fit a float, got an integer of "
+                                 f"{value.bit_length()} bits") from None
+
+
 def _check_positive(name: str, value: float) -> None:
-    if not (0 < value < math.inf):  # false for nan too
+    if not (0 < _real(name, value) < math.inf):  # false for nan too
         raise SettingError(name, f"{name} must be positive and finite, got {value!r}")
 
 
 def _check_non_negative(name: str, value: float) -> None:
-    if not (0 <= value < math.inf):  # false for nan too
+    if not (0 <= _real(name, value) < math.inf):  # false for nan too
         raise SettingError(name, f"{name} must be non-negative and finite, got {value!r}")
 
 
 def _is_integer(n) -> bool:
     """True for a Python or numpy integer, false for a bool."""
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-
-
-class GridMismatchError(SavError, ValueError):
-    """Raised when fields, or an array and its grid, disagree on the grid, shape or basis."""
-
-
-class IndefiniteOperatorError(SavError, ValueError):
-    """Raised when a shifted diagonal solve has a non-positive denominator."""
 
 
 class Basis(enum.Enum):
@@ -273,7 +275,8 @@ class Field:
     def from_physical(cls, grid: Grid, values) -> "Field":
         arr = np.asarray(values, dtype=float)
         if arr.shape != grid.extents:
-            raise GridMismatchError(f"physical shape {arr.shape} does not match grid extents {grid.extents}")
+            raise SettingError(
+                "values", f"physical shape {arr.shape} does not match grid extents {grid.extents}")
         return cls(grid, physical=arr)
 
     @classmethod
@@ -281,7 +284,8 @@ class Field:
         fourier = grid.basis is Basis.FOURIER2D
         arr = np.asarray(coeffs, dtype=grid.coeff_dtype)
         if arr.shape != grid.spectral_shape:
-            raise GridMismatchError(f"spectral shape {arr.shape} does not match grid {grid.spectral_shape}")
+            raise SettingError(
+                "coeffs", f"spectral shape {arr.shape} does not match grid {grid.spectral_shape}")
         return cls(grid, spectral=_hermitianize(arr, grid.extents[0]) if fourier else arr)
 
     @classmethod
@@ -331,7 +335,7 @@ class Field:
         if not isinstance(other, Field):
             return NotImplemented
         if self.grid != other.grid:
-            raise GridMismatchError(f"fields live on different grids: {self.grid} vs {other.grid}")
+            raise SettingError("other", f"fields live on different grids: {self.grid} vs {other.grid}")
         return Field(self.grid, spectral=op(self.coeffs, other.coeffs))
 
     def __add__(self, other):
@@ -396,9 +400,8 @@ def solve_shifted(shift: float, op_symbol, rhs: Field, overwrite_rhs: bool = Fal
     if op_symbol is not last_symbol or shift != last_shift or c.dtype is not last_dtype:
         denom = shift + np.asarray(op_symbol)
         if np.min(denom) <= 0.0:
-            raise IndefiniteOperatorError(
-                f"indefinite operator: min(shift + symbol) = {np.min(denom):g} <= 0"
-            )
+            raise SettingError("op_symbol",
+                               f"indefinite operator: min(shift + symbol) = {np.min(denom):g} <= 0")
         if c.dtype.kind == "c":
             factor, apply = (1.0 / denom).astype(c.dtype), np.multiply
         else:
@@ -440,7 +443,7 @@ def inner(f: Field, g: Field) -> float:
     rounding, without transforming a field that is held in spectral form.
     """
     if f.grid != g.grid:
-        raise GridMismatchError("inner product of fields on different grids")
+        raise SettingError("g", "inner product of fields on different grids")
     grid = f.grid
     return float(grid._norm_factor * np.vdot(f.coeffs, grid._mult * g.coeffs).real)
 
@@ -472,7 +475,7 @@ def sine_derivative_values(f: Field) -> np.ndarray:
     """
     g = f.grid
     if g.basis is not Basis.SINE1D:
-        raise GridMismatchError("sine_derivative_values requires a SINE1D grid")
+        raise SettingError("f", "sine_derivative_values requires a SINE1D grid")
     n = g.extents[0]
     kj = np.sqrt(g.k2)
     padded = np.zeros(n + 2)

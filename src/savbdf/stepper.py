@@ -39,8 +39,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .problems import ProblemDefinition
-from .spectral import (Field, GridMismatchError, SavError, SettingError, _check_positive,
-                       sobolev_norm, solve_shifted)
+from .spectral import Field, SavError, SettingError, _check_positive, sobolev_norm, solve_shifted
 from .tableau import MAX_ORDER, BdfTableau, combine_history, tableau
 
 __all__ = [
@@ -220,7 +219,7 @@ def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
             raise SettingError("u0", "u0 is required for problems without an exact solution")
         u0 = problem.exact.field(0.0)
     elif u0.grid != problem.grid:
-        raise GridMismatchError(f"u0 lives on {u0.grid}, the problem on {problem.grid}")
+        raise SettingError("u0", f"u0 lives on {u0.grid}, the problem on {problem.grid}")
     u0 = _checked_level(problem, u0, 1.0, u0.max_abs(), 0, "solution")
     r, principal = problem.scaled_energy(problem.energy_terms(u0)[0], 1.0)
     state = fine = SavState(0, 0.0, (u0,), u0, r, 1.0, 1.0, r, principal)

@@ -8,9 +8,11 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from savbdf import SavError
+from savbdf import (Grid, SavError, SettingError, allen_cahn, burgers, cahn_hilliard, scalar_decay,
+                    step_count, tableau)
 
 ROOT = Path(__file__).resolve().parents[1]
 BARE = {"ValueError", "RuntimeError", "TypeError"}
@@ -65,3 +67,42 @@ def test_every_package_error_is_a_sav_error_with_the_readme_exit_code():
         assert issubclass(cls, SavError), name
         assert issubclass(cls, defined.get(base) or getattr(builtins, base)), name
         assert cls.exit_code == code, name
+
+
+FOURIER, SINE = Grid.fourier2d(8), Grid.sine1d(8)
+#: (the function, the setting it passes its argument as, a call of it with that argument)
+NUMERIC_SETTINGS = [
+    ("fourier2d", "extents", Grid.fourier2d),
+    ("sine1d", "extents", Grid.sine1d),
+    ("tableau", "order", tableau),
+    ("allen_cahn", "alpha", lambda v: allen_cahn(FOURIER, alpha=v)),
+    ("allen_cahn", "stabilization", lambda v: allen_cahn(FOURIER, stabilization=v)),
+    ("allen_cahn", "c_shift", lambda v: allen_cahn(FOURIER, c_shift=v)),
+    ("cahn_hilliard", "alpha", lambda v: cahn_hilliard(FOURIER, alpha=v)),
+    ("cahn_hilliard", "mobility", lambda v: cahn_hilliard(FOURIER, mobility=v)),
+    ("cahn_hilliard", "stabilization", lambda v: cahn_hilliard(FOURIER, stabilization=v)),
+    ("cahn_hilliard", "c_shift", lambda v: cahn_hilliard(FOURIER, c_shift=v)),
+    ("burgers", "nu", lambda v: burgers(SINE, v)),
+    ("burgers", "c_shift", lambda v: burgers(SINE, 0.1, c_shift=v)),
+    ("scalar_decay", "rate", scalar_decay),
+    ("step_count", "dt", lambda v: step_count(v, 1.0, 1)),
+    ("step_count", "T", lambda v: step_count(0.1, v, 1)),
+]
+# a c_shift of None is the documented default, not a bad value
+NOT_A_FLOAT = [pytest.param(setting, call, value, id=f"{function}-{setting}-{label}")
+               for function, setting, call in NUMERIC_SETTINGS
+               for value, label in ((10 ** 400, "10**400"), ("1", "str"), (None, "None"),
+                                    (True, "bool"), (np.bool_(True), "numpy_bool"))
+               if not (setting == "c_shift" and value is None)]
+
+
+@pytest.mark.parametrize("setting, call, value", NOT_A_FLOAT)
+def test_a_value_no_float_stands_for_is_a_setting_error_on_its_setting(setting, call, value):
+    # not the OverflowError or TypeError of the arithmetic that would read it
+    with pytest.raises(SettingError) as exc:
+        call(value)
+    assert exc.value.setting == setting
+
+
+def test_numpy_real_scalars_are_numbers():
+    assert step_count(np.float32(0.5), np.int64(1), 1) == 2

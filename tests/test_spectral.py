@@ -8,8 +8,7 @@ from savbdf import (
     Basis,
     Field,
     Grid,
-    GridMismatchError,
-    IndefiniteOperatorError,
+    SettingError,
     dealias,
     inner,
     integrate,
@@ -286,8 +285,9 @@ def test_solve_shifted_is_exact_inverse(sgrid):
 
 def test_solve_shifted_rejects_indefinite(fgrid):
     f = _random_field(fgrid, 17)
-    with pytest.raises(IndefiniteOperatorError, match="indefinite"):
+    with pytest.raises(SettingError, match="indefinite") as exc:
         solve_shifted(-1e-6, np.zeros_like(fgrid.k2), f)
+    assert exc.value.setting == "op_symbol"
 
 
 def test_solve_shifted_checks_positivity_after_a_cached_solve(fgrid):
@@ -300,11 +300,13 @@ def test_solve_shifted_checks_positivity_after_a_cached_solve(fgrid):
     other.setflags(write=False)
     first = solve_shifted(2.0, sym, f)
     assert np.array_equal(solve_shifted(2.0, sym, f).coeffs, first.coeffs)
-    with pytest.raises(IndefiniteOperatorError):
+    with pytest.raises(SettingError) as exc:
         solve_shifted(0.5, sym, f)
+    assert exc.value.setting == "op_symbol"
     solve_shifted(2.0, sym, f)
-    with pytest.raises(IndefiniteOperatorError):
+    with pytest.raises(SettingError) as exc:
         solve_shifted(2.0, other, f)
+    assert exc.value.setting == "op_symbol"
 
 
 def test_solve_shifted_rechecks_a_writeable_symbol(fgrid):
@@ -312,8 +314,9 @@ def test_solve_shifted_rechecks_a_writeable_symbol(fgrid):
     sym = np.zeros_like(fgrid.k2)
     solve_shifted(1.0, sym, f)
     sym -= 2.0
-    with pytest.raises(IndefiniteOperatorError):
+    with pytest.raises(SettingError) as exc:
         solve_shifted(1.0, sym, f)
+    assert exc.value.setting == "op_symbol"
 
 
 def test_solve_residual_bound(fgrid):
@@ -398,10 +401,12 @@ def test_mean_is_the_zero_mode_on_fourier_grids(fgrid, sgrid):
 def test_grid_mismatch_raises():
     a = Field.zeros(Grid.fourier2d(16))
     b = Field.zeros(Grid.fourier2d(32))
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(SettingError) as exc:
         _ = a + b
-    with pytest.raises(GridMismatchError):
+    assert exc.value.setting == "other"
+    with pytest.raises(SettingError) as exc:
         inner(a, b)
+    assert exc.value.setting == "g"
 
 
 def test_field_requires_some_representation(fgrid):

@@ -18,7 +18,6 @@ from savbdf import (
     ExactSolution,
     Field,
     Grid,
-    GridMismatchError,
     ProblemDefinition,
     StepMode,
     advance,
@@ -848,12 +847,15 @@ def test_u0_on_another_grid_is_a_grid_mismatch():
     ac = allen_cahn(Grid.fourier2d(16))
     coarse = random_smooth_field(Grid.fourier2d(8))
     for mode in StepMode:
-        with pytest.raises(GridMismatchError, match="u0"):
+        with pytest.raises(savbdf.SettingError, match="u0") as exc:
             run(ac, tableau(2), 0.1, 1.0, mode, u0=coarse)
-    with pytest.raises(GridMismatchError, match="u0"):
+        assert exc.value.setting == "u0"
+    with pytest.raises(savbdf.SettingError, match="u0") as exc:
         stability_probe(ac, 2, 0.1, 10, u0=coarse)
-    with pytest.raises(GridMismatchError, match="u0"):
+    assert exc.value.setting == "u0"
+    with pytest.raises(savbdf.SettingError, match="u0") as exc:
         run(burgers(Grid.sine1d(16), 0.1), tableau(2), 0.1, 1.0, u0=random_smooth_field(ac.grid))
+    assert exc.value.setting == "u0"
 
 
 def test_cascade_startup_keeps_second_order():

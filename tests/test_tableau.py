@@ -149,9 +149,9 @@ def test_combine_history_errors():
     g1, g2 = Grid.sine1d(4), Grid.sine1d(5)
     a = Field.from_physical(g1, np.zeros(4))
     b = Field.from_physical(g2, np.zeros(5))
-    from savbdf import GridMismatchError
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(SettingError) as exc:
         combine_history([1.0, 1.0], [a, b])
+    assert exc.value.setting == "other"
 
 
 def test_each_order_is_built_once_and_validated_first():
