@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .problems import ProblemDefinition
-from .spectral import Basis, Field, Grid, SettingError, _check_positive, _real
+from .spectral import Basis, Field, Grid, SettingError, _check_positive, _integer, _real
 from .stepper import (MAX_STEPS, DivergenceError, RunReport, StepMode, advance, exact_errors, run,
                       step_count)
 from .tableau import tableau
@@ -48,18 +48,15 @@ RANDOM_FIELD_MAX_MODE = 8
 
 def fit_rate(points) -> float:
     """Least-squares slope of log(err) vs log(dt) over (dt, err) pairs."""
-    pts = [(float(dt), float(err)) for dt, err in points]
+    pts = [(_real("points", dt), _real("points", err)) for dt, err in points]
     if len(pts) < 2:
         raise SettingError("points", "rate fit needs at least two points")
-    if any(not math.isfinite(dt) or not math.isfinite(err) or dt <= 0 or err <= 0
-           for dt, err in pts):
+    if not all(0 < dt < math.inf and 0 < err < math.inf for dt, err in pts):  # false for nan too
         raise SettingError("points", "rate fit needs finite positive dt and err values")
     if len({dt for dt, _ in pts}) != len(pts):
         raise SettingError("points", "rate fit needs distinct dt values")
-    log_dt = np.log([dt for dt, _ in pts])
-    log_err = np.log([err for _, err in pts])
-    slope = np.polyfit(log_dt, log_err, 1)[0]
-    return float(slope)
+    log_dt, log_err = np.log(pts).T
+    return float(np.polyfit(log_dt, log_err, 1)[0])
 
 
 def default_dt_ladder(order: int) -> tuple[float, ...]:
@@ -69,7 +66,7 @@ def default_dt_ladder(order: int) -> tuple[float, ...]:
     order 5 starts one halving below order 4 because its dt = 1/10 point is
     still pre-asymptotic in the second-derivative norm.
     """
-    if order <= 3:
+    if (order := _integer("order", order)) <= 3:
         return (1 / 40, 1 / 80, 1 / 160, 1 / 320, 1 / 640)
     if order == 4:
         return (1 / 10, 1 / 20, 1 / 40, 1 / 80)
@@ -80,7 +77,7 @@ def check_dt_ladder(dt_list, T: float, order: int) -> tuple[float, ...]:
     """The ladder as floats; raises SettingError on `dt_list` (on `T` for a bad T)
     unless it has at least three strictly decreasing entries, each dividing T
     into at least `order` steps."""
-    dts = tuple(float(dt) for dt in dt_list)
+    dts = tuple(_real("dt_list", dt) for dt in dt_list)
     if len(dts) < 3:
         raise SettingError("dt_list", "a convergence study needs at least three dt values")
     if any(b >= a for a, b in zip(dts, dts[1:])):
@@ -156,7 +153,7 @@ def random_smooth_field(grid: Grid, seed: int = 0) -> Field:
     keeps the stress data at phase-field amplitudes.  Zero mean by
     construction, so a conserved mean stays at exactly zero.
     """
-    if seed < 0:
+    if (seed := _integer("seed", seed)) < 0:
         raise SettingError("seed", f"seed must be non-negative, got {seed!r}")
     rng = np.random.default_rng(seed)
     if grid.basis is Basis.FOURIER2D:
@@ -202,7 +199,7 @@ def stability_probe(problem: ProblemDefinition, order: int, dt: float, n_steps: 
     if problem.forcing is not None:
         raise SettingError("problem", "stability_probe requires an unforced problem")
     tab = tableau(order)
-    if not order <= n_steps <= MAX_STEPS:
+    if not order <= (n_steps := _integer("n_steps", n_steps)) <= MAX_STEPS:
         raise SettingError("n_steps", f"n_steps must cover the order-{order} startup and stay "
                                       f"within the step cap, {order}..{MAX_STEPS}; got {n_steps!r}")
     if not 0 < n_steps * _real("dt", dt) < math.inf:  # n_steps >= 1, so dt too; false for nan
@@ -251,7 +248,7 @@ def burgers_horizon(dt: float, dt_ref: float, T: float, order: int) -> tuple[flo
     for name, value in (("dt", dt), ("T", T), ("dt_ref", dt_ref)):
         _check_positive(name, value)
     # an infinite ratio cannot be rounded: clamped, it fails the cap instead
-    n_cmp = max(round(min(T / dt, sys.float_info.max)), order)
+    n_cmp = max(round(min(T / dt, sys.float_info.max)), _integer("order", order))
     t_end = n_cmp * dt
     step_count(dt, t_end, order)
     n_ref = max(round(min(t_end / dt_ref, sys.float_info.max)), n_cmp)

@@ -91,6 +91,17 @@ def _real(name: str, value) -> float:
                                  f"{value.bit_length()} bits") from None
 
 
+def _integer(name: str, value, kind: str = "an integer") -> int:
+    """`value` as an int: an int or a numpy integer, not a bool, that Python can print;
+    else a SettingError on `name`, which names a longer int by its bit length."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise SettingError(name, f"{name} must be {kind}, got {type(value).__name__}")
+    try:  # through its digits, so that an int a site's message could not print stops here
+        return int(str(value))
+    except ValueError:
+        raise SettingError(name, f"{name}: an int of {value.bit_length()} bits, too long to print") from None
+
+
 def _check_positive(name: str, value: float) -> None:
     if not (0 < _real(name, value) < math.inf):  # false for nan too
         raise SettingError(name, f"{name} must be positive and finite, got {value!r}")
@@ -99,11 +110,6 @@ def _check_positive(name: str, value: float) -> None:
 def _check_non_negative(name: str, value: float) -> None:
     if not (0 <= _real(name, value) < math.inf):  # false for nan too
         raise SettingError(name, f"{name} must be non-negative and finite, got {value!r}")
-
-
-def _is_integer(n) -> bool:
-    """True for a Python or numpy integer, false for a bool."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
 class Basis(enum.Enum):
@@ -127,12 +133,12 @@ class Grid:
     )
 
     def __init__(self, basis: Basis, extents: tuple[int, ...]):
-        if not all(_is_integer(n) and n > 0 for n in extents):
+        self.basis = basis
+        self.extents = extents = tuple(_integer("extents", n, "positive integers") for n in extents)
+        if not all(n > 0 for n in extents):
             raise SettingError("extents", f"extents must be positive integers, got {extents}")
         if 16 * math.prod(extents) > np.iinfo(np.intp).max:  # numpy's largest complex array
             raise SettingError("extents", f"extents {extents} exceed numpy's largest array")
-        self.basis = basis
-        self.extents = tuple(int(n) for n in extents)
 
         if basis is Basis.FOURIER2D:
             if len(extents) != 2:
@@ -398,7 +404,7 @@ def solve_shifted(shift: float, op_symbol, rhs: Field, overwrite_rhs: bool = Fal
     c = rhs.coeffs
     last_shift, last_symbol, last_dtype, factor, apply = _last_solve
     if op_symbol is not last_symbol or shift != last_shift or c.dtype is not last_dtype:
-        denom = shift + np.asarray(op_symbol)
+        denom = _real("shift", shift) + np.asarray(op_symbol)
         if np.min(denom) <= 0.0:
             raise SettingError("op_symbol",
                                f"indefinite operator: min(shift + symbol) = {np.min(denom):g} <= 0")
@@ -428,7 +434,7 @@ def _weighted_sum(grid: Grid, c: np.ndarray, weight) -> float:
 
 def sobolev_norm(f: Field, s: float = 0.0) -> float:
     """Spectral H^s norm: sqrt(sum (1 + |k|^2)^s |f_hat|^2), L2 at s = 0."""
-    return float(np.sqrt(_weighted_sum(f.grid, f.coeffs, f.grid._sobolev_weight(s))))
+    return float(np.sqrt(_weighted_sum(f.grid, f.coeffs, f.grid._sobolev_weight(_real("s", s)))))
 
 
 def quadratic_form(symbol, f: Field) -> float:

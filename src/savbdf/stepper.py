@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .problems import ProblemDefinition
-from .spectral import Field, SavError, SettingError, _check_positive, sobolev_norm, solve_shifted
+from .spectral import Field, SavError, SettingError, _check_positive, _integer, sobolev_norm, solve_shifted
 from .tableau import MAX_ORDER, BdfTableau, combine_history, tableau
 
 __all__ = [
@@ -74,6 +74,15 @@ ZERO_LEVEL = float(np.finfo(float).tiny / np.finfo(float).eps)
 class StepMode(enum.Enum):
     SAV = "sav"
     IMEX = "imex"
+
+
+def _step_mode(mode) -> StepMode:
+    """A StepMode member as it is, "sav" or "imex" as its member; else SettingError("mode")."""
+    if mode is StepMode.SAV or mode is StepMode.IMEX:
+        return mode
+    if isinstance(mode, str) and mode in ("sav", "imex"):
+        return StepMode(mode)
+    raise SettingError("mode", "mode must be StepMode.SAV or StepMode.IMEX, or its value 'sav' or 'imex'")
 
 
 class DivergenceError(SavError, RuntimeError):
@@ -148,6 +157,7 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
     step reads stays unchanged.  Overflow in a diverging trajectory raises
     DivergenceError at a finiteness guard, not an arithmetic warning."""
     _check_positive("dt", dt)
+    mode = _step_mode(mode)
     k = tab.order
     if len(state.u_history) < k:
         raise SettingError("state", f"order-{k} step needs {k} history levels, have {len(state.u_history)}")
@@ -209,6 +219,7 @@ def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
     A cascade whose substep is too small for its highest order's shift is a bad dt.
     """
     _check_positive("dt", dt)
+    mode = _step_mode(mode)
     sub_dt = dt / CASCADE_SUBSTEPS
     if problem.exact is None and tab.order > 1 and (
             sub_dt == 0.0 or tableau(tab.order - 1).floats[0] / sub_dt == math.inf):
@@ -231,7 +242,7 @@ def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
             u = problem.exact.field(t)
             u = _checked_level(problem, u, 1.0, u.max_abs(), level, "solution")
             r, xi, eta, terms = state.r, 1.0, 1.0, None
-            if mode is StepMode.SAV:  # the update's terms are u's own: eta is not applied to u
+            if mode is not StepMode.IMEX:  # the update's terms are u's own: eta is not applied to u
                 f = None if problem.forcing is None else problem.forcing(t)
                 r, xi, eta, terms = _sav_update(problem, tab, r, problem.update_terms(u, f), dt, level)
         else:
@@ -343,7 +354,8 @@ class RunReport:
 def step_count(dt: float, T: float, order: int) -> int:
     """Steps of size dt to reach T; T must be a whole number of steps of dt,
     enough to host the order-`order` startup and at most MAX_STEPS.  A
-    SettingError names `T` for a bad T alone, else `dt`."""
+    SettingError names `T` for a bad T alone, `order` for an order that is
+    not an integer, else `dt`."""
     _check_positive("dt", dt)
     _check_positive("T", T)
     if T / dt >= MAX_STEPS + 0.5:  # round(T / dt) > MAX_STEPS, with no rounding of an inf
@@ -352,7 +364,7 @@ def step_count(dt: float, T: float, order: int) -> int:
     n_steps = round(T / dt)
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * T:
         raise SettingError("dt", f"dt = {dt} does not divide T = {T} into whole steps")
-    if n_steps < order:
+    if n_steps < _integer("order", order):
         raise SettingError("dt", f"run of {n_steps} steps cannot host an order-{order} startup")
     return n_steps
 

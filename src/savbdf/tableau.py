@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import comb
 
-from .spectral import SettingError, _is_integer
+from .spectral import SettingError, _integer
 
 __all__ = ["BdfTableau", "tableau", "combine_history"]
 
@@ -82,9 +82,9 @@ def tableau(order: int) -> BdfTableau:
     """Return the order-`order` tableau, whose eta exponent follows the order;
     the order may be a numpy integer, held as a plain int.  Each order's
     tableau is built once per process and shared, as it is immutable."""
-    if not _is_integer(order) or not 1 <= order <= MAX_ORDER:
+    if not 1 <= (order := _integer("order", order)) <= MAX_ORDER:
         raise SettingError("order", f"unsupported order {order!r}: must be an integer in 1..{MAX_ORDER}")
-    return _build_tableau(int(order))
+    return _build_tableau(order)
 
 
 @cache  # keyed by the validated int, as a cache keyed by the argument would take 2.0 for 2

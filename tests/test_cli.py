@@ -100,6 +100,15 @@ def test_malformed_values_are_config_errors(tmp_path, key, value):
         parse_config(write_config(tmp_path, {"experiment": experiment, key: value}))
 
 
+@pytest.mark.parametrize("data, match", [
+    (["run"], "must hold a flat JSON object"),
+    ({"experiment": "bogus"}, "key 'experiment': 'bogus' not one of"),
+])
+def test_a_config_file_without_a_known_experiment_is_a_config_error(tmp_path, data, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(write_config(tmp_path, data))
+
+
 def test_requires_experiment():
     with pytest.raises(ConfigError, match="experiment"):
         parse_config(None, {})
@@ -235,6 +244,15 @@ def test_invalid_json_is_usage_error(tmp_path, capsys):
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: config file")
+
+
+def test_an_out_directory_that_cannot_be_made_is_one_io_failure_line(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = main(["run", "--grid", "8", "--dt", "0.1", "--T", "0.2", "--out", str(blocker / "out")])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("I/O failure: ")
 
 
 def test_non_utf8_config_is_usage_error(tmp_path, capsys):

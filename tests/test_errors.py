@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from savbdf import (Grid, SavError, SettingError, allen_cahn, burgers, cahn_hilliard, scalar_decay,
-                    step_count, tableau)
+from savbdf import (Field, Grid, SavError, SettingError, allen_cahn, burgers, burgers_horizon,
+                    cahn_hilliard, convergence_study, default_dt_ladder, fit_rate,
+                    random_smooth_field, scalar_decay, sobolev_norm, solve_shifted,
+                    stability_probe, step_count, tableau, with_manufactured_forcing)
 
 ROOT = Path(__file__).resolve().parents[1]
 BARE = {"ValueError", "RuntimeError", "TypeError"}
@@ -70,6 +72,8 @@ def test_every_package_error_is_a_sav_error_with_the_readme_exit_code():
 
 
 FOURIER, SINE = Grid.fourier2d(8), Grid.sine1d(8)
+F = Field.from_physical(FOURIER, np.cos(np.pi * FOURIER.points[0]))
+MANUFACTURED = with_manufactured_forcing(allen_cahn(FOURIER))
 #: (the function, the setting it passes its argument as, a call of it with that argument)
 NUMERIC_SETTINGS = [
     ("fourier2d", "extents", Grid.fourier2d),
@@ -87,6 +91,12 @@ NUMERIC_SETTINGS = [
     ("scalar_decay", "rate", scalar_decay),
     ("step_count", "dt", lambda v: step_count(v, 1.0, 1)),
     ("step_count", "T", lambda v: step_count(0.1, v, 1)),
+    # a list entry stands for a number too
+    ("convergence_study", "dt_list", lambda v: convergence_study(MANUFACTURED, 3, [0.1, v, 0.01])),
+    ("fit_rate", "points", lambda v: fit_rate([(v, 1.0), (0.1, 2.0)])),
+    ("sobolev_norm", "s", lambda v: sobolev_norm(F, v)),
+    # a symbol of its own, as a bool equal to the last solve's shift would read that solve's factor
+    ("solve_shifted", "shift", lambda v: solve_shifted(v, FOURIER.k2.copy(), F)),
 ]
 # a c_shift of None is the documented default, not a bad value
 NOT_A_FLOAT = [pytest.param(setting, call, value, id=f"{function}-{setting}-{label}")
@@ -106,3 +116,52 @@ def test_a_value_no_float_stands_for_is_a_setting_error_on_its_setting(setting, 
 
 def test_numpy_real_scalars_are_numbers():
     assert step_count(np.float32(0.5), np.int64(1), 1) == 2
+
+
+def test_list_entries_that_are_no_number_are_setting_errors_on_the_list():
+    for setting, call in (
+            ("dt_list", lambda: convergence_study(MANUFACTURED, 3, ["a", "b", "c"])),
+            ("dt_list", lambda: convergence_study(MANUFACTURED, 3, [0.1, None, 0.01])),
+            ("points", lambda: fit_rate([("a", 1.0), (0.1, 2.0)]))):
+        with pytest.raises(SettingError) as exc:
+            call()
+        assert exc.value.setting == setting
+
+
+#: (the function, the setting it passes its argument as, a call of it with that argument)
+INTEGER_SETTINGS = [
+    ("step_count", "order", lambda v: step_count(0.1, 1.0, v)),
+    ("default_dt_ladder", "order", default_dt_ladder),
+    ("burgers_horizon", "order", lambda v: burgers_horizon(0.1, 0.01, 1.0, v)),
+    ("stability_probe", "n_steps", lambda v: stability_probe(allen_cahn(FOURIER), 1, 0.1, v)),
+    ("random_smooth_field", "seed", lambda v: random_smooth_field(FOURIER, seed=v)),
+]
+TOO_LONG_TO_PRINT = 10 ** 5000  # more digits than Python converts to a str
+NOT_AN_INT = [pytest.param(setting, call, value, id=f"{function}-{setting}-{label}")
+              for function, setting, call in INTEGER_SETTINGS
+              for value, label in (("1", "str"), (None, "None"), (True, "bool"),
+                                   (np.bool_(True), "numpy_bool"), (1.5, "float"),
+                                   (TOO_LONG_TO_PRINT, "10**5000"))] + [
+    pytest.param("order", tableau, TOO_LONG_TO_PRINT, id="tableau-order-10**5000"),
+    pytest.param("extents", Grid.sine1d, TOO_LONG_TO_PRINT, id="sine1d-extents-10**5000"),
+    pytest.param("extents", Grid.fourier2d, 2 * TOO_LONG_TO_PRINT, id="fourier2d-extents-10**5000"),
+]
+
+
+@pytest.mark.parametrize("setting, call, value", NOT_AN_INT)
+def test_a_value_no_int_stands_for_is_a_setting_error_on_its_setting(setting, call, value):
+    # not the TypeError of a comparison, nor the ValueError of a message that prints the int
+    with pytest.raises(SettingError) as exc:
+        call(value)
+    assert exc.value.setting == setting
+    if value is TOO_LONG_TO_PRINT:
+        assert str(exc.value) == f"{setting}: an int of 16610 bits, too long to print"
+
+
+def test_integer_settings_keep_numpy_integers_and_numpy_s_whole_seed_range():
+    assert step_count(0.5, 1.0, np.int64(2)) == 2
+    assert default_dt_ladder(np.int32(4)) == default_dt_ladder(4)
+    assert np.array_equal(random_smooth_field(FOURIER, seed=np.uint64(7)).values,
+                          random_smooth_field(FOURIER, seed=7).values)
+    # a printable int of any size is a seed numpy takes
+    assert np.std(random_smooth_field(FOURIER, seed=2 ** 4000).values) == pytest.approx(1.0)

@@ -457,3 +457,14 @@ def test_reference_run_energy_non_increasing(grid):
     energies = [rec.energy for rec in report.records]
     for before, after in zip(energies, energies[1:]):
         assert after <= before + 1e-6
+
+
+# -- scalar decay -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rate, t", [(1.0, 0.0), (2.5, 0.3), (0.0, 1.0)])
+def test_scalar_decay_time_derivative_is_the_solution_s(rate, t):
+    # d/dt exp(-rate t) = -rate exp(-rate t), as the sole coefficient of its field
+    exact = scalar_decay(rate).exact
+    assert exact.time_derivative(t).coeffs.tolist() == [-rate * math.exp(-rate * t)]
+    assert exact.time_derivative(t).coeffs.tolist() == [-rate * exact.field(t).coeffs[0]]

@@ -46,6 +46,22 @@ def test_grid_validation():
         Grid(Basis.SINE1D, (8, 8))  # a sine grid is one-dimensional
 
 
+def test_a_fourier_grid_is_two_dimensional():
+    with pytest.raises(SettingError, match="FOURIER2D grids are two-dimensional") as exc:
+        Grid(Basis.FOURIER2D, (8,))
+    assert exc.value.setting == "extents"
+
+
+@pytest.mark.parametrize("make, arg", [
+    (Field.from_physical, "values"), (Field.from_spectral, "coeffs"),
+])
+def test_an_array_of_the_wrong_shape_is_a_setting_error_on_it(make, arg):
+    grid = Grid.fourier2d(8)
+    with pytest.raises(SettingError, match="shape \\(8, 4\\) does not match") as exc:
+        make(grid, np.zeros((8, 4)))
+    assert exc.value.setting == arg
+
+
 @pytest.mark.parametrize("basis, extents", [
     (Basis.FOURIER2D, (8.7, 8)), (Basis.FOURIER2D, (8, 8.0)), (Basis.SINE1D, (True,)),
 ])

@@ -34,7 +34,7 @@ from savbdf import (
     with_manufactured_forcing,
 )
 from savbdf.harness import random_smooth_field
-from savbdf.stepper import MAX_STEPS, ZERO_LEVEL, _make_record, step_count
+from savbdf.stepper import MAX_STEPS, ZERO_LEVEL, _make_record, exact_errors, step_count
 
 
 # Frozen oracle, derived independently with exact rational arithmetic for
@@ -318,6 +318,36 @@ def test_advance_is_run_without_records(name, mode):
         for got, want in zip(final.u_history, rep.final_state.u_history, strict=True):
             assert np.array_equal(got.values, want.values)
     assert sink == rep.records
+
+
+@pytest.mark.parametrize("name, member", [("imex", StepMode.IMEX), ("sav", StepMode.SAV)])
+def test_a_mode_named_by_its_value_runs_its_member_s_scheme(name, member):
+    # at the startup levels and at every step alike: one scheme, not a mix of the two
+    p = with_manufactured_forcing(allen_cahn(Grid.fourier2d(16)))
+    got, want = (run(p, tableau(2), 0.1, 1.0, mode=mode) for mode in (name, member))
+    assert repr(got.records) == repr(want.records)  # the shortest repr is exact: bit for bit
+    for a, b in zip(got.final_state.u_history, want.final_state.u_history, strict=True):
+        assert a.values.tobytes() == b.values.tobytes()
+    if member is StepMode.IMEX:
+        assert got.final.r == 2.0  # IMEX leaves r at r0
+
+
+def test_an_unknown_mode_raises_before_any_level():
+    p = with_manufactured_forcing(allen_cahn(Grid.fourier2d(16)))
+    sink = []
+    for call in (lambda: advance(p, tableau(2), 0.1, 1.0, "bogus", None, sink),
+                 lambda: step(initialize(p, tableau(2), 0.1), p, tableau(2), 0.1, "bogus"),
+                 lambda: run(p, tableau(2), 0.1, 1.0, mode=1)):
+        with pytest.raises(savbdf.SettingError) as exc:
+            call()
+        assert exc.value.setting == "mode"
+    assert sink == []
+
+
+def test_exact_errors_are_none_without_an_exact_solution():
+    p = allen_cahn(Grid.fourier2d(16))
+    assert p.exact is None
+    assert exact_errors(p, initialize(p, tableau(1), 0.1, u0=random_smooth_field(p.grid))) is None
 
 
 def _burgers_case(order, mode=StepMode.SAV):
