@@ -34,7 +34,7 @@ import numpy as np
 from .harness import burgers_compare, convergence_study, default_dt_ladder, stability_probe
 from .problems import allen_cahn, burgers, cahn_hilliard, with_manufactured_forcing
 from .spectral import Field, Grid, SavError, SettingError
-from .stepper import StepMode, run
+from .stepper import Scheme, StepMode, run
 from .tableau import tableau
 
 __all__ = ["RunConfig", "ConfigError", "CheckFailed", "parse_config", "execute", "main", "console_main"]
@@ -321,8 +321,7 @@ def _execute_run(cfg: RunConfig, out: Path) -> None:
     if problem.exact is None:
         (x,) = problem.grid.points
         u0 = Field.from_physical(problem.grid, -np.sin(np.pi * x))
-    tab = tableau(cfg.order)
-    report = run(problem, tab, cfg.dt, cfg.T, mode=StepMode(cfg.mode), u0=u0)
+    report = run(problem, Scheme(tableau(cfg.order), cfg.dt, cfg.mode), cfg.T, u0)
     _write_csv(out / "trace.csv", TRACE_COLUMNS, map(_trace_row, report.records))
     summary = {
         "problem": cfg.problem,

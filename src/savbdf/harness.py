@@ -19,8 +19,8 @@ import numpy as np
 
 from .problems import ProblemDefinition
 from .spectral import Basis, Field, Grid, SettingError, _check_positive, _integer, _real
-from .stepper import (MAX_STEPS, DivergenceError, RunReport, StepMode, advance, exact_errors, run,
-                      step_count)
+from .stepper import (MAX_STEPS, DivergenceError, RunReport, Scheme, StepMode, advance, exact_errors,
+                      run, step_count)
 from .tableau import tableau
 
 __all__ = [
@@ -135,7 +135,7 @@ def convergence_study(problem: ProblemDefinition, order: int, dt_list=None,
 
     def one_case(dt: float) -> ConvergenceEntry:
         try:
-            final = advance(problem, tab, dt, T)
+            final = advance(problem, Scheme(tab, dt), T)
         except DivergenceError:
             return ConvergenceEntry(dt, None, None, None)
         return ConvergenceEntry(dt, *exact_errors(problem, final))
@@ -206,7 +206,7 @@ def stability_probe(problem: ProblemDefinition, order: int, dt: float, n_steps: 
         raise SettingError("dt", f"dt and n_steps * dt must be positive and finite, got {dt!r}")
     if u0 is None:
         u0 = random_smooth_field(problem.grid, seed=seed)
-    report = run(problem, tab, dt, n_steps * dt, mode=StepMode.SAV, u0=u0)
+    report = run(problem, Scheme(tab, dt), n_steps * dt, u0)
 
     violations: list[str] = []
     sup_all = report.sup_principal
@@ -248,7 +248,8 @@ def burgers_horizon(dt: float, dt_ref: float, T: float, order: int) -> tuple[flo
     for name, value in (("dt", dt), ("T", T), ("dt_ref", dt_ref)):
         _check_positive(name, value)
     # an infinite ratio cannot be rounded: clamped, it fails the cap instead
-    n_cmp = max(round(min(T / dt, sys.float_info.max)), _integer("order", order))
+    order = tableau(order).order  # a bad order is its SettingError, before n_cmp can take it
+    n_cmp = max(round(min(T / dt, sys.float_info.max)), order)
     t_end = n_cmp * dt
     step_count(dt, t_end, order)
     n_ref = max(round(min(t_end / dt_ref, sys.float_info.max)), n_cmp)
@@ -280,11 +281,11 @@ def burgers_compare(problem: ProblemDefinition, dt: float = 8.5e-3, dt_ref: floa
     (x,) = grid.points
     u0 = Field.from_physical(grid, -np.sin(np.pi * x))
 
-    u_ref = advance(problem, tab, dt_ref_eff, t_end, mode=StepMode.SAV, u0=u0).u_history[0].values
+    u_ref = advance(problem, Scheme(tab, dt_ref_eff), t_end, u0).u_history[0].values
     ref_peak = float(np.max(np.abs(u_ref)))
     if ref_peak == 0.0:
         raise SettingError("nu", "the reference decayed to zero, so the overshoots are undefined")
-    sav = run(problem, tab, dt, t_end, mode=StepMode.SAV, u0=u0)
+    sav = run(problem, Scheme(tab, dt), t_end, u0)
     u_sav = sav.final_state.u_history[0].values
     dev_sav = float(np.max(np.abs(u_sav - u_ref)))
     over_sav = float(np.max(np.abs(u_sav))) / ref_peak
@@ -292,7 +293,7 @@ def burgers_compare(problem: ProblemDefinition, dt: float = 8.5e-3, dt_ref: floa
     # the baseline diverges by raising, or by finite coefficients within a
     # factor of the mode count of the largest float, whose transform overflows
     try:
-        u_imex = advance(problem, tab, dt, t_end, mode=StepMode.IMEX, u0=u0).u_history[0].values
+        u_imex = advance(problem, Scheme(tab, dt, StepMode.IMEX), t_end, u0).u_history[0].values
     except DivergenceError:
         u_imex = None
     if u_imex is None or not np.all(np.isfinite(u_imex)):

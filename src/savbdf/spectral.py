@@ -134,6 +134,8 @@ class Grid:
 
     def __init__(self, basis: Basis, extents: tuple[int, ...]):
         self.basis = basis
+        if not np.iterable(extents):
+            raise SettingError("extents", f"extents must be a sequence, got {type(extents).__name__}")
         self.extents = extents = tuple(_integer("extents", n, "positive integers") for n in extents)
         if not all(n > 0 for n in extents):
             raise SettingError("extents", f"extents must be positive integers, got {extents}")
@@ -397,13 +399,17 @@ def solve_shifted(shift: float, op_symbol, rhs: Field, overwrite_rhs: bool = Fal
     A time loop solves with one shift and one symbol step after step, so
     that factor, checked positive, is kept for the last read-only symbol,
     which cannot change under it; the entry holds the symbol, so its
-    identity cannot pass to another array.  With `overwrite_rhs` the
-    solution is written into rhs's coefficients, which the caller owns.
+    identity cannot pass to another array.  The entry is keyed on the shift
+    object too, not its value: a run passes its `Scheme.shift` at every
+    step, so every step hits, while an equal shift computed anew (or a bool
+    equal to it) takes one miss, which checks it and gives the same bits.
+    With `overwrite_rhs` the solution is written into rhs's coefficients,
+    which the caller owns.
     """
     global _last_solve
     c = rhs.coeffs
     last_shift, last_symbol, last_dtype, factor, apply = _last_solve
-    if op_symbol is not last_symbol or shift != last_shift or c.dtype is not last_dtype:
+    if op_symbol is not last_symbol or shift is not last_shift or c.dtype is not last_dtype:
         denom = _real("shift", shift) + np.asarray(op_symbol)
         if np.min(denom) <= 0.0:
             raise SettingError("op_symbol",

@@ -13,6 +13,9 @@ One step advances (u^n histories, r^n) by, in order:
 3. xi^{n+1} = r^{n+1} / E(ubar^{n+1})
 4. u^{n+1} = eta * ubar^{n+1}  with  eta = 1 - (1 - xi^{n+1})**p.
 
+A run's tableau, dt and mode are one `Scheme`, checked when it is built, so
+a step reads them and checks none.
+
 IMEX mode skips 2-4 (eta == 1), giving the classical implicit-explicit BDFk
 baseline.  The extrapolated nonlinear term consumes the corrected history:
 of the two interchangeable variants (feeding g with ubar- or with u-history,
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -44,6 +47,7 @@ from .tableau import MAX_ORDER, BdfTableau, combine_history, tableau
 
 __all__ = [
     "StepMode",
+    "Scheme",
     "SavState",
     "StepRecord",
     "RunReport",
@@ -76,13 +80,29 @@ class StepMode(enum.Enum):
     IMEX = "imex"
 
 
-def _step_mode(mode) -> StepMode:
-    """A StepMode member as it is, "sav" or "imex" as its member; else SettingError("mode")."""
-    if mode is StepMode.SAV or mode is StepMode.IMEX:
-        return mode
-    if isinstance(mode, str) and mode in ("sav", "imex"):
-        return StepMode(mode)
-    raise SettingError("mode", "mode must be StepMode.SAV or StepMode.IMEX, or its value 'sav' or 'imex'")
+@dataclass(frozen=True)
+class Scheme:
+    """The scheme of a run: the order-k tableau `tab`, the step `dt`, the `mode`, and
+    `shift` = alpha_k/dt, the shift of every solve.  Building one is the one place
+    these settings are checked: dt positive and finite, the mode a StepMode member
+    or its value "sav" or "imex" (held as its member), and a finite shift, else
+    SettingError on `dt` or `mode`.  So a step checks none of them.  Immutable;
+    `dataclasses.replace` builds a new scheme through the same checks.
+    """
+
+    tab: BdfTableau
+    dt: float
+    mode: StepMode = StepMode.SAV
+    shift: float = field(init=False)
+
+    def __post_init__(self):
+        _check_positive("dt", self.dt)
+        mode = StepMode(m) if isinstance(m := self.mode, str) and m in ("sav", "imex") else m
+        if mode is not StepMode.SAV and mode is not StepMode.IMEX:
+            raise SettingError("mode", "mode must be a StepMode or its value 'sav' or 'imex'")
+        if (shift := self.tab.floats[0] / self.dt) == math.inf:  # then 1/dt <= shift is finite too
+            raise SettingError("dt", f"a step of {self.dt!r} is too small: alpha_k/dt overflows")
+        vars(self).update(mode=mode, shift=shift)  # the frozen class's own __setattr__ refuses
 
 
 class DivergenceError(SavError, RuntimeError):
@@ -115,10 +135,11 @@ class SavState(NamedTuple):
     principal_norm_sq: float
 
 
-def _sav_update(problem: ProblemDefinition, tab: BdfTableau, r: float, update: tuple,
-                dt: float, index: int) -> tuple[float, float, float, tuple]:
-    """The closed-form scalar update from `ProblemDefinition.update_terms` along ubar;
-    returns (r, xi, eta) and ubar's terms for `ProblemDefinition.scaled_energy`.
+def _sav_update(problem: ProblemDefinition, scheme: Scheme, r: float, update: tuple,
+                index: int) -> tuple[float, float, float, tuple]:
+    """The closed-form scalar update from `ProblemDefinition.update_terms` along ubar, at
+    the scheme's dt and p; returns (r, xi, eta) and ubar's terms for
+    `ProblemDefinition.scaled_energy`.
 
     Unforced, the work is 0 and r^{n+1} = r^n / (1 + dt K / E) lies in [0, r^n] for any dt
     with no check.  K is a weighted sum of w |c|^2 with w >= 0, so it is >= 0, inf or nan.
@@ -128,14 +149,14 @@ def _sav_update(problem: ProblemDefinition, tab: BdfTableau, r: float, update: t
     DivergenceError("scalar variable").
     """
     energy, kappa, work, terms = update
-    r_new = (r + dt * work) / (1.0 + dt * kappa / energy)
+    r_new = (r + scheme.dt * work) / (1.0 + scheme.dt * kappa / energy)
     if not math.isfinite(r_new):
         if problem.forcing is not None or energy != math.inf:
             raise DivergenceError(index, "scalar variable")
         r_new = 0.0  # inf/inf at an overflowed E: xi = 0 for any r_new in [0, r]; 0 is the limit
     xi = r_new / energy
     try:  # a huge finite xi overflows the float power, which raises rather than give inf
-        return r_new, xi, 1.0 - (1.0 - xi) ** tab.eta_exponent, terms
+        return r_new, xi, 1.0 - (1.0 - xi) ** scheme.tab.eta_exponent, terms
     except OverflowError:
         raise DivergenceError(index, "correction factor") from None
 
@@ -150,22 +171,18 @@ def _checked_level(problem: ProblemDefinition, u: Field, s: float, peak: float, 
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float,
-         mode: StepMode = StepMode.SAV) -> SavState:
-    """Advance one step of size dt; returns the new state.  At every order the drift and
-    the extrapolation are `combine_history` combinations, new arrays, so the history the
-    step reads stays unchanged.  Overflow in a diverging trajectory raises
-    DivergenceError at a finiteness guard, not an arithmetic warning."""
-    _check_positive("dt", dt)
-    mode = _step_mode(mode)
-    k = tab.order
+def step(state: SavState, problem: ProblemDefinition, scheme: Scheme) -> SavState:
+    """Advance one step of the scheme; returns the new state.  The scheme's settings were
+    checked when it was built, so the step checks only that the state holds k levels.
+    At every order the drift and the extrapolation are `combine_history` combinations,
+    new arrays, so the history the step reads stays unchanged.  Overflow in a diverging
+    trajectory raises DivergenceError at a finiteness guard, not an arithmetic warning."""
+    k, dt = scheme.tab.order, scheme.dt
     if len(state.u_history) < k:
         raise SettingError("state", f"order-{k} step needs {k} history levels, have {len(state.u_history)}")
     next_index = state.step_index + 1
     t_next = state.time + dt
-    alpha, a, b = tab.floats
-    if (shift := alpha / dt) == math.inf:  # the solve's; then 1/dt <= shift is finite too
-        raise SettingError("dt", f"a step of {dt!r} is too small: alpha_k/dt overflows")
+    _, a, b = scheme.tab.floats
 
     history = state.u_history[:k]
     if (state.principal_norm_sq == 0.0 and problem.forcing is None and problem.transport is None
@@ -182,17 +199,17 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
         extrapolated = Field(problem.grid, physical=combine_history(b, [u.values for u in history]))
         drift *= 1.0 / dt  # the combination is a new array: the right-hand side in place
         drift -= problem.nonlinear(extrapolated, f).coeffs
-        ubar = solve_shifted(shift, problem.linear_symbol, Field(problem.grid, spectral=drift),
+        ubar = solve_shifted(scheme.shift, problem.linear_symbol, Field(problem.grid, spectral=drift),
                              overwrite_rhs=True)
-        update = None if mode is StepMode.IMEX else problem.update_terms(ubar, f)
+        update = None if scheme.mode is StepMode.IMEX else problem.update_terms(ubar, f)
         peak = ubar.max_abs()  # after the update: ubar's values on a phase field
     if not math.isfinite(peak):
         raise DivergenceError(next_index, "uncorrected solution")
-    if mode is StepMode.IMEX:
+    if scheme.mode is StepMode.IMEX:
         r_new, xi, eta = state.r, 1.0, 1.0
         terms = problem.energy_terms(ubar)[0] if update is None else update[3]
     else:
-        r_new, xi, eta, terms = _sav_update(problem, tab, state.r, update, dt, next_index)
+        r_new, xi, eta, terms = _sav_update(problem, scheme, state.r, update, next_index)
     # max|fl(eta v)| = fl(|eta| max|v|), as rounding is monotone and odd: no second scan
     u_new = _checked_level(problem, ubar, eta, abs(eta) * peak, next_index, "corrected solution")
     if eta == 0.0:  # u = 0: the zero level's terms, as 0 times an overflowed term of ubar is nan
@@ -204,8 +221,7 @@ def step(state: SavState, problem: ProblemDefinition, tab: BdfTableau, dt: float
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
-               u0: Field | None = None, mode: StepMode = StepMode.SAV,
+def initialize(problem: ProblemDefinition, scheme: Scheme, u0: Field | None = None,
                record_sink: Optional[list] = None) -> SavState:
     """Build a state with the k-1 startup levels filled.
 
@@ -216,15 +232,15 @@ def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
     one continuous fine trajectory so each stage has enough fine history.
     Every level's E(u) and (L u, u) are evaluated on that level.  As in `step`,
     overflow reads inf or raises DivergenceError, not an arithmetic warning.
-    A cascade whose substep is too small for its highest order's shift is a bad dt.
+    The cascade's schemes, one per startup level, are built before any work, so a
+    substep too small for its scheme is a SettingError on the dt given.
     """
-    _check_positive("dt", dt)
-    mode = _step_mode(mode)
-    sub_dt = dt / CASCADE_SUBSTEPS
-    if problem.exact is None and tab.order > 1 and (
-            sub_dt == 0.0 or tableau(tab.order - 1).floats[0] / sub_dt == math.inf):
-        raise SettingError("dt", f"a step of {dt!r} is too small: alpha_k/dt overflows in its "
-                                 f"startup substeps of dt/{CASCADE_SUBSTEPS}")
+    try:
+        cascade = [Scheme(tableau(level), scheme.dt / CASCADE_SUBSTEPS, scheme.mode)
+                   for level in range(1, scheme.tab.order)] if problem.exact is None else []
+    except SettingError:
+        raise SettingError("dt", f"a step of {scheme.dt!r} is too small: alpha_k/dt overflows in its "
+                                 f"startup substeps of dt/{CASCADE_SUBSTEPS}") from None
     if u0 is None:
         if problem.exact is None:
             raise SettingError("u0", "u0 is required for problems without an exact solution")
@@ -236,19 +252,18 @@ def initialize(problem: ProblemDefinition, tab: BdfTableau, dt: float,
     state = fine = SavState(0, 0.0, (u0,), u0, r, 1.0, 1.0, r, principal)
     if record_sink is not None:
         record_sink.append(_make_record(problem, state))
-    for level in range(1, tab.order):
-        t = level * dt
+    for level in range(1, scheme.tab.order):
+        t = level * scheme.dt
         if problem.exact is not None:
             u = problem.exact.field(t)
             u = _checked_level(problem, u, 1.0, u.max_abs(), level, "solution")
             r, xi, eta, terms = state.r, 1.0, 1.0, None
-            if mode is not StepMode.IMEX:  # the update's terms are u's own: eta is not applied to u
+            if scheme.mode is not StepMode.IMEX:  # the update's terms are u's own: eta is not applied to u
                 f = None if problem.forcing is None else problem.forcing(t)
-                r, xi, eta, terms = _sav_update(problem, tab, r, problem.update_terms(u, f), dt, level)
+                r, xi, eta, terms = _sav_update(problem, scheme, r, problem.update_terms(u, f), level)
         else:
-            sub_tab = tableau(level)
             for _ in range(CASCADE_SUBSTEPS):  # a substep's error names the level it builds
-                fine = step(fine._replace(step_index=level - 1), problem, sub_tab, sub_dt, mode)
+                fine = step(fine._replace(step_index=level - 1), problem, cascade[level - 1])
             u, r, xi, eta, terms = fine.u_history[0], fine.r, fine.last_xi, fine.last_eta, None
         energy, principal = problem.scaled_energy(terms or problem.energy_terms(u)[0], 1.0)
         state = SavState(level, t, (u,) + state.u_history, u, r, xi, eta, energy, principal)
@@ -357,6 +372,11 @@ def step_count(dt: float, T: float, order: int) -> int:
     SettingError names `T` for a bad T alone, `order` for an order that is
     not an integer, else `dt`."""
     _check_positive("dt", dt)
+    return _whole_steps(dt, T, order)
+
+
+def _whole_steps(dt: float, T: float, order: int) -> int:
+    """`step_count` for a dt already checked positive and finite."""
     _check_positive("T", T)
     if T / dt >= MAX_STEPS + 0.5:  # round(T / dt) > MAX_STEPS, with no rounding of an inf
         raise SettingError("dt", f"dt = {dt} takes more than MAX_STEPS = {MAX_STEPS} steps "
@@ -369,27 +389,25 @@ def step_count(dt: float, T: float, order: int) -> int:
     return n_steps
 
 
-def advance(problem: ProblemDefinition, tab: BdfTableau, dt: float, T: float,
-            mode: StepMode = StepMode.SAV, u0: Field | None = None,
+def advance(problem: ProblemDefinition, scheme: Scheme, T: float, u0: Field | None = None,
             record_sink: Optional[list] = None) -> SavState:
-    """Integrate to t = T, a whole number (at least the order) of steps of dt.
+    """Integrate the scheme to t = T, a whole number (at least the order) of steps of dt.
 
     Every level's StepRecord, startup included, goes to record_sink if given;
     without one the loop computes no diagnostic.  Records never feed back into
     the state.  A non-finite value raises DivergenceError at its step_index.
     """
-    n_steps = step_count(dt, T, tab.order)
-    state = initialize(problem, tab, dt, u0=u0, mode=mode, record_sink=record_sink)
+    n_steps = _whole_steps(scheme.dt, T, scheme.tab.order)
+    state = initialize(problem, scheme, u0, record_sink)
     while state.step_index < n_steps:
-        state = step(state, problem, tab, dt, mode)
+        state = step(state, problem, scheme)
         if record_sink is not None:
             record_sink.append(_make_record(problem, state))
     return state
 
 
-def run(problem: ProblemDefinition, tab: BdfTableau, dt: float, T: float,
-        mode: StepMode = StepMode.SAV, u0: Field | None = None) -> RunReport:
+def run(problem: ProblemDefinition, scheme: Scheme, T: float, u0: Field | None = None) -> RunReport:
     """`advance` to t = T, recording every level: for runs whose trace is read."""
     records: list[StepRecord] = []
-    state = advance(problem, tab, dt, T, mode, u0, records)
+    state = advance(problem, scheme, T, u0, records)
     return RunReport(records, state)

@@ -14,6 +14,7 @@ import pytest
 
 from savbdf import (
     Grid,
+    Scheme,
     allen_cahn,
     burgers,
     burgers_compare,
@@ -88,7 +89,8 @@ def test_c2_scalar_oracle():
     problem = scalar_decay()
 
     # hand-derived first step, frozen from exact rational arithmetic
-    state = step(initialize(problem, tableau(1), 0.1), problem, tableau(1), 0.1)
+    scheme = Scheme(tableau(1), 0.1)
+    state = step(initialize(problem, scheme), problem, scheme)
     ubar = state.ubar.coeffs[0]
     first_step_err = max(
         abs(ubar - float(Fraction(10, 11))),
@@ -101,7 +103,7 @@ def test_c2_scalar_oracle():
         errs = []
         for j in range(6):
             dt = 0.1 * 2 ** -j
-            rep = run(problem, tableau(k), dt, round(1.0 / dt) * dt)
+            rep = run(problem, Scheme(tableau(k), dt), round(1.0 / dt) * dt)
             errs.append((dt, rep.final.err_l2))
         pts = [(d, e) for d, e in errs if e > ERROR_FLOOR]
         slopes[k] = fit_rate(pts)
@@ -172,7 +174,7 @@ def test_c6_xi_first_order_proximity(fourier_grid):
     problem = with_manufactured_forcing(allen_cahn(fourier_grid))
     devs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
-        rep = run(problem, tableau(2), dt, 1.0)
+        rep = run(problem, Scheme(tableau(2), dt), 1.0)
         devs.append(rep.max_xi_deviation)
     ratios = [a / b for a, b in zip(devs, devs[1:])]
     ok = all(XI_RATIO_BAND[0] <= r <= XI_RATIO_BAND[1] for r in ratios)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from savbdf import (Field, Grid, SavError, SettingError, allen_cahn, burgers, burgers_horizon,
+from savbdf import (Basis, Field, Grid, SavError, SettingError, allen_cahn, burgers, burgers_horizon,
                     cahn_hilliard, convergence_study, default_dt_ladder, fit_rate,
                     random_smooth_field, scalar_decay, sobolev_norm, solve_shifted,
                     stability_probe, step_count, tableau, with_manufactured_forcing)
@@ -145,6 +145,12 @@ NOT_AN_INT = [pytest.param(setting, call, value, id=f"{function}-{setting}-{labe
     pytest.param("order", tableau, TOO_LONG_TO_PRINT, id="tableau-order-10**5000"),
     pytest.param("extents", Grid.sine1d, TOO_LONG_TO_PRINT, id="sine1d-extents-10**5000"),
     pytest.param("extents", Grid.fourier2d, 2 * TOO_LONG_TO_PRINT, id="fourier2d-extents-10**5000"),
+    # a bare int is no tuple of extents, rather than the TypeError of iterating it
+    pytest.param("extents", lambda v: Grid(Basis.FOURIER2D, v), 8, id="Grid-fourier2d-extents-int"),
+    pytest.param("extents", lambda v: Grid(Basis.SINE1D, v), 8, id="Grid-sine1d-extents-int"),
+    # a printable but huge order, rather than the OverflowError of the step count times dt
+    pytest.param("order", lambda v: burgers_horizon(0.1, 0.01, 1.0, v), 10 ** 400,
+                 id="burgers_horizon-order-10**400"),
 ]
 
 

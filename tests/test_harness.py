@@ -9,6 +9,7 @@ from savbdf import (
     ConvergenceEntry,
     DivergenceError,
     Grid,
+    Scheme,
     advance,
     SettingError,
     allen_cahn,
@@ -86,7 +87,8 @@ def test_convergence_study_scalar_second_order():
     p = scalar_decay()
     rep = convergence_study(p, 2, (0.1, 0.05, 0.025), T=1.0)
     # each entry is the order-2 scheme on this problem, measured at T
-    assert rep.entries[0] == ConvergenceEntry(0.1, *exact_errors(p, advance(p, tableau(2), 0.1, 1.0)))
+    want = exact_errors(p, advance(p, Scheme(tableau(2), 0.1), 1.0))
+    assert rep.entries[0] == ConvergenceEntry(0.1, *want)
     assert len(rep.entries) == 3
     assert rep.slopes["l2"] == pytest.approx(2.0, abs=0.3)
     assert all(e.err_l2 is not None for e in rep.entries)
@@ -99,10 +101,10 @@ def test_convergence_study_flags_a_diverged_rung(monkeypatch):
     ladder = (0.1, 0.05, 0.025, 0.0125)
     real_advance = harness.advance
 
-    def advance_diverging_at(problem, tab, dt, T, *args, **kwargs):
-        if dt == 0.05:
+    def advance_diverging_at(problem, scheme, T, *args, **kwargs):
+        if scheme.dt == 0.05:
             raise DivergenceError(7)
-        return real_advance(problem, tab, dt, T, *args, **kwargs)
+        return real_advance(problem, scheme, T, *args, **kwargs)
 
     full = convergence_study(scalar_decay(), 2, ladder, T=1.0)
     monkeypatch.setattr(harness, "advance", advance_diverging_at)
@@ -121,7 +123,7 @@ def test_convergence_study_measures_each_rung_at_t_alone(records_made, maker, or
     # builds no per-step record
     p = with_manufactured_forcing(maker(Grid.fourier2d(16)))
     ladder = (0.1, 0.05, 0.025)
-    want = [run(p, tableau(order), dt, 0.5).final_errors for dt in ladder]
+    want = [run(p, Scheme(tableau(order), dt), 0.5).final_errors for dt in ladder]
     records_made.clear()
     rep = convergence_study(p, order, ladder, T=0.5)
     assert [(e.err_l2, e.err_h1, e.err_h2) for e in rep.entries] == want
@@ -146,7 +148,7 @@ def test_eta_exponent_order_plus_one_is_the_smallest_that_keeps_order(order):
 
     def h2_slope(exponent):
         tab = replace(tableau(order), eta_exponent=exponent)
-        return fit_rate((dt, exact_errors(p, advance(p, tab, dt, 1.0))[2]) for dt in ladder)
+        return fit_rate((dt, exact_errors(p, advance(p, Scheme(tab, dt), 1.0))[2]) for dt in ladder)
 
     assert h2_slope(order + 1) >= order - 0.1
     assert h2_slope(order) <= order - 0.5
@@ -245,7 +247,7 @@ def test_stability_probe_accepts_numpy_integers():
     p = allen_cahn(grid)
     result = stability_probe(p, np.int64(2), 0.1, np.int64(10), seed=1)
     want = stability_probe(p, 2, 0.1, 10, seed=1)
-    order_2 = run(p, tableau(2), 0.1, 10 * 0.1, u0=random_smooth_field(p.grid, seed=1))
+    order_2 = run(p, Scheme(tableau(2), 0.1), 10 * 0.1, u0=random_smooth_field(p.grid, seed=1))
     assert result.report.records == want.report.records == order_2.records
 
 

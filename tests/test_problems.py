@@ -449,11 +449,11 @@ def test_energy_of_an_overflowing_spike_is_inf():
 def test_reference_run_energy_non_increasing(grid):
     # tiny-step high-order unforced run: recorded energy must not increase
     # beyond 1e-6 per step
-    from savbdf import StepMode, run, tableau
+    from savbdf import Scheme, StepMode, run, tableau
 
     p = allen_cahn(grid)
     u0 = 0.5 * random_smooth_field(grid, seed=8)
-    report = run(p, tableau(5), 1e-3, 0.05, mode=StepMode.SAV, u0=u0)
+    report = run(p, Scheme(tableau(5), 1e-3, StepMode.SAV), 0.05, u0=u0)
     energies = [rec.energy for rec in report.records]
     for before, after in zip(energies, energies[1:]):
         assert after <= before + 1e-6

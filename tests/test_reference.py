@@ -33,6 +33,7 @@ import pytest
 from savbdf import (
     Field,
     Grid,
+    Scheme,
     StepMode,
     allen_cahn,
     burgers,
@@ -51,20 +52,20 @@ TRACE_KEYS = ("r", "xi", "eta", "energy", "principal_norm_sq")
 
 def _allen_cahn_forced(order, mode):
     problem = with_manufactured_forcing(allen_cahn(Grid.fourier2d(32)))
-    return run(problem, tableau(order), 0.025, 1.0, mode=mode)
+    return run(problem, Scheme(tableau(order), 0.025, mode), 1.0)
 
 
 def _cahn_hilliard_cascade():
     grid = Grid.fourier2d(32)
     u0 = random_smooth_field(grid, seed=0)
-    return run(cahn_hilliard(grid), tableau(5), 1.0, 40.0, u0=u0)
+    return run(cahn_hilliard(grid), Scheme(tableau(5), 1.0), 40.0, u0=u0)
 
 
 def _burgers(dt, T, mode):
     grid = Grid.sine1d(64)
     (x,) = grid.points
     u0 = Field.from_physical(grid, -np.sin(np.pi * x))
-    return run(burgers(grid, 1.0 / 314.0), tableau(2), dt, T, mode=mode, u0=u0)
+    return run(burgers(grid, 1.0 / 314.0), Scheme(tableau(2), dt, mode), T, u0=u0)
 
 
 CASES = {

@@ -16,6 +16,7 @@ from savbdf import (
     sobolev_norm,
     solve_shifted,
 )
+from savbdf import spectral
 from savbdf.spectral import _hermitianize, apply_symbol, quadratic_form, sine_derivative_values
 
 
@@ -323,6 +324,32 @@ def test_solve_shifted_checks_positivity_after_a_cached_solve(fgrid):
     with pytest.raises(SettingError) as exc:
         solve_shifted(2.0, other, f)
     assert exc.value.setting == "op_symbol"
+
+
+def test_solve_shifted_keys_its_cache_on_the_shift_object(fgrid):
+    # a run passes its scheme's one shift object at every step, which hits; any other
+    # object misses and is checked: a bool equal to the cached shift is refused, and an
+    # equal float built anew gives the cached solve's bits
+    f = _random_field(fgrid, 31)
+    sym = fgrid.k2.copy()
+    sym.setflags(write=False)
+    shift = 1.0
+    first = solve_shifted(shift, sym, f)
+    assert spectral._last_solve[0] is shift
+    with pytest.raises(SettingError, match="shift must be a real number, got bool") as exc:
+        solve_shifted(True, sym, f)
+    assert exc.value.setting == "shift"
+    again = float("1.0")
+    assert again is not shift
+    assert np.array_equal(solve_shifted(again, sym, f).coeffs, first.coeffs)
+    assert spectral._last_solve[0] is again
+    # a shift equal to a cached float32 one only once it is rounded to float32 was a
+    # hit, so a run after a float32-dt run solved with that run's shift
+    shift = 1.5 / float(np.float32(0.1))
+    want = solve_shifted(shift, sym.copy(), f).coeffs  # a writeable symbol is never cached
+    solve_shifted(np.float32(shift), sym, f)
+    assert np.float32(shift) == shift != float(np.float32(shift))
+    assert np.array_equal(solve_shifted(shift, sym, f).coeffs, want)
 
 
 def test_solve_shifted_rechecks_a_writeable_symbol(fgrid):

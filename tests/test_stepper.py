@@ -19,6 +19,7 @@ from savbdf import (
     Field,
     Grid,
     ProblemDefinition,
+    Scheme,
     StepMode,
     advance,
     allen_cahn,
@@ -57,11 +58,10 @@ ORACLE = {
 
 
 def test_scalar_oracle_first_step():
-    p = scalar_decay()
-    tab = tableau(1)
-    state = initialize(p, tab, 0.1)
+    p, scheme = scalar_decay(), Scheme(tableau(1), 0.1)
+    state = initialize(p, scheme)
     assert state.r == pytest.approx(1.5, abs=1e-15)
-    new = step(state, p, tab, 0.1)
+    new = step(state, p, scheme)
     ubar = new.ubar
     assert ubar.coeffs[0] == pytest.approx(float(ORACLE["ubar1"]), abs=1e-12)
     assert p.energy(ubar) == pytest.approx(float(ORACLE["E1"]), abs=1e-12)
@@ -75,12 +75,11 @@ def test_scalar_oracle_first_step():
 
 def test_zero_field_is_fixed_point():
     grid = Grid.fourier2d(16)
-    p = allen_cahn(grid)
-    tab = tableau(1)
-    state = initialize(p, tab, 0.1, u0=Field.zeros(grid))
+    p, scheme = allen_cahn(grid), Scheme(tableau(1), 0.1)
+    state = initialize(p, scheme, u0=Field.zeros(grid))
     r0 = state.r
     for _ in range(5):
-        state = step(state, p, tab, 0.1)
+        state = step(state, p, scheme)
         assert np.max(np.abs(state.u_history[0].values)) == 0.0
         assert state.r == r0  # K(0) = 0 keeps the scalar frozen
 
@@ -90,9 +89,8 @@ def test_exact_sav_fixed_point_has_unit_xi():
     p = scalar_decay(rate=0.0)
     p = replace(p, exact=None)
     u0 = Field.from_spectral(p.grid, np.array([1.0]))
-    tab = tableau(1)
-    state = initialize(p, tab, 0.1, u0=u0)
-    new = step(state, p, tab, 0.1)
+    scheme = Scheme(tableau(1), 0.1)
+    new = step(initialize(p, scheme, u0=u0), p, scheme)
     assert new.last_xi == 1.0
     assert new.last_eta == 1.0
     assert new.u_history[0].coeffs[0] == pytest.approx(1.0, abs=1e-15)
@@ -100,38 +98,90 @@ def test_exact_sav_fixed_point_has_unit_xi():
 
 def test_step_requires_full_history():
     p = scalar_decay()
-    state = initialize(p, tableau(1), 0.1)
+    state = initialize(p, Scheme(tableau(1), 0.1))
     with pytest.raises(ValueError, match="history"):
-        step(state, p, tableau(3), 0.1)
+        step(state, p, Scheme(tableau(3), 0.1))
 
 
-def test_step_rejects_bad_dt():
-    p = scalar_decay()
-    state = initialize(p, tableau(1), 0.1)
-    with pytest.raises(ValueError):
-        step(state, p, tableau(1), 0.0)
+# -- the scheme: the one place dt and the mode are checked --------------------------
 
 
-@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.1])
-def test_step_and_initialize_reject_non_finite_dt(dt):
-    # nan and inf once reached the scheme and failed there, as a divergence,
-    # an indefinite solve, a math domain error or a non-positive energy
-    grid = Grid.fourier2d(16)
-    p, tab = allen_cahn(grid), tableau(2)
-    state = initialize(p, tab, 0.01, u0=random_smooth_field(grid, seed=1))
-    with pytest.raises(savbdf.SettingError, match="dt must be positive and finite") as exc:
-        step(state, p, tab, dt)
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("dt, message", [
+    (0.0, "dt must be positive and finite, got 0.0"),
+    (-1.0, "dt must be positive and finite, got -1.0"),
+    (-0.1, "dt must be positive and finite, got -0.1"),
+    (math.nan, "dt must be positive and finite, got nan"),
+    (math.inf, "dt must be positive and finite, got inf"),
+    ("0.1", "dt must be a real number, got str"),
+    (True, "dt must be a real number, got bool"),
+    (None, "dt must be a real number, got NoneType"),
+    (5e-324, r"a step of 5e-324 is too small: alpha_k/dt overflows$"),
+])
+def test_a_scheme_rejects_a_bad_dt(dt, message, order):
+    # nan and inf once reached the step and failed there, as a divergence, an
+    # indefinite solve, a math domain error or a non-positive energy; the scheme is
+    # the one check, so neither a step nor a start ever sees such a dt
+    with pytest.raises(savbdf.SettingError, match=message) as exc:
+        Scheme(tableau(order), dt)
     assert exc.value.setting == "dt"
-    with pytest.raises(savbdf.SettingError, match="dt must be positive and finite") as exc:
-        initialize(with_manufactured_forcing(p), tableau(3), dt)
-    assert exc.value.setting == "dt"
+
+
+@pytest.mark.parametrize("mode", ["bogus", None, 1, "SAV", StepMode])
+def test_a_scheme_rejects_an_unknown_mode(mode):
+    with pytest.raises(savbdf.SettingError, match="mode must be a StepMode") as exc:
+        Scheme(tableau(2), 0.1, mode)
+    assert exc.value.setting == "mode"
+
+
+@pytest.mark.parametrize("value, member", [("sav", StepMode.SAV), ("imex", StepMode.IMEX),
+                                           (StepMode.SAV, StepMode.SAV), (StepMode.IMEX, StepMode.IMEX)])
+def test_a_scheme_holds_its_mode_as_a_member(value, member):
+    assert Scheme(tableau(2), 0.1, value).mode is member
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_a_scheme_holds_its_shift_and_is_immutable(order):
+    tab = tableau(order)
+    scheme = Scheme(tab, 0.1)
+    assert (scheme.tab, scheme.dt, scheme.mode, scheme.shift) == (tab, 0.1, StepMode.SAV, tab.floats[0] / 0.1)
+    with pytest.raises(AttributeError):
+        scheme.shift = 1.0
+    # a variant goes through the same checks, and the shift follows its dt
+    assert replace(scheme, dt=0.05).shift == tab.floats[0] / 0.05
+    with pytest.raises(savbdf.SettingError, match="dt must be positive"):
+        replace(scheme, dt=0.0)
+    with pytest.raises(TypeError):
+        Scheme(tab, 0.1, StepMode.SAV, 1.0)  # the shift is the scheme's own
+
+
+def test_a_step_checks_no_setting_of_its_scheme(monkeypatch):
+    # dt is read once, when the scheme is built: a run whose dt check raises from
+    # then on still takes its 20 steps, each solving with the scheme's one shift
+    p = with_manufactured_forcing(allen_cahn(Grid.fourier2d(16)))
+    scheme = Scheme(tableau(3), 0.05)
+    want = advance(p, scheme, 1.0)
+
+    def checked_again(name, value, check=savbdf.stepper._check_positive):
+        if name == "dt":
+            raise AssertionError(f"dt = {value!r} checked again")
+        check(name, value)  # T is the run's own, checked once per advance
+
+    monkeypatch.setattr(savbdf.stepper, "_check_positive", checked_again)
+    shifts = []
+    solve = savbdf.stepper.solve_shifted
+    monkeypatch.setattr(savbdf.stepper, "solve_shifted", lambda shift, *a, **kw: shifts.append(shift)
+                        or solve(shift, *a, **kw))
+    state = advance(p, scheme, 1.0)
+    assert state.step_index == 20 and len(shifts) == 20 - 2
+    assert all(shift is scheme.shift for shift in shifts)
+    assert state.u_history[0].values.tobytes() == want.u_history[0].values.tobytes()
 
 
 def test_imex_mode_reports_unit_factors():
-    p = scalar_decay()
-    tab = tableau(1)
-    state = initialize(p, tab, 0.1, mode=StepMode.IMEX)
-    new = step(state, p, tab, 0.1, mode=StepMode.IMEX)
+    p, scheme = scalar_decay(), Scheme(tableau(1), 0.1, StepMode.IMEX)
+    state = initialize(p, scheme)
+    new = step(state, p, scheme)
     assert new.last_xi == 1.0 and new.last_eta == 1.0
     assert new.r == state.r
     assert new.u_history[0].coeffs[0] == pytest.approx(float(ORACLE["ubar1"]), abs=1e-14)
@@ -158,7 +208,8 @@ def test_scalar_oracle_over_many_steps(order, log10_dt):
     # the same update.  Exact rationals, rounded to 192 bits per step.
     p, tab = scalar_decay(), tableau(order)
     dt = 10.0 ** log10_dt
-    state = initialize(p, tab, dt)
+    scheme = Scheme(tab, dt)
+    state = initialize(p, scheme)
     h = Fraction(dt)
 
     def energy(u):
@@ -177,7 +228,7 @@ def test_scalar_oracle_over_many_steps(order, log10_dt):
     assert float(r) == pytest.approx(state.r, rel=1e-12)
 
     for _ in range(20):
-        state = step(state, p, tab, dt)
+        state = step(state, p, scheme)
         drift = sum(a * u for a, u in zip(tab.a_weights, history))
         ubar = _rounded(drift / h / (tab.alpha / h + 1))
         r, xi, eta = update(r, ubar)
@@ -195,7 +246,7 @@ def test_imex_reproduces_classical_bdf_orders(k):
     errs = []
     for j in range(4):
         dt = 0.1 * 2 ** -j
-        rep = run(p, tableau(k), dt, 1.0, mode=StepMode.IMEX)
+        rep = run(p, Scheme(tableau(k), dt, StepMode.IMEX), 1.0)
         errs.append((dt, rep.final.err_l2))
     pts = [(d, e) for d, e in errs if e > 1e-12]
     assert fit_rate(pts) == pytest.approx(k, abs=0.25)
@@ -204,18 +255,18 @@ def test_imex_reproduces_classical_bdf_orders(k):
 def test_run_rejects_bad_horizons():
     p = scalar_decay()
     with pytest.raises(ValueError):
-        run(p, tableau(1), 0.1, 0.05)  # T < dt
+        run(p, Scheme(tableau(1), 0.1), 0.05)  # T < dt
     with pytest.raises(ValueError):
-        run(p, tableau(1), 0.3, 1.0)  # non-integral T/dt
+        run(p, Scheme(tableau(1), 0.3), 1.0)  # non-integral T/dt
     with pytest.raises(ValueError):
-        run(p, tableau(5), 0.5, 1.0)  # cannot host the startup
+        run(p, Scheme(tableau(5), 0.5), 1.0)  # cannot host the startup
     with pytest.raises(ValueError):
-        run(p, tableau(1), 0.1, -1.0)
+        run(p, Scheme(tableau(1), 0.1), -1.0)
 
 
 def test_run_records_are_monotone_in_time():
     p = scalar_decay()
-    rep = run(p, tableau(3), 0.05, 1.0)
+    rep = run(p, Scheme(tableau(3), 0.05), 1.0)
     times = [rec.t for rec in rep.records]
     assert times == sorted(times)
     assert rep.records[0].t == 0.0
@@ -227,7 +278,7 @@ def test_unforced_run_r_is_monotone():
     p = allen_cahn(grid)
     u0 = random_smooth_field(grid, seed=5)
     for dt in (0.1, 1.0):
-        rep = run(p, tableau(3), dt, 60 * dt, u0=u0)
+        rep = run(p, Scheme(tableau(3), dt), 60 * dt, u0=u0)
         assert rep.monotone_violations == 0
         assert rep.min_r >= 0.0
         assert rep.min_xi >= 0.0
@@ -244,7 +295,7 @@ def test_correction_order_at_every_k(order):
     tab = tableau(order)
     xi_dev, eta_dev = [], []
     for dt in (0.02, 0.01, 0.005):
-        rep = run(p, tab, dt, 1.0)
+        rep = run(p, Scheme(tab, dt), 1.0)
         xi_dev.append(rep.max_xi_deviation)
         eta_dev.append(max(abs(1.0 - rec.eta) for rec in rep.records))
         assert eta_dev[-1] <= max(10.0 * xi_dev[-1] ** tab.eta_exponent, 1e-14)
@@ -266,14 +317,14 @@ def test_forcing_is_evaluated_once_per_level(order):
         times.append(t)
         return forcing(t)
 
-    advance(replace(q, forcing=counted), tableau(order), 0.1, 1.0)
+    advance(replace(q, forcing=counted), Scheme(tableau(order), 0.1), 1.0)
     assert len(times) == len(set(times)) == 10
 
 
 def test_forced_run_keeps_xi_near_one():
     grid = Grid.fourier2d(32)
     p = with_manufactured_forcing(allen_cahn(grid))
-    rep = run(p, tableau(2), 1e-2, 1.0)
+    rep = run(p, Scheme(tableau(2), 1e-2), 1.0)
     assert rep.max_xi_deviation <= 0.05
     assert rep.final.err_l2 <= 1e-3
 
@@ -283,7 +334,7 @@ def test_divergence_raises_with_step_index():
     (x,) = p.grid.points
     u0 = Field.from_physical(p.grid, -np.sin(np.pi * x))
     with pytest.raises(DivergenceError, match="divergence detected at step") as exc:
-        run(p, tableau(2), 0.02, 1.0, mode=StepMode.IMEX, u0=u0)
+        run(p, Scheme(tableau(2), 0.02, StepMode.IMEX), 1.0, u0=u0)
     assert type(exc.value.step_index) is int
     assert exc.value.step_index > 0
 
@@ -294,7 +345,7 @@ def test_huge_correction_factor_is_a_divergence(order):
     # and (1 - xi)**p overflows; order 1 meets it in step, order 2 in initialize
     p = with_manufactured_forcing(allen_cahn(Grid.fourier2d(16), stabilization=1e300))
     with pytest.raises(DivergenceError, match="non-finite correction factor") as exc:
-        run(p, tableau(order), 0.1, 1.0)
+        run(p, Scheme(tableau(order), 0.1), 1.0)
     assert exc.value.step_index == 1
 
 
@@ -308,10 +359,10 @@ def test_advance_is_run_without_records(name, mode):
     u0 = random_smooth_field(grid, seed=2)
     if name == "forced":
         p, u0 = with_manufactured_forcing(p), None
-    tab = tableau(3)
-    rep = run(p, tab, 0.05, 0.5, mode=mode, u0=u0)
+    scheme = Scheme(tableau(3), 0.05, mode)
+    rep = run(p, scheme, 0.5, u0=u0)
     sink = []
-    for final in (advance(p, tab, 0.05, 0.5, mode, u0), advance(p, tab, 0.05, 0.5, mode, u0, sink)):
+    for final in (advance(p, scheme, 0.5, u0), advance(p, scheme, 0.5, u0, sink)):
         assert (final.step_index, final.time, final.r, final.last_xi, final.last_eta) == (
             rep.final_state.step_index, rep.final_state.time, rep.final_state.r,
             rep.final_state.last_xi, rep.final_state.last_eta)
@@ -324,7 +375,7 @@ def test_advance_is_run_without_records(name, mode):
 def test_a_mode_named_by_its_value_runs_its_member_s_scheme(name, member):
     # at the startup levels and at every step alike: one scheme, not a mix of the two
     p = with_manufactured_forcing(allen_cahn(Grid.fourier2d(16)))
-    got, want = (run(p, tableau(2), 0.1, 1.0, mode=mode) for mode in (name, member))
+    got, want = (run(p, Scheme(tableau(2), 0.1, mode), 1.0) for mode in (name, member))
     assert repr(got.records) == repr(want.records)  # the shortest repr is exact: bit for bit
     for a, b in zip(got.final_state.u_history, want.final_state.u_history, strict=True):
         assert a.values.tobytes() == b.values.tobytes()
@@ -332,22 +383,10 @@ def test_a_mode_named_by_its_value_runs_its_member_s_scheme(name, member):
         assert got.final.r == 2.0  # IMEX leaves r at r0
 
 
-def test_an_unknown_mode_raises_before_any_level():
-    p = with_manufactured_forcing(allen_cahn(Grid.fourier2d(16)))
-    sink = []
-    for call in (lambda: advance(p, tableau(2), 0.1, 1.0, "bogus", None, sink),
-                 lambda: step(initialize(p, tableau(2), 0.1), p, tableau(2), 0.1, "bogus"),
-                 lambda: run(p, tableau(2), 0.1, 1.0, mode=1)):
-        with pytest.raises(savbdf.SettingError) as exc:
-            call()
-        assert exc.value.setting == "mode"
-    assert sink == []
-
-
 def test_exact_errors_are_none_without_an_exact_solution():
     p = allen_cahn(Grid.fourier2d(16))
     assert p.exact is None
-    assert exact_errors(p, initialize(p, tableau(1), 0.1, u0=random_smooth_field(p.grid))) is None
+    assert exact_errors(p, initialize(p, Scheme(tableau(1), 0.1), u0=random_smooth_field(p.grid))) is None
 
 
 def _burgers_case(order, mode=StepMode.SAV):
@@ -395,12 +434,12 @@ def test_sav_record_matches_a_fresh_evaluation_of_the_new_level(case):
     # never saw the level must give the same values: the same bits where the
     # level was evaluated, rel 1e-13 for the closed form
     make, u0, order, dt, n_steps, mode = RECORD_CASES[case]
-    p, fresh, tab = make(), make(), tableau(order)
-    records = run(p, tab, dt, n_steps * dt, mode, u0).records
-    state = initialize(p, tab, dt, u0=u0, mode=mode)
+    p, fresh, scheme = make(), make(), Scheme(tableau(order), dt, mode)
+    records = run(p, scheme, n_steps * dt, u0).records
+    state = initialize(p, scheme, u0=u0)
     levels = [*reversed(state.u_history)]
     while state.step_index < n_steps:
-        state = step(state, p, tab, dt, mode)
+        state = step(state, p, scheme)
         levels.append(state.u_history[0])
     assert len(levels) == len(records) == n_steps + 1
     for rec, u in zip(records, levels):
@@ -559,11 +598,11 @@ def test_sav_step_matches_the_scheme_in_plain_numpy(case):
     # formulas' values exactly.  array_equal counts +0 and -0 as equal: the
     # sign of a zero part is all the reciprocal may change.
     p, u0, order, dt = _oracle_case(*ORACLE_CASES[case])
-    tab, n_steps = tableau(order), 6
-    state = initialize(p, tab, dt, u0=u0)
-    want = _plain_sav_steps(p, tab, dt, state, n_steps)
+    scheme = Scheme(tableau(order), dt)
+    state = initialize(p, scheme, u0=u0)
+    want = _plain_sav_steps(p, scheme.tab, dt, state, 6)
     for ubar, u_c, u_v, scalars in want:
-        state = step(state, p, tab, dt)
+        state = step(state, p, scheme)
         rec = _make_record(p, state)
         u = state.u_history[0]
         assert np.array_equal(state.ubar.coeffs, ubar), state.step_index
@@ -580,14 +619,13 @@ def test_collapsed_levels_are_exact_zeros_with_the_oracles_records(order):
     # max|u| * eps < tiny, is stored as exact zeros in both representations; the
     # unflushed oracle carries on in subnormals, and the trace columns match it
     # bit for bit.  The mean is no trace column: it may differ below the cut
-    p = allen_cahn(Grid.fourier2d(16))
-    tab, dt = tableau(order), 1.0
-    state = initialize(p, tab, dt, u0=random_smooth_field(p.grid, seed=1))
+    p, scheme = allen_cahn(Grid.fourier2d(16)), Scheme(tableau(order), 1.0)
+    state = initialize(p, scheme, u0=random_smooth_field(p.grid, seed=1))
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     assert ZERO_LEVEL * eps == tiny
     zeros = 0
-    for ubar, u_c, u_v, scalars in _plain_sav_steps(p, tab, dt, state, 300):
-        state = step(state, p, tab, dt)
+    for ubar, u_c, u_v, scalars in _plain_sav_steps(p, scheme.tab, scheme.dt, state, 300):
+        state = step(state, p, scheme)
         rec, u = _make_record(p, state), state.u_history[0]
         assert (rec.t, rec.r, rec.xi, rec.eta, rec.energy, rec.principal_norm_sq) == scalars[:6], rec.step
         assert abs(rec.mean - scalars[6]) <= ZERO_LEVEL, rec.step
@@ -610,16 +648,15 @@ def test_equilibrium_steps_make_no_transform(monkeypatch, order):
     # step is at the equilibrium u = 0 of the unforced problem: it and its record make
     # no transform, except that the first may build the problem's zero terms (one
     # forward transform), and the scalars stay the oracle's, bit for bit
-    p = allen_cahn(Grid.fourier2d(16))
-    tab, dt = tableau(order), 1.0
-    state = initialize(p, tab, dt, u0=random_smooth_field(p.grid, seed=1))
-    want = _plain_sav_steps(p, tab, dt, state, 300)
+    p, scheme = allen_cahn(Grid.fourier2d(16)), Scheme(tableau(order), 1.0)
+    state = initialize(p, scheme, u0=random_smooth_field(p.grid, seed=1))
+    want = _plain_sav_steps(p, scheme.tab, scheme.dt, state, 300)
     counts = _count_transforms(monkeypatch)
     resting = []
     for *_, scalars in want:
         at_rest = _held_zeros(state.u_history[:order])
         before = dict(counts)
-        state = step(state, p, tab, dt)
+        state = step(state, p, scheme)
         rec = _make_record(p, state)
         assert (rec.t, rec.r, rec.xi, rec.eta, rec.energy, rec.principal_norm_sq) == scalars[:6], rec.step
         if at_rest:
@@ -634,18 +671,18 @@ def test_a_step_at_rest_scans_no_level(monkeypatch, order):
     # a step tells the equilibrium by identity with the problem's zero level, which
     # every flush and `initialize` store: it scans none of its levels, and keeps r and the
     # zeros, also from a zero u0 held in another object
-    p, dt = allen_cahn(Grid.fourier2d(16)), 0.1
-    tab, zero = tableau(order), p.zero_update[0]
+    p = allen_cahn(Grid.fourier2d(16))
+    scheme, zero = Scheme(tableau(order), 0.1), p.zero_update[0]
     scanned = []
     max_abs = Field.max_abs
     monkeypatch.setattr(Field, "max_abs", lambda u: scanned.append(u) or max_abs(u))
     for u0 in (zero, Field.zeros(p.grid)):
-        state = initialize(p, tab, dt, u0=u0)
+        state = initialize(p, scheme, u0=u0)
         assert len(scanned) == 1 and all(u is zero for u in state.u_history)  # u0's scan alone
         r0 = state.r
         scanned.clear()
         for _ in range(5):
-            state = step(state, p, tab, dt)
+            state = step(state, p, scheme)
             assert state.r == r0 and not state.u_history[0].values.any(), state.step_index
         assert len(scanned) == 0, f"{len(scanned)} scans over five steps at rest"
         assert all(u is zero for u in state.u_history[:order])
@@ -655,13 +692,13 @@ def test_a_step_at_rest_scans_no_level(monkeypatch, order):
 def test_forced_run_from_zeros_is_no_equilibrium(monkeypatch, order):
     # a forcing drives u = 0 away: each step is the scheme's, with its steady budget
     grid = Grid.fourier2d(16)
-    p, tab, dt = with_manufactured_forcing(allen_cahn(grid)), tableau(order), 0.01
-    state = initialize(p, tab, dt, u0=Field.zeros(grid))
-    want = _plain_sav_steps(p, tab, dt, state, 6)
+    p, scheme = with_manufactured_forcing(allen_cahn(grid)), Scheme(tableau(order), 0.01)
+    state = initialize(p, scheme, u0=Field.zeros(grid))
+    want = _plain_sav_steps(p, scheme.tab, scheme.dt, state, 6)
     counts = _count_transforms(monkeypatch)
     for ubar, u_c, u_v, scalars in want:
         before = dict(counts)
-        state = step(state, p, tab, dt)
+        state = step(state, p, scheme)
         assert (counts["fwd"] - before["fwd"], counts["inv"] - before["inv"]) == (2, 1), state.step_index
         rec = _make_record(p, state)
         assert np.array_equal(state.ubar.coeffs, ubar) and np.array_equal(state.u_history[0].coeffs, u_c)
@@ -675,8 +712,8 @@ def test_forced_run_from_zeros_is_no_equilibrium(monkeypatch, order):
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_zero_start_stays_at_the_equilibrium(maker, order, mode):
     # the cascade start and every step from u = 0 read zeros only: they keep r and make zeros
-    p, tab, dt = maker(Grid.fourier2d(16)), tableau(order), 0.1
-    rep = run(p, tab, dt, 10 * dt, mode, Field.zeros(p.grid))
+    p = maker(Grid.fourier2d(16))
+    rep = run(p, Scheme(tableau(order), 0.1, mode), 1.0, Field.zeros(p.grid))
     state = rep.final_state
     assert _held_zeros(state.u_history) and _held_zeros([state.ubar])
     assert {rec.r for rec in rep.records} == {rep.records[0].r}
@@ -687,26 +724,27 @@ def test_non_finite_history_is_an_uncorrected_divergence():
     # a nan in the history reaches ubar through the solve; both modes stop at
     # the next step's index before the scalar update sees it
     grid = Grid.fourier2d(16)
-    p, tab = allen_cahn(grid), tableau(2)
+    p = allen_cahn(grid)
     for mode in StepMode:
-        state = initialize(p, tab, 0.1, u0=random_smooth_field(grid, seed=1), mode=mode)
+        scheme = Scheme(tableau(2), 0.1, mode)
+        state = initialize(p, scheme, u0=random_smooth_field(grid, seed=1))
         values = state.u_history[0].values.copy()
         values[3, 5] = np.nan
         state = state._replace(step_index=7, u_history=(Field.from_physical(grid, values),
                                                         *state.u_history[1:]))
         with pytest.raises(DivergenceError, match="non-finite uncorrected solution") as exc:
-            step(state, p, tab, 0.1, mode)
+            step(state, p, scheme)
         assert exc.value.step_index == 8
 
 
 def test_overflowing_correction_is_a_corrected_divergence():
     # r far above E(ubar): xi ~ 1e100, so (1 - xi)^3 ~ -1e300 and eta ~ 1e300 are
     # finite, and ubar ~ 1e10 is finite, but eta * ubar overflows
-    p, tab = scalar_decay(), tableau(1)
-    state = initialize(p, tab, 0.1, u0=Field.from_spectral(p.grid, np.array([1e10])))
+    p, scheme = scalar_decay(), Scheme(tableau(1), 0.1)
+    state = initialize(p, scheme, u0=Field.from_spectral(p.grid, np.array([1e10])))
     state = state._replace(step_index=4, r=1e120)
     with pytest.raises(DivergenceError, match="non-finite corrected solution") as exc:
-        step(state, p, tab, 0.1)
+        step(state, p, scheme)
     assert exc.value.step_index == 5
 
 
@@ -716,16 +754,16 @@ def test_step_path_arrays_are_read_only_in_the_coefficient_dtype(name):
     # path is built once in the grid's coefficient dtype, so no product
     # casts it; a sine grid stays real, so Burgers keeps float64 coefficients
     p, u0, _, dt = _oracle_case(name, 2, 0.01)
-    tab = tableau(2)
-    state = initialize(p, tab, dt, u0=u0)
+    scheme = Scheme(tableau(2), dt)
+    state = initialize(p, scheme, u0=u0)
     for _ in range(2):
-        state = step(state, p, tab, dt)
+        state = step(state, p, scheme)
         _make_record(p, state)
     grid = p.grid
     dtype = np.complex128 if grid.basis is savbdf.Basis.FOURIER2D else np.float64
     assert grid.coeff_dtype == dtype
     solved_shift, solved_symbol, _, factor, _ = savbdf.spectral._last_solve
-    assert solved_symbol is p.linear_symbol and solved_shift == tab.floats[0] / dt
+    assert solved_symbol is p.linear_symbol and solved_shift is scheme.shift == scheme.tab.floats[0] / dt
     cached = {
         "dealias_mask": grid.dealias_mask,
         "_mult": grid._mult,
@@ -767,7 +805,7 @@ def test_step_count_caps_the_run_length():
 
 def test_initialize_first_order_needs_no_warmup():
     p = scalar_decay()
-    state = initialize(p, tableau(1), 0.25)
+    state = initialize(p, Scheme(tableau(1), 0.25))
     assert state.step_index == 0
     assert len(state.u_history) == 1
 
@@ -776,7 +814,7 @@ def test_initialize_with_exact_samples():
     grid = Grid.fourier2d(32)
     p = with_manufactured_forcing(allen_cahn(grid))
     dt = 0.01
-    state = initialize(p, tableau(3), dt)
+    state = initialize(p, Scheme(tableau(3), dt))
     assert state.step_index == 2
     assert state.time == pytest.approx(2 * dt)
     for i, u in enumerate(state.u_history):
@@ -798,7 +836,7 @@ def test_nan_exact_sample_is_a_divergence_of_the_solution(mode):
 
     p = replace(p, exact=ExactSolution(field, exact.time_derivative))
     with pytest.raises(DivergenceError, match="non-finite solution") as exc:
-        advance(p, tableau(3), 0.1, 1.0, mode=mode)
+        advance(p, Scheme(tableau(3), 0.1, mode), 1.0)
     assert exc.value.step_index == 1
 
 
@@ -808,24 +846,42 @@ def test_nan_u0_is_a_divergence_at_step_0(mode):
     values = random_smooth_field(grid, seed=1).values.copy()
     values[3, 5] = np.nan
     with pytest.raises(DivergenceError, match="step 0: non-finite solution") as exc:
-        initialize(allen_cahn(grid), tableau(3), 0.1, u0=Field.from_physical(grid, values), mode=mode)
+        initialize(allen_cahn(grid), Scheme(tableau(3), 0.1, mode), u0=Field.from_physical(grid, values))
     assert exc.value.step_index == 0
 
 
 def test_manufactured_level_0_is_the_zero_level():
     # the manufactured solution vanishes at t = 0: its sample is stored as the one zero level
     p = with_manufactured_forcing(allen_cahn(Grid.fourier2d(16)))
-    assert initialize(p, tableau(3), 0.01).u_history[-1] is p.zero_update[0]
+    assert initialize(p, Scheme(tableau(3), 0.01)).u_history[-1] is p.zero_update[0]
 
 
 @pytest.mark.parametrize("order, dt", [(1, 5e-324), (2, 2e-323), (3, 1e-320)])
+def test_a_scheme_whose_shift_overflows_is_a_dt_setting_error(order, dt):
+    # alpha_k/dt = inf is a bad dt, not a divergence; at k = 2 and 3 the run's own scheme
+    # fails before its cascade substeps would
+    match = f"a step of {dt!r} is too small: alpha_k/dt overflows$"
+    with pytest.raises(savbdf.SettingError, match=match) as exc:
+        Scheme(tableau(order), dt)
+    assert exc.value.setting == "dt"
+
+
+@pytest.mark.parametrize("order, dt", [(2, 1e-308), (3, 2e-308), (5, 3e-308)])
 def test_a_step_whose_shift_overflows_is_a_dt_setting_error(order, dt):
-    # alpha_k/dt = inf is a bad dt, not a divergence; a cascade start checks its substeps
+    # the run's own shift alpha_k/dt is finite, but a cascade start's substeps of dt/8
+    # at order k - 1 are too small for theirs: their schemes, built before any work,
+    # fail, and the error names the dt given
     grid = Grid.fourier2d(8)
     p, u0 = allen_cahn(grid), random_smooth_field(grid, seed=1)
-    with pytest.raises(savbdf.SettingError, match="too small: alpha_k/dt overflows") as exc:
-        advance(p, tableau(order), dt, order * dt, u0=u0)
-    assert exc.value.setting == "dt"
+    scheme = Scheme(tableau(order), dt)
+    sink = []
+    with pytest.raises(savbdf.SettingError, match=f"a step of {dt!r} is too small: alpha_k/dt overflows "
+                                                  "in its startup substeps of dt/8") as exc:
+        advance(p, scheme, order * dt, u0=u0, record_sink=sink)
+    assert exc.value.setting == "dt" and sink == []
+    # with an exact start there are no substeps, and the same scheme runs
+    forced = with_manufactured_forcing(p)
+    assert initialize(forced, scheme).step_index == order - 1
 
 
 @pytest.mark.parametrize("mode", list(StepMode))
@@ -837,7 +893,7 @@ def test_initialize_makes_one_energy_pass_per_exact_level(monkeypatch, mode):
     calls = []
     terms = ProblemDefinition.energy_terms
     monkeypatch.setattr(ProblemDefinition, "energy_terms", lambda self, u: calls.append(u) or terms(self, u))
-    state = initialize(p, tableau(3), 0.01, mode=mode)
+    state = initialize(p, Scheme(tableau(3), 0.01, mode))
     assert len(calls) == len(state.u_history) == 3
 
 
@@ -851,7 +907,7 @@ def test_initialize_reads_an_overflowing_energy_as_inf():
     p, u0 = _overflowing_start()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        state = initialize(p, tableau(1), 0.1, u0=u0)
+        state = initialize(p, Scheme(tableau(1), 0.1), u0=u0)
     assert state.r == state.energy == math.inf
 
 
@@ -861,7 +917,7 @@ def test_initialize_from_an_overflowing_start_is_a_divergence(mode):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError) as exc:
-            initialize(p, tableau(3), 0.1, u0=u0, mode=mode)
+            initialize(p, Scheme(tableau(3), 0.1, mode), u0=u0)
     assert exc.value.step_index == 1
 
 
@@ -869,7 +925,7 @@ def test_initialize_requires_u0_without_exact():
     grid = Grid.fourier2d(16)
     p = allen_cahn(grid)
     with pytest.raises(ValueError, match="u0"):
-        initialize(p, tableau(2), 0.1)
+        initialize(p, Scheme(tableau(2), 0.1))
 
 
 def test_u0_on_another_grid_is_a_grid_mismatch():
@@ -878,13 +934,13 @@ def test_u0_on_another_grid_is_a_grid_mismatch():
     coarse = random_smooth_field(Grid.fourier2d(8))
     for mode in StepMode:
         with pytest.raises(savbdf.SettingError, match="u0") as exc:
-            run(ac, tableau(2), 0.1, 1.0, mode, u0=coarse)
+            run(ac, Scheme(tableau(2), 0.1, mode), 1.0, u0=coarse)
         assert exc.value.setting == "u0"
     with pytest.raises(savbdf.SettingError, match="u0") as exc:
         stability_probe(ac, 2, 0.1, 10, u0=coarse)
     assert exc.value.setting == "u0"
     with pytest.raises(savbdf.SettingError, match="u0") as exc:
-        run(burgers(Grid.sine1d(16), 0.1), tableau(2), 0.1, 1.0, u0=random_smooth_field(ac.grid))
+        run(burgers(Grid.sine1d(16), 0.1), Scheme(tableau(2), 0.1), 1.0, u0=random_smooth_field(ac.grid))
     assert exc.value.setting == "u0"
 
 
@@ -896,7 +952,7 @@ def test_cascade_startup_keeps_second_order():
     errs = []
     for j in range(4):
         dt = 0.1 * 2 ** -j
-        rep = run(p, tableau(2), dt, 1.0, u0=u0)
+        rep = run(p, Scheme(tableau(2), dt), 1.0, u0=u0)
         final = rep.final_state.u_history[0].coeffs[0]
         errs.append((dt, abs(final - math.exp(-1.0))))
     slope = fit_rate(errs)
@@ -907,7 +963,7 @@ def test_cascade_startup_counts_levels():
     grid = Grid.fourier2d(16)
     p = allen_cahn(grid)
     u0 = 0.3 * random_smooth_field(grid, seed=2)
-    state = initialize(p, tableau(4), 0.05, u0=u0)
+    state = initialize(p, Scheme(tableau(4), 0.05), u0=u0)
     assert state.step_index == 3
     assert len(state.u_history) == 4
     assert state.time == pytest.approx(0.15)
@@ -922,9 +978,10 @@ def test_ch_mass_extrapolation_identity():
     u0 = random_smooth_field(grid, seed=6) + Field.from_physical(
         grid, np.full(grid.extents, 0.2))
     tab = tableau(2)
-    state = initialize(p, tab, 0.1, u0=u0)
+    scheme = Scheme(tab, 0.1)
+    state = initialize(p, scheme, u0=u0)
     for _ in range(5):
-        new = step(state, p, tab, 0.1)
+        new = step(state, p, scheme)
         expected = combine_history(tab.floats[1], state.u_history).coeffs[0, 0] / float(tab.alpha)
         got = new.ubar.coeffs[0, 0]
         assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
@@ -962,7 +1019,7 @@ def test_unforced_invariants_hold_for_any_dt(name, order, log10_dt, seed):
     # too, and u0 has (L u0, u0) < 2 r0
     p, tab = PROPERTY_PROBLEMS[name](), tableau(order)
     dt = 10.0 ** log10_dt
-    rep = run(p, tab, dt, 12 * dt, u0=random_smooth_field(p.grid, seed=seed))
+    rep = run(p, Scheme(tab, dt), 12 * dt, u0=random_smooth_field(p.grid, seed=seed))
     assert rep.monotone_violations == 0
     assert all(rec.r >= 0.0 and rec.xi >= 0.0 for rec in rep.records)
     r0, c0, exponent = rep.records[0].r, p.c_shift * p.grid.volume, tab.eta_exponent
@@ -1028,13 +1085,13 @@ def test_steady_step_transform_budget(monkeypatch, name, order, fwd, inv):
         else:
             p = allen_cahn(grid) if name == "allen_cahn" else cahn_hilliard(grid)
             u0 = random_smooth_field(grid, seed=2)
-    tab, dt = tableau(order), 0.01
-    state = initialize(p, tab, dt, u0=u0)
+    scheme = Scheme(tableau(order), 0.01)
+    state = initialize(p, scheme, u0=u0)
     for _ in range(2):
-        state = step(state, p, tab, dt)
+        state = step(state, p, scheme)
         _make_record(p, state)
     counts = _count_transforms(monkeypatch)
-    state = step(state, p, tab, dt)
+    state = step(state, p, scheme)
     stepped = (counts["fwd"], counts["inv"], counts["dct"])
     _make_record(p, state)
     assert stepped == (fwd, inv, int(sine)), counts

@@ -204,7 +204,7 @@ def test_unit_weights_give_the_bits_of_the_products(weights, data):
 @given(problem=st.sampled_from(["allen_cahn", "burgers"]), data=st.data())
 def test_a_first_order_step_leaves_the_history_it_reads_unchanged(problem, data):
     # at k = 1 the step reads the newest level's values without a copy
-    from savbdf import SavError, SavState, allen_cahn, burgers, step
+    from savbdf import SavError, SavState, Scheme, allen_cahn, burgers, step
 
     p = allen_cahn(Grid.fourier2d(4)) if problem == "allen_cahn" else burgers(Grid.sine1d(8), 0.1)
     n = math.prod(p.grid.extents)
@@ -215,7 +215,7 @@ def test_a_first_order_step_leaves_the_history_it_reads_unchanged(problem, data)
     held = (u.values.tobytes(), u.coeffs.tobytes())
     state = SavState(0, 0.0, (u,), u, 1.0, 1.0, 1.0, 1.0, 1.0)
     try:
-        step(state, p, tableau(1), data.draw(st.sampled_from([1e-3, 0.1, 1e3])))
+        step(state, p, Scheme(tableau(1), data.draw(st.sampled_from([1e-3, 0.1, 1e3]))))
     except SavError:  # non-finite data diverges; the history must still be intact
         pass
     assert (u.values.tobytes(), u.coeffs.tobytes()) == held
