@@ -181,8 +181,9 @@ class ProblemDefinition:
         With w = u^2 - 1, (s u)^2 - 1 = s^2 w + d for d = s^2 - 1, so
         integral F(s u) = 1/4 (cell (s^4 sum w^2 + 2 s^2 d sum w) + |Omega| d^2).
         At d = 0 the sum w term is skipped: it is 0, or nan where sum w overflowed.
+        At s = 0 the terms are ignored: E(0 u) does not depend on u, and 0 times an inf is nan.
         """
-        quad, sum_w, sum_w2 = terms
+        quad, sum_w, sum_w2 = terms if s != 0.0 else (0.0, 0.0, 0.0)
         s2 = s * s
         quad = s2 * quad
         e = 0.5 * quad + self.c_shift * self.grid.volume

@@ -9,7 +9,8 @@ One step advances (u^n histories, r^n) by, in order:
                  / (1 + dt * K(ubar^{n+1}) / E(ubar^{n+1}))
    The work term vanishes for unforced problems, where the update is exactly
    the discrete energy law and is monotone:  r^{n+1} <= r^n,  r^{n+1} >= 0.
-   Where E(ubar) overflows there, r^{n+1} takes its limit 0, so xi = eta = 0 and u = 0.
+   Where E(ubar) overflows there, r^{n+1} takes its limit 0, so xi = eta = 0 and u = 0,
+   whose E(u) `ProblemDefinition.scaled_energy` forms at s = 0 without ubar's terms.
 3. xi^{n+1} = r^{n+1} / E(ubar^{n+1})
 4. u^{n+1} = eta * ubar^{n+1}  with  eta = 1 - (1 - xi^{n+1})**p.
 
@@ -84,9 +85,10 @@ class StepMode(enum.Enum):
 class Scheme:
     """The scheme of a run: the order-k tableau `tab`, the step `dt`, the `mode`, and
     `shift` = alpha_k/dt, the shift of every solve.  Building one is the one place
-    these settings are checked: dt positive and finite, the mode a StepMode member
-    or its value "sav" or "imex" (held as its member), and a finite shift, else
-    SettingError on `dt` or `mode`.  So a step checks none of them.  Immutable;
+    these settings are checked: tab a BdfTableau, dt positive and finite (held as a
+    Python float, so the shift and every level's time are float64), the mode a StepMode
+    member or its value "sav" or "imex" (held as its member), and a finite shift, else
+    SettingError on `tab`, `dt` or `mode`.  So a step checks none of them.  Immutable;
     `dataclasses.replace` builds a new scheme through the same checks.
     """
 
@@ -96,13 +98,16 @@ class Scheme:
     shift: float = field(init=False)
 
     def __post_init__(self):
+        if not isinstance(self.tab, BdfTableau):
+            raise SettingError("tab", f"tab must be a BdfTableau, got {type(self.tab).__name__}")
         _check_positive("dt", self.dt)
+        dt = float(self.dt)
         mode = StepMode(m) if isinstance(m := self.mode, str) and m in ("sav", "imex") else m
         if mode is not StepMode.SAV and mode is not StepMode.IMEX:
             raise SettingError("mode", "mode must be a StepMode or its value 'sav' or 'imex'")
-        if (shift := self.tab.floats[0] / self.dt) == math.inf:  # then 1/dt <= shift is finite too
+        if (shift := self.tab.floats[0] / dt) == math.inf:  # then 1/dt <= shift is finite too
             raise SettingError("dt", f"a step of {self.dt!r} is too small: alpha_k/dt overflows")
-        vars(self).update(mode=mode, shift=shift)  # the frozen class's own __setattr__ refuses
+        vars(self).update(dt=dt, mode=mode, shift=shift)  # the frozen class's own __setattr__ refuses
 
 
 class DivergenceError(SavError, RuntimeError):
@@ -201,19 +206,17 @@ def step(state: SavState, problem: ProblemDefinition, scheme: Scheme) -> SavStat
         drift -= problem.nonlinear(extrapolated, f).coeffs
         ubar = solve_shifted(scheme.shift, problem.linear_symbol, Field(problem.grid, spectral=drift),
                              overwrite_rhs=True)
-        update = None if scheme.mode is StepMode.IMEX else problem.update_terms(ubar, f)
-        peak = ubar.max_abs()  # after the update: ubar's values on a phase field
+        update = (problem.energy_terms(ubar)[:1] if scheme.mode is StepMode.IMEX
+                  else problem.update_terms(ubar, f))  # in both modes ending in ubar's terms
+        peak = ubar.max_abs()  # after the terms: ubar's values on a phase field, in both modes
     if not math.isfinite(peak):
         raise DivergenceError(next_index, "uncorrected solution")
     if scheme.mode is StepMode.IMEX:
-        r_new, xi, eta = state.r, 1.0, 1.0
-        terms = problem.energy_terms(ubar)[0] if update is None else update[3]
+        r_new, xi, eta, terms = state.r, 1.0, 1.0, update[-1]
     else:
         r_new, xi, eta, terms = _sav_update(problem, scheme, state.r, update, next_index)
     # max|fl(eta v)| = fl(|eta| max|v|), as rounding is monotone and odd: no second scan
     u_new = _checked_level(problem, ubar, eta, abs(eta) * peak, next_index, "corrected solution")
-    if eta == 0.0:  # u = 0: the zero level's terms, as 0 times an overflowed term of ubar is nan
-        terms = problem.zero_update[1][3]
     energy, principal = problem.scaled_energy(terms, eta)  # of u = eta ubar, from ubar's terms
 
     return SavState(next_index, t_next, (u_new,) + state.u_history[: MAX_ORDER - 1],

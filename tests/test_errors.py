@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from savbdf import (Basis, Field, Grid, SavError, SettingError, allen_cahn, burgers, burgers_horizon,
-                    cahn_hilliard, convergence_study, default_dt_ladder, fit_rate,
+                    Scheme, cahn_hilliard, convergence_study, default_dt_ladder, fit_rate,
                     random_smooth_field, scalar_decay, sobolev_norm, solve_shifted,
                     stability_probe, step_count, tableau, with_manufactured_forcing)
 
@@ -171,3 +171,18 @@ def test_integer_settings_keep_numpy_integers_and_numpy_s_whole_seed_range():
                           random_smooth_field(FOURIER, seed=7).values)
     # a printable int of any size is a seed numpy takes
     assert np.std(random_smooth_field(FOURIER, seed=2 ** 4000).values) == pytest.approx(1.0)
+
+
+#: (the setting, a call that passes it a value of the wrong type): each is a SettingError
+#: on its setting, not the AttributeError of the first attribute read from it
+WRONG_TYPE = [
+    pytest.param("tab", lambda: Scheme("x", 0.1), id="Scheme-tab-str"),
+    pytest.param("tab", lambda: Scheme(None, 0.1), id="Scheme-tab-None"),
+]
+
+
+@pytest.mark.parametrize("setting, call", WRONG_TYPE)
+def test_a_value_of_the_wrong_type_is_a_setting_error_on_its_setting(setting, call):
+    with pytest.raises(SettingError) as exc:
+        call()
+    assert exc.value.setting == setting

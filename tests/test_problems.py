@@ -446,6 +446,17 @@ def test_energy_of_an_overflowing_spike_is_inf():
         assert p.scaled_energy(p.energy_terms(u)[0], 1.0)[0] == np.inf
 
 
+@pytest.mark.parametrize("make", [lambda: allen_cahn(Grid.fourier2d(8)), lambda: burgers(Grid.sine1d(8), 0.1)],
+                         ids=["allen_cahn", "burgers"])
+@pytest.mark.parametrize("terms", [(3.5, -40.0, 90.0), (math.inf,) * 3, (math.nan,) * 3],
+                         ids=["finite", "inf", "nan"])
+def test_scaled_energy_at_zero_is_the_zero_level_s_whatever_the_terms(make, terms):
+    # E(0 u) does not depend on u, so the closed form at s = 0 ignores the terms,
+    # where 0 times an overflowed one would read nan
+    p = make()
+    assert p.scaled_energy(terms, 0.0) == (p.energy(p.zero_update[0]), 0.0)
+
+
 def test_reference_run_energy_non_increasing(grid):
     # tiny-step high-order unforced run: recorded energy must not increase
     # beyond 1e-6 per step

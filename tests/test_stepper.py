@@ -155,6 +155,16 @@ def test_a_scheme_holds_its_shift_and_is_immutable(order):
         Scheme(tab, 0.1, StepMode.SAV, 1.0)  # the shift is the scheme's own
 
 
+def test_a_scheme_holds_a_numpy_dt_as_a_python_float():
+    # a float32 dt once made the shift and every level's time float32
+    dt = np.float32(0.1)
+    scheme = Scheme(tableau(2), dt)
+    assert type(scheme.dt) is float and type(scheme.shift) is float
+    p = with_manufactured_forcing(allen_cahn(Grid.fourier2d(8)))
+    T = 5 * float(dt)
+    assert run(p, scheme, T).records == run(p, Scheme(tableau(2), float(dt)), T).records
+
+
 def test_a_step_checks_no_setting_of_its_scheme(monkeypatch):
     # dt is read once, when the scheme is built: a run whose dt check raises from
     # then on still takes its 20 steps, each solving with the scheme's one shift
@@ -1051,6 +1061,31 @@ def _count_transforms(monkeypatch):
                       ("_fourier_inverse", "inv"), ("_sine_inverse", "inv")):
         monkeypatch.setattr(spectral, name, counted(getattr(spectral, name), key))
     return counts
+
+
+@pytest.mark.parametrize("mode", [StepMode.SAV, StepMode.IMEX])
+@pytest.mark.parametrize("name", ["allen_cahn", "burgers"])
+def test_a_step_scans_ubar_after_its_energy_terms(monkeypatch, name, mode):
+    # both modes form ubar's energy terms before its finiteness scan, so on a
+    # phase field the scan reads ubar's values; Burgers' terms need no values,
+    # so its scan reads the coefficients the solve made
+    if name == "burgers":
+        make, u0, *_ = _burgers_case(2)
+        p = make()
+    else:
+        p = allen_cahn(Grid.fourier2d(16))
+        u0 = random_smooth_field(p.grid, seed=2)
+    scheme = Scheme(tableau(2), 0.01, mode)
+    state = initialize(p, scheme, u0=u0)
+    scanned, max_abs = [], Field.max_abs
+
+    def recording(u):
+        scanned.append(u._phys is not None)
+        return max_abs(u)
+
+    monkeypatch.setattr(Field, "max_abs", recording)
+    step(state, p, scheme)
+    assert scanned == [name == "allen_cahn"]
 
 
 @pytest.mark.parametrize("name, order, fwd, inv", [
